@@ -1,11 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the building blocks whose costs
 // the paper discusses in §7: the per-thread Myers diff (reimplemented in C
-// there for speed), log parsing, causal-graph construction, the simulated
-// workload run, and the injection-hook decision latency (Table 4).
+// there for speed), log parsing, the per-run feedback digest, causal-graph
+// construction, the simulated workload run, and the injection-hook decision
+// latency (Table 4).
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <string>
+
 #include "src/explorer/context.h"
+#include "src/interp/log_entry.h"
 #include "src/interp/simulator.h"
 #include "src/logdiff/compare.h"
 #include "src/logdiff/myers.h"
@@ -70,6 +75,54 @@ void BM_LogParse(benchmark::State& state) {
                           static_cast<int64_t>(built.failure_log_text.size()));
 }
 BENCHMARK(BM_LogParse);
+
+// A search run's log: the case's exploration workload at its exploration
+// seed with the ground-truth fault armed.
+const interp::RunResult& SearchRunOf(const std::string& id) {
+  static std::map<std::string, interp::RunResult> runs;
+  auto it = runs.find(id);
+  if (it == runs.end()) {
+    const systems::FailureCase* failure_case = systems::FindCase(id);
+    for (const systems::FailureCase& storm : systems::StormCases()) {
+      if (storm.id == id) {
+        failure_case = &storm;
+      }
+    }
+    systems::BuiltCase built = systems::BuildCase(*failure_case, /*verify=*/false);
+    it = runs.emplace(id, systems::RunOnce(*built.program, built.cluster,
+                                           failure_case->explore_seed, {built.ground_truth}))
+             .first;
+  }
+  return it->second;
+}
+
+// The feedback digest of one search run: the text round trip the round loop
+// used to pay (FormatLogFile, then ParseLogFile) against DigestLog into a
+// reused buffer, which is what Explorer's ExecuteOne runs now.
+void BM_RunLogDigest(benchmark::State& state, const std::string& id, bool structured) {
+  const interp::RunResult& run = SearchRunOf(id);
+  logdiff::ParsedLog reused;
+  for (auto _ : state) {
+    if (structured) {
+      interp::DigestLog(run.log, &reused);
+      benchmark::DoNotOptimize(reused.lines.data());
+      benchmark::ClobberMemory();
+    } else {
+      benchmark::DoNotOptimize(logdiff::ParseLogFile(interp::FormatLogFile(run.log)));
+    }
+  }
+  state.counters["lines"] = static_cast<double>(run.log.size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(run.log.size()));
+}
+BENCHMARK_CAPTURE(BM_RunLogDigest, zk2247_text, std::string("zk-2247"), false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RunLogDigest, zk2247_structured, std::string("zk-2247"), true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RunLogDigest, castorm1_text, std::string("ca-storm-1"), false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RunLogDigest, castorm1_structured, std::string("ca-storm-1"), true)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PerThreadLogCompare(benchmark::State& state) {
   const systems::BuiltCase& built = MotivatingCase();

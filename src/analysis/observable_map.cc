@@ -16,8 +16,10 @@ constexpr const char kExcMarker[] = " [exc=";
 std::string ObservableMapper::TemplateKey(const ir::Program& program, ir::LogTemplateId tmpl) {
   const ir::LogTemplate& t = program.log_template(tmpl);
   // "{}" placeholders render as digit runs, which sanitize to '#'.
-  std::string body = logdiff::Sanitize(ReplaceAll(t.text, "{}", "0"));
-  return StrFormat("%s|%s|%s", ir::LogLevelName(t.level), t.logger.c_str(), body.c_str());
+  std::string key;
+  logdiff::SetObservableKey(ir::LogLevelName(t.level), t.logger, ReplaceAll(t.text, "{}", "0"),
+                            &key);
+  return key;
 }
 
 ObservableMapper::ObservableMapper(const ir::Program& program) : program_(program) {

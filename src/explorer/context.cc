@@ -36,23 +36,22 @@ ExplorerContext::ExplorerContext(const ExperimentSpec& spec, const ExplorerOptio
   interp::RunResult normal = simulator.Run();
   normal_workload_seconds_ = workload_timer.ElapsedSeconds();
   normal_trace_ = normal.trace;
-  normal_log_ = logdiff::ParseLogFile(interp::FormatLogFile(normal.log));
+  normal_log_ = interp::DigestLog(normal.log);
 
   // Step 2: per-thread diff -> relevant observables (§5.1).
   logdiff::LogComparison comparison = logdiff::CompareLogs(normal_log_, failure_log_);
   std::vector<std::string> keys = comparison.target_only_keys;
   observables_.reserve(keys.size());
   for (const std::string& key : keys) {
+    observable_index_.emplace(key, observables_.size());
     ObservableInfo info;
     info.key = key;
     observables_.push_back(std::move(info));
   }
   for (const logdiff::ParsedLine& line : failure_log_.lines) {
-    for (size_t k = 0; k < keys.size(); ++k) {
-      if (line.key == keys[k]) {
-        observables_[k].failure_positions.push_back(line.index);
-        break;
-      }
+    auto it = observable_index_.find(line.key);
+    if (it != observable_index_.end()) {
+      observables_[it->second].failure_positions.push_back(line.index);
     }
   }
 
@@ -217,6 +216,17 @@ ExplorerContext::ExplorerContext(const ExperimentSpec& spec, const ExplorerOptio
                                 static_cast<int64_t>(pruned_candidates_));
     }
   }
+}
+
+std::vector<uint8_t> ExplorerContext::ObservablesIn(const logdiff::ParsedLog& log) const {
+  std::vector<uint8_t> present(observables_.size(), 0);
+  for (const logdiff::ParsedLine& line : log.lines) {
+    auto it = observable_index_.find(line.key);
+    if (it != observable_index_.end()) {
+      present[it->second] = 1;
+    }
+  }
+  return present;
 }
 
 const std::vector<InstanceEstimate>& ExplorerContext::InstancesOf(ir::FaultSiteId site) const {

@@ -76,6 +76,9 @@ class ExplorerContext {
   const logdiff::ParsedLog& failure_log() const { return failure_log_; }
   const logdiff::ParsedLog& normal_log() const { return normal_log_; }
   const std::vector<ObservableInfo>& observables() const { return observables_; }
+  // Per observable, in observables() order: 1 when some line of `log` carries
+  // its key. How a run's log becomes search feedback.
+  std::vector<uint8_t> ObservablesIn(const logdiff::ParsedLog& log) const;
   const analysis::CausalGraph& graph() const { return *graph_; }
 
   const std::vector<FaultCandidate>& candidates() const { return candidates_; }
@@ -128,6 +131,7 @@ class ExplorerContext {
   logdiff::ParsedLog failure_log_;
   logdiff::ParsedLog normal_log_;
   std::vector<ObservableInfo> observables_;
+  std::unordered_map<std::string, size_t> observable_index_;  // key -> observables_ index
   std::unique_ptr<analysis::CausalGraph> graph_;
   std::vector<FaultCandidate> candidates_;
   std::vector<std::vector<int32_t>> distances_;

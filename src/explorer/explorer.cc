@@ -5,7 +5,6 @@
 #include <future>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "src/interp/simulator.h"
@@ -43,6 +42,9 @@ struct RepRun {
   interp::RunResult run;
   uint64_t seed = 0;
   bool success = false;  // oracle holds AND the window injection fired
+  // Per context observable: 1 when this run's log shows its key. Empty when
+  // the strategy takes no log feedback.
+  std::vector<uint8_t> present;
 };
 
 // Per-worker scratch: the simulator's pooled buffers survive across the
@@ -55,9 +57,12 @@ interp::RunScratch& LocalScratch() {
   return scratch;
 }
 
+// Simulates one plan item and, when `feedback` is set, digests its log into
+// per-observable flags right here on the simulating thread. Search runs
+// record no fault-instance trace: nothing in the round loop reads it.
 RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat, bool tree_walk,
                   const std::vector<interp::InjectionCandidate>& window, uint64_t seed,
-                  obs::MetricsRegistry* metrics) {
+                  const ExplorerContext* feedback, obs::MetricsRegistry* metrics) {
   RepRun rep;
   rep.seed = seed;
   interp::RunScratch& scratch = LocalScratch();
@@ -65,7 +70,7 @@ RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat, bool 
   if (runtime == nullptr || &runtime->program() != spec.program) {
     runtime = std::make_unique<interp::FaultRuntime>(spec.program);
   }
-  runtime->set_tracing(true);
+  runtime->set_tracing(false);
   runtime->SetWindow(window);
   runtime->SetPinned(spec.pinned_faults);
   interp::Simulator simulator(spec.program, spec.cluster, seed, runtime.get(), flat,
@@ -76,6 +81,13 @@ RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat, bool 
   simulator.set_metrics(metrics);
   rep.run = simulator.Run();
   rep.success = spec.oracle(*spec.program, rep.run) && rep.run.injected.has_value();
+  if (feedback != nullptr) {
+    // Reused across this thread's runs: steady-state digests overwrite its
+    // strings in place instead of allocating a line's worth per entry.
+    thread_local logdiff::ParsedLog digest;
+    interp::DigestLog(rep.run.log, &digest);
+    rep.present = feedback->ObservablesIn(digest);
+  }
   return rep;
 }
 
@@ -120,15 +132,16 @@ RoundPlan PlanRound(const ExperimentSpec& spec, const ExplorerOptions& options, 
 // selection.
 std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ir::FlatProgram* flat,
                                 bool tree_walk, const RoundPlan& plan, ThreadPool* pool,
+                                const ExplorerContext* feedback,
                                 obs::MetricsRegistry* metrics) {
   std::vector<RepRun> executed;
   if (pool != nullptr && plan.items.size() > 1) {
     std::vector<std::future<RepRun>> futures;
     futures.reserve(plan.items.size());
     for (const auto& [window, seed] : plan.items) {
-      futures.push_back(pool->Submit([&spec, flat, tree_walk, &window, seed = seed,
+      futures.push_back(pool->Submit([&spec, flat, tree_walk, &window, seed = seed, feedback,
                                       metrics]() {
-        return ExecuteOne(spec, flat, tree_walk, window, seed, metrics);
+        return ExecuteOne(spec, flat, tree_walk, window, seed, feedback, metrics);
       }));
     }
     executed.reserve(futures.size());
@@ -137,7 +150,7 @@ std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ir::FlatProgra
     }
   } else {
     for (const auto& [window, seed] : plan.items) {
-      executed.push_back(ExecuteOne(spec, flat, tree_walk, window, seed, metrics));
+      executed.push_back(ExecuteOne(spec, flat, tree_walk, window, seed, feedback, metrics));
       if (executed.back().success) {
         break;
       }
@@ -146,44 +159,17 @@ std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ir::FlatProgra
   return executed;
 }
 
-// Parses one run's log into its set of sanitized message keys. Offloaded to
-// the pool when a round produced several logs.
-std::unordered_set<std::string> KeysOfRun(const interp::RunResult& run) {
-  std::unordered_set<std::string> keys;
-  logdiff::ParsedLog log = logdiff::ParseLogFile(interp::FormatLogFile(run.log));
-  for (const logdiff::ParsedLine& line : log.lines) {
-    keys.insert(line.key);
-  }
-  return keys;
-}
-
-std::unordered_set<std::string> CombinedKeys(const std::vector<RepRun>& executed,
-                                             ThreadPool* pool) {
-  std::unordered_set<std::string> combined;
-  if (pool != nullptr && executed.size() > 1) {
-    std::vector<std::future<std::unordered_set<std::string>>> futures;
-    futures.reserve(executed.size());
-    for (const RepRun& rep : executed) {
-      futures.push_back(pool->Submit([&rep]() { return KeysOfRun(rep.run); }));
-    }
-    for (auto& future : futures) {
-      combined.merge(future.get());
-    }
-  } else {
-    for (const RepRun& rep : executed) {
-      combined.merge(KeysOfRun(rep.run));
-    }
-  }
-  return combined;
-}
-
-// Present relevant observables, in the context's (deterministic) order.
+// Keys of the observables any of `runs` showed, in the context's
+// (deterministic) order.
 std::vector<std::string> PresentKeys(const ExplorerContext& context,
-                                     const std::unordered_set<std::string>& run_keys) {
+                                     const std::vector<RepRun>& runs) {
   std::vector<std::string> present;
-  for (const ObservableInfo& observable : context.observables()) {
-    if (run_keys.contains(observable.key)) {
-      present.push_back(observable.key);
+  for (size_t k = 0; k < context.observables().size(); ++k) {
+    for (const RepRun& rep : runs) {
+      if (rep.present[k] != 0) {
+        present.push_back(context.observables()[k].key);
+        break;
+      }
     }
   }
   return present;
@@ -434,8 +420,9 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     if (flat != nullptr && flat->program() != spec_->program) {
       flat = nullptr;
     }
-    std::vector<RepRun> executed =
-        ExecutePlan(*spec_, flat, options_.tree_walk_interpreter, plan, pool, metrics);
+    const ExplorerContext* feedback = strategy->WantsLogFeedback() ? context_.get() : nullptr;
+    std::vector<RepRun> executed = ExecutePlan(*spec_, flat, options_.tree_walk_interpreter,
+                                               plan, pool, feedback, metrics);
     // Transient-failure retry: when the watchdog wall budget killed a run
     // the round's feedback is an artifact of host load, not of the fault.
     // Back off (bounded exponential + jitter) and re-execute the identical
@@ -451,7 +438,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
                         0, {obs::ArgInt("attempt", record.retries)});
       }
       executed = ExecutePlan(*spec_, flat, options_.tree_walk_interpreter, plan, pool,
-                             metrics);
+                             feedback, metrics);
     }
     retry_backoff.Reset();
     record.run_seconds = run_timer.ElapsedSeconds();
@@ -505,8 +492,8 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       if (strategy->WantsLogFeedback()) {
         // The successful round's observable count matters too: the iterative
         // multi-fault mode ranks rounds by it when picking a fault to pin.
-        record.present_observables =
-            static_cast<int>(PresentKeys(*context_, KeysOfRun(run)).size());
+        record.present_observables = static_cast<int>(
+            std::count(selected->present.begin(), selected->present.end(), uint8_t{1}));
       }
       record.decide_seconds = decide_seconds;
       result.records.push_back(record);
@@ -539,10 +526,11 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       break;
     }
 
-    // Feedback digestion: combined logs across every run of the round (§6).
-    // Partial logs from crashed and watchdog-killed runs participate too —
-    // a truncated log still carries every observable emitted before the
-    // crash, which is exactly the feedback Algorithm 2 wants.
+    // Feedback digestion: combined observables across every run of the
+    // round (§6), each run already digested by ExecuteOne. Partial logs from
+    // crashed and watchdog-killed runs participate too — a truncated log
+    // still carries every observable emitted before the crash, which is
+    // exactly the feedback Algorithm 2 wants.
     Stopwatch feedback_timer;
     RoundOutcome outcome;
     outcome.round = round;
@@ -590,7 +578,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       outcome.injected = run.injected;
     }
     if (strategy->WantsLogFeedback()) {
-      outcome.present_keys = PresentKeys(*context_, CombinedKeys(executed, pool));
+      outcome.present_keys = PresentKeys(*context_, executed);
       record.present_observables = static_cast<int>(outcome.present_keys.size());
       if (metrics != nullptr) {
         metrics->Observe("logdiff.present_observables", record.present_observables);

@@ -111,15 +111,11 @@ namespace {
 // newly flipped. Context observable order, so deterministic.
 std::vector<std::string> FlippedObservables(const ExplorerContext& context,
                                             const interp::RunResult& run) {
-  std::unordered_set<std::string> keys;
-  logdiff::ParsedLog log = logdiff::ParseLogFile(interp::FormatLogFile(run.log));
-  for (const logdiff::ParsedLine& line : log.lines) {
-    keys.insert(line.key);
-  }
+  std::vector<uint8_t> seen = context.ObservablesIn(interp::DigestLog(run.log));
   std::vector<std::string> present;
-  for (const ObservableInfo& observable : context.observables()) {
-    if (keys.contains(observable.key)) {
-      present.push_back(observable.key);
+  for (size_t k = 0; k < seen.size(); ++k) {
+    if (seen[k] != 0) {
+      present.push_back(context.observables()[k].key);
     }
   }
   return present;

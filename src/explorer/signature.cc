@@ -73,9 +73,8 @@ std::vector<std::string> MethodSlice(const ir::Program& program,
   return names;
 }
 
-std::unordered_set<std::string> KeysOfLogText(const std::string& text) {
+std::unordered_set<std::string> KeysOf(const logdiff::ParsedLog& log) {
   std::unordered_set<std::string> keys;
-  logdiff::ParsedLog log = logdiff::ParseLogFile(text);
   for (const logdiff::ParsedLine& line : log.lines) {
     keys.insert(line.key);
   }
@@ -169,9 +168,9 @@ FaultSignature BuildSignature(const ExperimentSpec& spec, const std::string& cas
   interp::Simulator simulator(spec.program, spec.cluster, spec.base_seed, &runtime);
   interp::RunResult fault_free = simulator.Run();
   logdiff::LogComparison comparison =
-      logdiff::CompareLogs(logdiff::ParseLogFile(interp::FormatLogFile(fault_free.log)),
-                           logdiff::ParseLogFile(interp::FormatLogFile(failing.run.log)));
-  std::unordered_set<std::string> production_keys = KeysOfLogText(spec.failure_log_text);
+      logdiff::CompareLogs(interp::DigestLog(fault_free.log), interp::DigestLog(failing.run.log));
+  std::unordered_set<std::string> production_keys =
+      KeysOf(logdiff::ParseLogFile(spec.failure_log_text));
   for (const std::string& key : comparison.target_only_keys) {
     if (production_keys.contains(key)) {
       signature.oracle_keys.push_back(key);
@@ -238,8 +237,7 @@ SignatureReplay ReplaySignature(const ExperimentSpec& spec, const FaultSignature
                result.run.pinned_fired == static_cast<int64_t>(resolved.size()) - 1 &&
                spec.oracle(*spec.program, result.run);
   if (fired && !signature.oracle_keys.empty()) {
-    std::unordered_set<std::string> keys =
-        KeysOfLogText(interp::FormatLogFile(result.run.log));
+    std::unordered_set<std::string> keys = KeysOf(interp::DigestLog(result.run.log));
     for (const std::string& key : signature.oracle_keys) {
       if (!keys.contains(key)) {
         fired = false;

@@ -9,19 +9,6 @@
 
 namespace anduril::explorer {
 
-namespace {
-
-std::unordered_set<std::string> KeysOfLog(const interp::RunResult& run) {
-  std::unordered_set<std::string> keys;
-  logdiff::ParsedLog log = logdiff::ParseLogFile(interp::FormatLogFile(run.log));
-  for (const logdiff::ParsedLine& line : log.lines) {
-    keys.insert(line.key);
-  }
-  return keys;
-}
-
-}  // namespace
-
 std::string SoundnessReport::ToText(const ExplorerContext& context) const {
   if (ok()) {
     return StrFormat(
@@ -82,11 +69,10 @@ SoundnessReport CheckCausalSoundness(const ExplorerContext& context,
     interp::RunResult run = simulator.Run();
     ++report.candidates_checked;
 
-    std::unordered_set<std::string> run_keys = KeysOfLog(run);
+    std::vector<uint8_t> present = context.ObservablesIn(interp::DigestLog(run.log));
     const std::vector<ObservableInfo>& observables = context.observables();
     for (size_t k = 0; k < observables.size(); ++k) {
-      if (!run_keys.contains(observables[k].key) ||
-          baseline_keys.contains(observables[k].key)) {
+      if (present[k] == 0 || baseline_keys.contains(observables[k].key)) {
         continue;
       }
       ++report.pairs_observed;

@@ -28,4 +28,71 @@ std::string FormatLogFile(const std::vector<LogEntry>& entries) {
   return out;
 }
 
+namespace {
+
+// The characters ParseLogFile trims off a line and off the logger.
+bool IsTrimmed(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
+
+// True when ParseLogFile reads FormatLogLine(entry) back as exactly one line
+// carrying the entry's own thread label, logger and message. The text ends
+// each field at the first ']' (thread label) or " - " (logger), trims the
+// logger and the whole line, splits lines at '\n', and StrFormat stops
+// every field at a NUL.
+bool RoundTrips(const LogEntry& entry) {
+  for (const std::string* field : {&entry.node, &entry.thread, &entry.logger, &entry.message}) {
+    if (field->find('\n') != std::string::npos || field->find('\0') != std::string::npos) {
+      return false;
+    }
+  }
+  if (entry.node.find(']') != std::string::npos || entry.thread.find(']') != std::string::npos) {
+    return false;
+  }
+  const std::string& logger = entry.logger;
+  if (logger.find(" - ") != std::string::npos || logger.ends_with(" -") ||
+      (!logger.empty() && (IsTrimmed(logger.front()) || IsTrimmed(logger.back())))) {
+    return false;
+  }
+  // A blank message leaves the line ending in " -", with no separator left.
+  return !entry.message.empty() && !IsTrimmed(entry.message.back());
+}
+
+}  // namespace
+
+void DigestLog(const std::vector<LogEntry>& entries, logdiff::ParsedLog* out) {
+  std::vector<logdiff::ParsedLine>& lines = out->lines;
+  size_t count = 0;
+  auto next_line = [&]() -> logdiff::ParsedLine& {
+    if (count == lines.size()) {
+      lines.emplace_back();
+    }
+    return lines[count++];
+  };
+  for (const LogEntry& entry : entries) {
+    if (!RoundTrips(entry)) {
+      for (logdiff::ParsedLine& parsed : logdiff::ParseLogFile(FormatLogLine(entry)).lines) {
+        logdiff::ParsedLine& line = next_line();
+        line = std::move(parsed);
+        line.index = static_cast<int64_t>(count - 1);
+      }
+      continue;
+    }
+    logdiff::ParsedLine& line = next_line();
+    line.index = static_cast<int64_t>(count - 1);
+    line.thread.assign(entry.node);
+    line.thread.push_back('/');
+    line.thread.append(entry.thread);
+    line.level.assign(ir::LogLevelName(entry.level));
+    line.logger.assign(entry.logger);
+    line.message.assign(entry.message);
+    logdiff::SetObservableKey(line.level, line.logger, line.message, &line.key);
+  }
+  lines.resize(count);
+}
+
+logdiff::ParsedLog DigestLog(const std::vector<LogEntry>& entries) {
+  logdiff::ParsedLog log;
+  DigestLog(entries, &log);
+  return log;
+}
+
 }  // namespace anduril::interp

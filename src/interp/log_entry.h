@@ -2,9 +2,13 @@
 //
 // These are the paper's "observables": the only runtime information the
 // explorer may use as feedback is what a production log file would contain.
-// Entries render to text lines (and are parsed back by src/logdiff) so the
-// toolchain never takes shortcuts through in-memory structures that a real
-// deployment would not have.
+// Only the production failure log arrives as text and goes through
+// logdiff::ParseLogFile. Simulated run logs are digested straight from their
+// entries by DigestLog, which reads exactly the fields a production line
+// carries (thread label, level, logger, message) and yields the same
+// ParsedLines that rendering the log with FormatLogFile and parsing it back
+// would. tests/log_digest_test.cc holds the two paths equal on every
+// registered scenario.
 
 #ifndef ANDURIL_SRC_INTERP_LOG_ENTRY_H_
 #define ANDURIL_SRC_INTERP_LOG_ENTRY_H_
@@ -14,6 +18,7 @@
 
 #include "src/ir/program.h"
 #include "src/ir/types.h"
+#include "src/logdiff/parser.h"
 
 namespace anduril::interp {
 
@@ -39,6 +44,17 @@ std::string FormatLogLine(const LogEntry& entry);
 
 // Renders a whole run log as a log file body.
 std::string FormatLogFile(const std::vector<LogEntry>& entries);
+
+// The lines logdiff::ParseLogFile(FormatLogFile(entries)) would return, field
+// for field (index, thread, level, logger, message, key), built from the
+// entries without rendering or parsing text. Never reads `tmpl` or `source`.
+// An entry whose rendered line would not parse back into its own fields (a
+// newline or NUL anywhere, ']' in the thread label, " - " inside the logger
+// or " -" at its end, whitespace the parser trims off the logger or the
+// message, a blank message) is rendered and parsed on its own instead.
+// Overwrites *out; reusing one ParsedLog across calls reuses its strings.
+void DigestLog(const std::vector<LogEntry>& entries, logdiff::ParsedLog* out);
+logdiff::ParsedLog DigestLog(const std::vector<LogEntry>& entries);
 
 }  // namespace anduril::interp
 

@@ -4,22 +4,49 @@
 
 namespace anduril::logdiff {
 
+namespace {
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// Appends `message` with every digit run replaced by '#', copying the text
+// between digit runs in bulk.
+void AppendSanitized(std::string_view message, std::string* out) {
+  size_t pos = 0;
+  while (pos < message.size()) {
+    size_t digits = pos;
+    while (digits < message.size() && !IsDigit(message[digits])) {
+      ++digits;
+    }
+    out->append(message.substr(pos, digits - pos));
+    if (digits == message.size()) {
+      return;
+    }
+    out->push_back('#');
+    pos = digits;
+    while (pos < message.size() && IsDigit(message[pos])) {
+      ++pos;
+    }
+  }
+}
+
+}  // namespace
+
 std::string Sanitize(const std::string& message) {
   std::string out;
   out.reserve(message.size());
-  bool in_digits = false;
-  for (char c : message) {
-    if (c >= '0' && c <= '9') {
-      if (!in_digits) {
-        out.push_back('#');
-        in_digits = true;
-      }
-    } else {
-      in_digits = false;
-      out.push_back(c);
-    }
-  }
+  AppendSanitized(message, &out);
   return out;
+}
+
+void SetObservableKey(std::string_view level, std::string_view logger, std::string_view message,
+                      std::string* key) {
+  key->clear();
+  key->reserve(level.size() + logger.size() + message.size() + 2);
+  key->append(level);
+  key->push_back('|');
+  key->append(logger);
+  key->push_back('|');
+  AppendSanitized(message, key);
 }
 
 ParsedLog ParseLogFile(const std::string& text, const LogFormat& format) {
@@ -70,7 +97,7 @@ ParsedLog ParseLogFile(const std::string& text, const LogFormat& format) {
     parsed.thread = std::move(thread);
     parsed.level = std::move(level);
     parsed.logger = std::move(logger);
-    parsed.key = parsed.level + "|" + parsed.logger + "|" + Sanitize(message);
+    SetObservableKey(parsed.level, parsed.logger, message, &parsed.key);
     parsed.message = std::move(message);
     log.lines.push_back(std::move(parsed));
   }

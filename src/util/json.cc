@@ -10,6 +10,7 @@ namespace {
 struct Parser {
   const std::string& text;
   size_t pos = 0;
+  int depth = 0;  // arrays and objects currently open
   std::string error;
 
   bool Fail(const std::string& message) {
@@ -104,63 +105,77 @@ struct Parser {
     return Fail("unterminated string");
   }
 
+  // Parses the object whose '{' is at pos.
+  bool ParseObject(JsonValue* out) {
+    ++pos;
+    *out = JsonValue::Object();
+    SkipSpace();
+    if (pos < text.size() && text[pos] == '}') {
+      ++pos;
+      return true;
+    }
+    for (;;) {
+      std::string key;
+      SkipSpace();
+      if (!ParseString(&key)) {
+        return false;
+      }
+      if (!Consume(':')) {
+        return false;
+      }
+      JsonValue value;
+      if (!ParseValue(&value)) {
+        return false;
+      }
+      out->Set(key, std::move(value));
+      SkipSpace();
+      if (pos < text.size() && text[pos] == ',') {
+        ++pos;
+        continue;
+      }
+      return Consume('}');
+    }
+  }
+
+  // Parses the array whose '[' is at pos.
+  bool ParseArray(JsonValue* out) {
+    ++pos;
+    *out = JsonValue::Array();
+    SkipSpace();
+    if (pos < text.size() && text[pos] == ']') {
+      ++pos;
+      return true;
+    }
+    for (;;) {
+      JsonValue value;
+      if (!ParseValue(&value)) {
+        return false;
+      }
+      out->Append(std::move(value));
+      SkipSpace();
+      if (pos < text.size() && text[pos] == ',') {
+        ++pos;
+        continue;
+      }
+      return Consume(']');
+    }
+  }
+
   bool ParseValue(JsonValue* out) {
     SkipSpace();
     if (pos >= text.size()) {
       return Fail("unexpected end of input");
     }
     char c = text[pos];
-    if (c == '{') {
-      ++pos;
-      *out = JsonValue::Object();
-      SkipSpace();
-      if (pos < text.size() && text[pos] == '}') {
-        ++pos;
-        return true;
+    if (c == '{' || c == '[') {
+      // Containers recurse; bound the depth before the stack can run out.
+      if (depth == JsonValue::kMaxDepth) {
+        return Fail("nesting deeper than " + std::to_string(JsonValue::kMaxDepth) + " levels");
       }
-      for (;;) {
-        std::string key;
-        SkipSpace();
-        if (!ParseString(&key)) {
-          return false;
-        }
-        if (!Consume(':')) {
-          return false;
-        }
-        JsonValue value;
-        if (!ParseValue(&value)) {
-          return false;
-        }
-        out->Set(key, std::move(value));
-        SkipSpace();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        return Consume('}');
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      *out = JsonValue::Array();
-      SkipSpace();
-      if (pos < text.size() && text[pos] == ']') {
-        ++pos;
-        return true;
-      }
-      for (;;) {
-        JsonValue value;
-        if (!ParseValue(&value)) {
-          return false;
-        }
-        out->Append(std::move(value));
-        SkipSpace();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        return Consume(']');
-      }
+      ++depth;
+      bool ok = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth;
+      return ok;
     }
     if (c == '"') {
       std::string value;

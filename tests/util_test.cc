@@ -10,6 +10,7 @@
 
 #include "src/util/backoff.h"
 #include "src/util/check.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/stopwatch.h"
 #include "src/util/strings.h"
@@ -330,6 +331,80 @@ TEST(ExponentialBackoff, FastForwardRestoresJitterStreamPosition) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(resumed.NextDelayMs(), original.NextDelayMs()) << "draw " << i;
   }
+}
+
+// --- json ---------------------------------------------------------------------
+
+std::string Nested(const std::string& open, const std::string& leaf, const std::string& close,
+                   int depth) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) {
+    text += open;
+  }
+  text += leaf;
+  for (int i = 0; i < depth; ++i) {
+    text += close;
+  }
+  return text;
+}
+
+TEST(Json, RoundTripsEveryType) {
+  JsonValue root = JsonValue::Object();
+  root.Set("null", JsonValue::Null());
+  root.Set("bool", JsonValue::Bool(true));
+  root.Set("int", JsonValue::Int(-42));
+  root.Set("double", JsonValue::Double(0.5));
+  root.Set("string", JsonValue::Str("a \"quoted\"\n\\line"));
+  JsonValue array = JsonValue::Array();
+  array.Append(JsonValue::Int(1));
+  array.Append(JsonValue::Object());
+  root.Set("array", std::move(array));
+  std::string error;
+  JsonValue parsed = JsonValue::Parse(root.Dump(), &error);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_EQ(parsed.Dump(), root.Dump());
+  EXPECT_EQ(parsed.Find("int")->as_int(), -42);
+  EXPECT_EQ(parsed.Find("string")->as_string(), "a \"quoted\"\n\\line");
+}
+
+TEST(Json, AcceptsNestingUpToTheBound) {
+  std::string error;
+  JsonValue arrays =
+      JsonValue::Parse(Nested("[", "1", "]", JsonValue::kMaxDepth), &error);
+  EXPECT_TRUE(error.empty()) << error;
+  EXPECT_EQ(arrays.type(), JsonValue::Type::kArray);
+  JsonValue objects =
+      JsonValue::Parse(Nested("{\"a\":", "1", "}", JsonValue::kMaxDepth), &error);
+  EXPECT_TRUE(error.empty()) << error;
+  EXPECT_EQ(objects.type(), JsonValue::Type::kObject);
+}
+
+TEST(Json, RejectsNestingPastTheBoundWithItsOffset) {
+  std::string error;
+  JsonValue value =
+      JsonValue::Parse(Nested("[", "1", "]", JsonValue::kMaxDepth + 1), &error);
+  EXPECT_TRUE(value.is_null());
+  // The first bracket past the bound sits at offset kMaxDepth.
+  EXPECT_EQ(error, "nesting deeper than 64 levels at offset 64");
+}
+
+TEST(Json, NestingBombsFailWithAnErrorInsteadOfOverflowingTheStack) {
+  // The shapes that used to crash the CLI: a signature of 200k '[' and a
+  // checkpoint of 100k nested objects, both unterminated and terminated.
+  const std::string arrays(200000, '[');
+  const std::string objects = Nested("{\"a\":", "1", "}", 100000);
+  for (const std::string* bomb : {&arrays, &objects}) {
+    std::string error;
+    JsonValue value = JsonValue::Parse(*bomb, &error);
+    EXPECT_TRUE(value.is_null());
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+    EXPECT_NE(error.find("at offset"), std::string::npos) << error;
+  }
+  // A bomb nested inside an otherwise well-formed document fails the same way:
+  // the object is level 1, so the 64th '[' (offset 10 + 63) is one too many.
+  std::string error;
+  JsonValue::Parse("{\"steps\": " + arrays + "}", &error);
+  EXPECT_EQ(error, "nesting deeper than 64 levels at offset 73");
 }
 
 }  // namespace
