@@ -7,26 +7,6 @@
 
 namespace anduril::analysis {
 
-const char* CausalNodeKindName(CausalNodeKind kind) {
-  switch (kind) {
-    case CausalNodeKind::kLocation:
-      return "location";
-    case CausalNodeKind::kCondition:
-      return "condition";
-    case CausalNodeKind::kInvocation:
-      return "invocation";
-    case CausalNodeKind::kHandler:
-      return "handler";
-    case CausalNodeKind::kInternalExc:
-      return "internal-exception";
-    case CausalNodeKind::kNewExc:
-      return "new-exception";
-    case CausalNodeKind::kExternalExc:
-      return "external-exception";
-  }
-  ANDURIL_UNREACHABLE();
-}
-
 namespace {
 
 // Finds the catch clause (trycatch stmt, clause index) whose block contains
@@ -186,11 +166,6 @@ CausalNodeId CausalGraph::GetOrAdd(const CausalNode& node, std::vector<CausalNod
 void CausalGraph::AddEdge(CausalNodeId prior, CausalNodeId node) {
   priors_[static_cast<size_t>(node)].push_back(prior);
   effects_[static_cast<size_t>(prior)].push_back(node);
-}
-
-CausalNodeId CausalGraph::FindNode(const CausalNode& node) const {
-  auto it = index_.find(node);
-  return it == index_.end() ? -1 : it->second;
 }
 
 void CausalGraph::ExpandNode(CausalNodeId id, std::vector<CausalNodeId>* worklist) {

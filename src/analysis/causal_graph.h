@@ -50,8 +50,6 @@ enum class CausalNodeKind : uint8_t {
   kExternalExc,  // loc = ExternalCall; aux = exception type
 };
 
-const char* CausalNodeKindName(CausalNodeKind kind);
-
 struct CausalNode {
   CausalNodeKind kind = CausalNodeKind::kLocation;
   ir::GlobalStmt loc;
@@ -111,9 +109,6 @@ class CausalGraph {
   static constexpr int32_t kUnreachable = INT32_MAX;
   std::vector<int32_t> DistancesToObservable(int32_t observable) const;
   int32_t num_observables() const { return num_observables_; }
-
-  // Node lookup (for tests).
-  CausalNodeId FindNode(const CausalNode& node) const;
 
  private:
   struct NodeHash {

@@ -12,7 +12,6 @@ MethodCfg::MethodCfg(const ir::Program& program, ir::MethodId method,
   ANDURIL_CHECK(program.finalized());
   const ir::Method& m = program.method(method);
   succs_.resize(m.stmts.size() + 2);
-  preds_.resize(m.stmts.size() + 2);
   AddEdge(entry(), 0);  // statement 0 is the root block
   for (ir::StmtId s = 0; s < static_cast<ir::StmtId>(m.stmts.size()); ++s) {
     BuildStmtEdges(m, s);
@@ -26,7 +25,6 @@ void MethodCfg::AddEdge(CfgNodeId from, CfgNodeId to) {
     return;  // dedup: several escape origins can share a handler target
   }
   out.push_back(to);
-  preds_[static_cast<size_t>(to)].push_back(from);
 }
 
 CfgNodeId MethodCfg::AfterStmt(const ir::Method& method, ir::StmtId stmt) const {

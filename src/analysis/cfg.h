@@ -46,9 +46,6 @@ class MethodCfg {
   const std::vector<CfgNodeId>& succs(CfgNodeId node) const {
     return succs_[static_cast<size_t>(node)];
   }
-  const std::vector<CfgNodeId>& preds(CfgNodeId node) const {
-    return preds_[static_cast<size_t>(node)];
-  }
 
   // Statements reachable from entry along any edge path (entry/exit nodes
   // included in the vector, always true for entry). Computed once during
@@ -73,7 +70,6 @@ class MethodCfg {
   const ExceptionFlow* flow_;
   ir::MethodId method_;
   std::vector<std::vector<CfgNodeId>> succs_;
-  std::vector<std::vector<CfgNodeId>> preds_;
   std::vector<bool> reachable_;
 };
 

@@ -1,7 +1,7 @@
-// Lint pass suite over the IR: structural and dataflow checks that catch
-// malformed scenarios before they reach the simulator or skew the causal
-// graph. Built on the per-method CFGs (cfg.h), the dataflow engine
-// (dataflow.h), the exception-flow summaries, and the program indexes.
+// Lint pass suite over the IR: structural checks that catch malformed
+// scenarios before they reach the simulator or skew the causal graph. Built
+// on the per-method CFGs (cfg.h, reachability only), the exception-flow
+// summaries, and the program indexes.
 //
 // Pass catalogue (pass name → what it flags):
 //   unreachable-stmt        statements no CFG path from the method entry

@@ -1,6 +1,7 @@
 #include "src/explorer/context.h"
 
 #include <unordered_set>
+#include <utility>
 
 #include "src/analysis/observable_map.h"
 #include "src/interp/simulator.h"
@@ -19,23 +20,16 @@ ExplorerContext::ExplorerContext(const ExperimentSpec& spec, const ExplorerOptio
 
   // Lower the program once for the flattened interpreter (§7-style
   // precomputation); every run of the search shares it read-only.
-  if (!options.tree_walk_interpreter) {
-    flat_program_ = std::make_unique<const ir::FlatProgram>(program);
-  }
+  flat_program_ = std::make_unique<const ir::FlatProgram>(program);
 
   // Step 1: run the workload fault-free to obtain the normal log and the
   // fault-instance distribution.
-  Stopwatch workload_timer;
   interp::FaultRuntime runtime(&program);
   runtime.SetPinned(spec.pinned_faults);  // multi-fault mode: part of the workload
   interp::Simulator simulator(&program, spec.cluster, spec.base_seed, &runtime,
                               flat_program_.get());
-  if (options.tree_walk_interpreter) {
-    simulator.set_tree_walk(true);
-  }
   interp::RunResult normal = simulator.Run();
-  normal_workload_seconds_ = workload_timer.ElapsedSeconds();
-  normal_trace_ = normal.trace;
+  normal_trace_ = std::move(normal.trace);
   normal_log_ = interp::DigestLog(normal.log);
 
   // Step 2: per-thread diff -> relevant observables (§5.1).

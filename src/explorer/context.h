@@ -118,12 +118,10 @@ class ExplorerContext {
   const std::vector<interp::FaultInstanceEvent>& normal_trace() const { return normal_trace_; }
 
   // The program lowered once for the flattened interpreter, shared read-only
-  // by every run of every round and thread of the exploration. Null when the
-  // options selected the tree-walk interpreter.
+  // by every run of every round and thread of the exploration.
   const ir::FlatProgram* flat_program() const { return flat_program_.get(); }
 
   double init_seconds() const { return init_seconds_; }
-  double normal_workload_seconds() const { return normal_workload_seconds_; }
 
  private:
   const ExperimentSpec* spec_;
@@ -144,7 +142,6 @@ class ExplorerContext {
   std::unique_ptr<const ir::FlatProgram> flat_program_;
   std::vector<InstanceEstimate> empty_;
   double init_seconds_ = 0;
-  double normal_workload_seconds_ = 0;
 };
 
 }  // namespace anduril::explorer

@@ -53,9 +53,6 @@ struct ExplorerOptions {
   // the same state a process kill at that round would, which is also how the
   // resume tests emulate mid-chain kills deterministically.
   int max_total_rounds = 0;
-  // For ablation variants: consider only the first N occurrences per site
-  // (0 = unlimited).
-  int instance_limit = 0;
   // Runs executed per round with different seeds; their observable feedback
   // is combined and the round succeeds if any run satisfies the oracle. The
   // paper suggests this to counter concurrency making crucial log messages
@@ -109,22 +106,12 @@ struct ExplorerOptions {
   int max_run_retries = 2;
   int64_t retry_initial_delay_ms = 5;
   int64_t retry_max_delay_ms = 250;
-  // A candidate whose run ends hung (stall fired, oracle unsatisfied) is
-  // *demoted* — re-ranked behind fresh candidates — rather than retired;
-  // after this many demotions it is retired for good.
-  int hang_demotions_before_retirement = 2;
-  // Run every simulation on the legacy statement-tree walker instead of the
-  // flattened direct-threaded interpreter. The two are semantically
-  // identical (asserted scenario-by-scenario in interp_equivalence_test);
-  // the tree walker is kept for one deprecation cycle as the differential
-  // baseline and will be removed once the flattened path has burned in.
-  bool tree_walk_interpreter = false;
   // Run the full-feedback strategy's stage-1 ranking as a full per-round
   // re-rank (recompute every F_i and sort the whole candidate array) instead
   // of the incremental priority engine. The two are byte-identical on every
   // scenario, seed, and thread count (asserted by priority_engine_test); the
   // full re-rank is kept as the reference implementation and differential
-  // baseline, analogous to tree_walk_interpreter above.
+  // baseline.
   bool full_rerank = false;
   // Observability sinks (src/obs/), not owned; null = disabled, and every
   // instrumentation hook reduces to a single pointer test. Both sinks are

@@ -60,7 +60,7 @@ interp::RunScratch& LocalScratch() {
 // Simulates one plan item and, when `feedback` is set, digests its log into
 // per-observable flags right here on the simulating thread. Search runs
 // record no fault-instance trace: nothing in the round loop reads it.
-RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat, bool tree_walk,
+RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat,
                   const std::vector<interp::InjectionCandidate>& window, uint64_t seed,
                   const ExplorerContext* feedback, obs::MetricsRegistry* metrics) {
   RepRun rep;
@@ -75,9 +75,6 @@ RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat, bool 
   runtime->SetPinned(spec.pinned_faults);
   interp::Simulator simulator(spec.program, spec.cluster, seed, runtime.get(), flat,
                               &scratch);
-  if (tree_walk) {
-    simulator.set_tree_walk(true);
-  }
   simulator.set_metrics(metrics);
   rep.run = simulator.Run();
   rep.success = spec.oracle(*spec.program, rep.run) && rep.run.injected.has_value();
@@ -131,7 +128,7 @@ RoundPlan PlanRound(const ExperimentSpec& spec, const ExplorerOptions& options, 
 // item and lets the caller select by plan order, which yields the same
 // selection.
 std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ir::FlatProgram* flat,
-                                bool tree_walk, const RoundPlan& plan, ThreadPool* pool,
+                                const RoundPlan& plan, ThreadPool* pool,
                                 const ExplorerContext* feedback,
                                 obs::MetricsRegistry* metrics) {
   std::vector<RepRun> executed;
@@ -139,9 +136,8 @@ std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ir::FlatProgra
     std::vector<std::future<RepRun>> futures;
     futures.reserve(plan.items.size());
     for (const auto& [window, seed] : plan.items) {
-      futures.push_back(pool->Submit([&spec, flat, tree_walk, &window, seed = seed, feedback,
-                                      metrics]() {
-        return ExecuteOne(spec, flat, tree_walk, window, seed, feedback, metrics);
+      futures.push_back(pool->Submit([&spec, flat, &window, seed = seed, feedback, metrics]() {
+        return ExecuteOne(spec, flat, window, seed, feedback, metrics);
       }));
     }
     executed.reserve(futures.size());
@@ -150,7 +146,7 @@ std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ir::FlatProgra
     }
   } else {
     for (const auto& [window, seed] : plan.items) {
-      executed.push_back(ExecuteOne(spec, flat, tree_walk, window, seed, feedback, metrics));
+      executed.push_back(ExecuteOne(spec, flat, window, seed, feedback, metrics));
       if (executed.back().success) {
         break;
       }
@@ -417,12 +413,11 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     // lowered from; a context shared across specs with a different (equal)
     // program falls back to per-run self-lowering inside the simulator.
     const ir::FlatProgram* flat = context_->flat_program();
-    if (flat != nullptr && flat->program() != spec_->program) {
+    if (flat->program() != spec_->program) {
       flat = nullptr;
     }
     const ExplorerContext* feedback = strategy->WantsLogFeedback() ? context_.get() : nullptr;
-    std::vector<RepRun> executed = ExecutePlan(*spec_, flat, options_.tree_walk_interpreter,
-                                               plan, pool, feedback, metrics);
+    std::vector<RepRun> executed = ExecutePlan(*spec_, flat, plan, pool, feedback, metrics);
     // Transient-failure retry: when the watchdog wall budget killed a run
     // the round's feedback is an artifact of host load, not of the fault.
     // Back off (bounded exponential + jitter) and re-execute the identical
@@ -437,8 +432,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
                             obs::kRoundStride - obs::kItemStride + record.retries,
                         0, {obs::ArgInt("attempt", record.retries)});
       }
-      executed = ExecutePlan(*spec_, flat, options_.tree_walk_interpreter, plan, pool,
-                             feedback, metrics);
+      executed = ExecutePlan(*spec_, flat, plan, pool, feedback, metrics);
     }
     retry_backoff.Reset();
     record.run_seconds = run_timer.ElapsedSeconds();

@@ -146,8 +146,7 @@ void PriorityEngine::Reset(const std::vector<int64_t>& priorities) {
 }
 
 void PriorityEngine::ApplyDeltas(const std::vector<std::pair<size_t, int64_t>>& deltas) {
-  arena_.Reset();
-  ArenaVec<uint32_t> dirty(&arena_);
+  dirty_.clear();
   ++epoch_;
   if (epoch_ == 0) {  // wrapped: invalidate every stale mark
     std::fill(mark_.begin(), mark_.end(), 0);
@@ -169,7 +168,7 @@ void PriorityEngine::ApplyDeltas(const std::vector<std::pair<size_t, int64_t>>& 
       for (uint32_t candidate : bucket_[k]) {
         if (mark_[candidate] != epoch_) {
           mark_[candidate] = epoch_;
-          dirty.push_back(candidate);
+          dirty_.push_back(candidate);
         }
       }
     } else {
@@ -178,7 +177,7 @@ void PriorityEngine::ApplyDeltas(const std::vector<std::pair<size_t, int64_t>>& 
         uint32_t candidate = obs_rows_[idx];
         if (mark_[candidate] != epoch_) {
           mark_[candidate] = epoch_;
-          dirty.push_back(candidate);
+          dirty_.push_back(candidate);
         }
       }
     }
@@ -186,7 +185,7 @@ void PriorityEngine::ApplyDeltas(const std::vector<std::pair<size_t, int64_t>>& 
   for (const auto& [k, delta] : deltas) {
     priorities_[k] += delta;
   }
-  for (uint32_t candidate : dirty) {
+  for (uint32_t candidate : dirty_) {
     RecomputeRow(candidate);
   }
 }
@@ -235,16 +234,15 @@ void PriorityEngine::NoteTriedIndex(size_t candidate) {
 
 void PriorityEngine::VisitActive(
     const std::function<bool(size_t candidate, size_t best_observable)>& visit) {
-  arena_.Reset();
-  ArenaVec<uint32_t> popped(&arena_);
+  popped_.clear();
   bool keep_going = true;
   while (keep_going && !heap_.empty()) {
     uint32_t candidate = heap_.front();
     HeapRemove(candidate);
-    popped.push_back(candidate);
+    popped_.push_back(candidate);
     keep_going = visit(candidate, bestk_[candidate]);
   }
-  for (uint32_t candidate : popped) {
+  for (uint32_t candidate : popped_) {
     HeapPush(candidate);
   }
 }

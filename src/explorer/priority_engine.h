@@ -25,8 +25,8 @@
 //     keyed by (F_i − stitch boost, candidate index), so assembling the
 //     priority window pops the top w entries instead of sorting C — the
 //     round never touches the full array.
-//   - Round-local scratch (dirty lists, popped heap entries) lives in a bump
-//     Arena that is rewound — not freed — every round.
+//   - Round-local scratch (the dirty list, popped heap entries) lives in two
+//     member vectors that are cleared — not freed — every round.
 //
 // Tie-breaks are explicit ((F, candidate index) at stage 1; see
 // docs/priority_engine.md) and identical to the reference path's, which the
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "src/explorer/context.h"
-#include "src/util/arena.h"
 
 namespace anduril::explorer {
 
@@ -136,7 +135,6 @@ class PriorityEngine {
   int64_t EffectivePriority(size_t candidate) const {
     return finite_[candidate] != 0 ? f_[candidate] - boost_[candidate] : kPriorityInfinity;
   }
-  size_t BestObservable(size_t candidate) const { return bestk_[candidate]; }
   int64_t Untried(size_t candidate) const { return untried_[candidate]; }
   const std::vector<int64_t>& priorities() const { return priorities_; }
 
@@ -215,7 +213,11 @@ class PriorityEngine {
   };
   std::unordered_map<ArmedKey, std::vector<uint32_t>, ArmedKeyHash> armed_index_;
 
-  Arena arena_;
+  // Round-local scratch, cleared on entry: ApplyDeltas' dirty set and
+  // VisitActive's popped entries. Capacity survives, so steady-state rounds
+  // allocate nothing.
+  std::vector<uint32_t> dirty_;
+  std::vector<uint32_t> popped_;
 };
 
 }  // namespace anduril::explorer

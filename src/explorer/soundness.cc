@@ -63,9 +63,6 @@ SoundnessReport CheckCausalSoundness(const ExplorerContext& context,
     runtime.SetWindow({Arm(candidate, instances.front().occurrence)});
     interp::Simulator simulator(&program, spec.cluster, spec.base_seed, &runtime,
                                 context.flat_program());
-    if (context.options().tree_walk_interpreter) {
-      simulator.set_tree_walk(true);
-    }
     interp::RunResult run = simulator.Run();
     ++report.candidates_checked;
 

@@ -47,6 +47,11 @@ constexpr int64_t kInfinity = kPriorityInfinity;
 // a demoted instance behind every fresh one, small enough to never overflow.
 constexpr int64_t kDemotionPenalty = 1'000'000;
 
+// A candidate whose run ends hung (stall fired, oracle unsatisfied) is
+// *demoted* — re-ranked behind fresh candidates — rather than retired; after
+// this many demotions it is retired for good.
+constexpr int kHangDemotionsBeforeRetirement = 2;
+
 class FeedbackStrategyBase : public InjectionStrategy {
  public:
   void Initialize(const ExplorerContext& context) override {
@@ -78,7 +83,7 @@ class FeedbackStrategyBase : public InjectionStrategy {
         // normally through the else branch.)
         int& count = demotions_[KeyOf(*outcome.injected)];
         Count("strategy.demoted");
-        if (++count > context_->options().hang_demotions_before_retirement) {
+        if (++count > kHangDemotionsBeforeRetirement) {
           Retire(*outcome.injected);
           Count("strategy.retired");
         }
@@ -91,7 +96,12 @@ class FeedbackStrategyBase : public InjectionStrategy {
         Count("strategy.retired");
       }
     } else {
-      window_size_ *= 2;
+      // Saturates at INT_MAX: from the default window of 10, the 28th
+      // injection-free round would overflow, and a wrapped window is <= 0
+      // and never arms a candidate again.
+      window_size_ = window_size_ > std::numeric_limits<int>::max() / 2
+                         ? std::numeric_limits<int>::max()
+                         : window_size_ * 2;
       Count("strategy.window_doublings");
     }
     if (metrics_ != nullptr) {

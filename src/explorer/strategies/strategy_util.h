@@ -22,7 +22,6 @@ namespace anduril::explorer {
 class FeedbackState {
  public:
   void Initialize(const ExplorerContext& context) {
-    context_ = &context;
     priorities_.assign(context.observables().size(), 0);
     for (size_t k = 0; k < context.observables().size(); ++k) {
       key_index_[context.observables()[k].key] = k;
@@ -56,7 +55,6 @@ class FeedbackState {
   void SetPriorities(std::vector<int64_t> priorities) { priorities_ = std::move(priorities); }
 
  private:
-  const ExplorerContext* context_ = nullptr;
   std::vector<int64_t> priorities_;
   std::unordered_map<std::string, size_t> key_index_;
 };
@@ -106,7 +104,6 @@ inline void MarkTried(TriedSet* tried, const interp::InjectionCandidate& candida
 class ListStrategy : public InjectionStrategy {
  public:
   void Initialize(const ExplorerContext& context) override {
-    context_ = &context;
     window_size_ = sequential_ ? 1 : context.options().initial_window;
     BuildList(context);
   }
@@ -162,7 +159,6 @@ class ListStrategy : public InjectionStrategy {
   // Fills list_ (ordered candidate list).
   virtual void BuildList(const ExplorerContext& context) = 0;
 
-  const ExplorerContext* context_ = nullptr;
   std::vector<interp::InjectionCandidate> list_;
 
  private:

@@ -172,20 +172,14 @@ class FaultRuntime {
   void BeginRun();
 
   // --- Post-run accessors ----------------------------------------------------
-  // The trace storage is resident — it survives TakeTrace and BeginRun so no
-  // run pays for re-growing or re-initializing it — and both accessors copy
-  // out the live prefix (trivially copyable, so the copy is one memcpy).
+  // The trace storage is resident — it survives BeginRun so no run pays for
+  // re-growing or re-initializing it — and trace() copies out the live
+  // prefix (trivially copyable, so the copy is one memcpy).
   std::vector<FaultInstanceEvent> trace() const {
     return std::vector<FaultInstanceEvent>(
         trace_.begin(), trace_.begin() + static_cast<std::ptrdiff_t>(trace_len_));
   }
-  std::vector<FaultInstanceEvent> TakeTrace() {
-    std::vector<FaultInstanceEvent> out(
-        trace_.begin(), trace_.begin() + static_cast<std::ptrdiff_t>(trace_len_));
-    trace_len_ = 0;
-    return out;
-  }
-  // TakeTrace into a caller-owned buffer. Instead of copying, the resident
+  // Hands the trace to a caller-owned buffer. Instead of copying, the resident
   // buffer and `out` trade places: `out` receives the filled buffer trimmed
   // to the live prefix (the trim is O(1) — the event type is trivially
   // destructible) and the runtime keeps `out`'s old storage as the next

@@ -84,7 +84,6 @@ class NetworkModel {
   bool CrashedDrop(int32_t dst);
 
   // --- Run-end queries --------------------------------------------------------
-  bool partition_fired() const { return !partitions_.empty(); }
   // Heals expired partitions up to `now`, then reports whether any severed
   // pair remains.
   bool HasUnhealedPartition(int64_t now);

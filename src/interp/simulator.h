@@ -96,8 +96,8 @@ class Simulator {
   ~Simulator();
 
   // Selects the legacy statement-tree walker instead of the flattened
-  // dispatch loop. Kept for differential testing while the flattened path
-  // burns in (ExplorerOptions::tree_walk_interpreter); call before Run().
+  // dispatch loop: the reference that interp_equivalence_test and
+  // bench_interp_speed compare the flat engine against; call before Run().
   void set_tree_walk(bool tree_walk) { use_flat_ = !tree_walk; }
 
   // Attaches a metrics sink; at the end of Run() the simulator folds its

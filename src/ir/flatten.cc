@@ -17,30 +17,6 @@ std::string DefaultHandlerThread(const std::string& method_name) {
 
 }  // namespace
 
-const char* OpCodeName(OpCode code) {
-  switch (code) {
-    case OpCode::kNop: return "nop";
-    case OpCode::kJump: return "jump";
-    case OpCode::kAssign: return "assign";
-    case OpCode::kLog: return "log";
-    case OpCode::kBranch: return "branch";
-    case OpCode::kLoopEnter: return "loop_enter";
-    case OpCode::kLoopBack: return "loop_back";
-    case OpCode::kInvoke: return "invoke";
-    case OpCode::kThrow: return "throw";
-    case OpCode::kRethrow: return "rethrow";
-    case OpCode::kExternalCall: return "external_call";
-    case OpCode::kAwait: return "await";
-    case OpCode::kSignal: return "signal";
-    case OpCode::kSend: return "send";
-    case OpCode::kSubmit: return "submit";
-    case OpCode::kFutureGet: return "future_get";
-    case OpCode::kSleep: return "sleep";
-    case OpCode::kReturn: return "return";
-  }
-  return "unknown";
-}
-
 // Lowers one method. Emission preserves the tree walker's step accounting —
 // every op corresponds to exactly one Step() of the tree interpreter:
 //

@@ -72,8 +72,6 @@ enum class OpCode : uint8_t {
 
 inline constexpr size_t kOpCodeCount = 18;
 
-const char* OpCodeName(OpCode code);
-
 // One catch clause of a flattened handler: exceptions that are `type` (or a
 // subtype) resume at op index `target` (the first op of the catch body).
 struct FlatCatchClause {

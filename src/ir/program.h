@@ -98,7 +98,6 @@ class Program {
   const LogTemplate& log_template(LogTemplateId id) const {
     return log_templates_[static_cast<size_t>(id)];
   }
-  size_t log_template_count() const { return log_templates_.size(); }
 
   // --- Methods ---------------------------------------------------------------
   MethodId DefineMethod(const std::string& name);

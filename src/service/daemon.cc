@@ -44,6 +44,10 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+// A case that kills its worker this many times in a row is demoted to
+// kFailed, so it cannot wedge the queue.
+constexpr int kMaxCaseCrashes = 3;
+
 struct WorkerSlot {
   int index = 0;
   pid_t pid = -1;
@@ -357,8 +361,8 @@ class Daemon {
       Log("[worker %d] died (%s %d) running %s — crash %d/%d, requeued\n", slot.index,
           WIFEXITED(status) ? "exit" : "signal",
           WIFEXITED(status) ? code : WTERMSIG(status), entry.id.c_str(), entry.crashes,
-          options_.max_case_crashes);
-      if (entry.crashes >= options_.max_case_crashes) {
+          kMaxCaseCrashes);
+      if (entry.crashes >= kMaxCaseCrashes) {
         entry.state = CaseState::kFailed;
         Log("[%s] crashed its worker %d consecutive times — demoted to failed\n",
             entry.id.c_str(), entry.crashes);

@@ -13,8 +13,8 @@
 //    waitpid and a heartbeat (the case checkpoint's mtime must advance
 //    within heartbeat_timeout_ms). A dead or wedged worker is SIGKILLed,
 //    its case requeued, and the slot respawned under bounded exponential
-//    backoff. A case that kills its worker max_case_crashes times in a row
-//    is demoted to kFailed — it cannot wedge the queue.
+//    backoff. A case that kills its worker three times in a row is demoted
+//    to kFailed — it cannot wedge the queue.
 //  - Scheduling: fair share with starve-out (see scheduler.h).
 //  - Degradation: the cancel flag (SIGTERM) drains in-flight slices at
 //    round boundaries — checkpoints flushed, manifest saved — and the next
@@ -46,7 +46,6 @@ struct ServeOptions {
   int workers = 2;
   int poll_ms = 2;
   int heartbeat_timeout_ms = 20000;
-  int max_case_crashes = 3;
   // Test hooks (0 = off): see header comment.
   int crash_after_slices = 0;
   int worker_crash_slice = 0;   // 1-based index into dispatched slices

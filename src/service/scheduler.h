@@ -5,8 +5,8 @@
 //  - Starve-out, not wedging: a pending case whose rounds_done has reached
 //    its round budget is demoted to kStarved (terminal) instead of being
 //    dispatched again, so one stubborn case can never monopolize workers or
-//    block queue completion. A case that crashes its worker
-//    `max_case_crashes` times in a row is demoted to kFailed the same way.
+//    block queue completion. A case that crashes its worker three times in
+//    a row is demoted to kFailed the same way (daemon.cc).
 //  - Fair share: among schedulable cases, dispatch the one with the fewest
 //    rounds_done (ties break toward the lowest queue index). Every case
 //    therefore advances at the same round rate regardless of queue position,

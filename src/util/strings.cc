@@ -37,17 +37,6 @@ std::vector<std::string> SplitN(std::string_view text, char sep, size_t max_piec
   return pieces;
 }
 
-std::string Join(const std::vector<std::string>& pieces, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) {
-      out.append(sep);
-    }
-    out.append(pieces[i]);
-  }
-  return out;
-}
-
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }

@@ -15,9 +15,6 @@ std::vector<std::string> Split(std::string_view text, char sep);
 // Splits into at most `max_pieces` pieces; the last piece keeps the rest.
 std::vector<std::string> SplitN(std::string_view text, char sep, size_t max_pieces);
 
-// Joins `pieces` with `sep`.
-std::string Join(const std::vector<std::string>& pieces, std::string_view sep);
-
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 bool Contains(std::string_view text, std::string_view needle);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/explorer/explorer.h"
 #include "src/explorer/strategies/strategy_util.h"
 #include "src/interp/log_entry.h"
@@ -329,6 +331,32 @@ TEST_F(ExplorerTest, WindowDoublesWhenNothingInjected) {
   auto window = strategy->NextWindow();
   EXPECT_LE(window.size(), 4u);
   EXPECT_GE(window.size(), 3u);  // doubled from 2 (if enough candidates)
+}
+
+// A search that injects nothing round after round keeps doubling its window.
+// With initial_window 10 the 28th doubling would pass INT_MAX; the window
+// saturates there instead of wrapping to a size that never arms again.
+TEST_F(ExplorerTest, WindowDoublingSaturatesInsteadOfOverflowing) {
+  Build();
+  ExplorerOptions options;
+  options.initial_window = 10;
+  Explorer ex(spec_, options);
+  auto strategy = MakeFullFeedbackStrategy();
+  strategy->Initialize(ex.context());
+  StrategyCheckpoint state;
+  ASSERT_TRUE(strategy->SaveState(&state));
+  int previous = state.window_size;
+  for (int round = 1; round <= 40; ++round) {
+    (void)strategy->NextWindow();
+    RoundOutcome outcome;
+    outcome.round = round;  // no injection
+    strategy->OnRound(outcome);
+    ASSERT_TRUE(strategy->SaveState(&state));
+    EXPECT_GE(state.window_size, previous) << "after round " << round;
+    previous = state.window_size;
+  }
+  EXPECT_EQ(state.window_size, std::numeric_limits<int>::max());
+  EXPECT_FALSE(strategy->NextWindow().empty());
 }
 
 TEST_F(ExplorerTest, InjectedInstanceIsNotRetried) {

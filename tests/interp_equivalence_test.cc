@@ -1,21 +1,24 @@
 // Differential semantics: the flattened direct-threaded interpreter must be
 // observably identical to the legacy statement-tree walker — same outcome,
 // logs, fault-instance trace, thread end states, network accounting, and
-// final node state — on every registered scenario, fault-free and with its
-// ground-truth fault injected. decision_nanos is the one exempt field: it is
-// host wall-clock (and the fast path samples it), so only its sign is
-// checked elsewhere, never its value.
+// final node state — on every registered scenario (the paper cases,
+// crash/stall, network, cascade and storm registries): fault-free, with its
+// ground-truth fault injected, and with the multi-candidate window a search
+// arms. decision_nanos is the one exempt field: it is host wall-clock (and
+// the fast path samples it), so only its sign is checked elsewhere, never its
+// value.
 //
-// This suite is the tree walker's reason to exist for one more PR
-// (ExplorerOptions::tree_walk_interpreter); when the flag goes, it goes.
+// The explorer always runs the flat engine; the tree walker stays, behind
+// Simulator::set_tree_walk, as the reference this suite and
+// bench_interp_speed compare it against.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "src/explorer/explorer.h"
-#include "src/explorer/strategy.h"
+#include "src/explorer/context.h"
 #include "src/interp/log_entry.h"
 #include "src/interp/simulator.h"
 #include "src/ir/flatten.h"
@@ -27,10 +30,12 @@ namespace {
 
 interp::RunResult RunMode(const systems::BuiltCase& built, const interp::ClusterSpec& cluster,
                           uint64_t seed, const std::vector<interp::InjectionCandidate>& window,
-                          bool tree_walk) {
+                          bool tree_walk,
+                          const std::vector<interp::InjectionCandidate>& pinned = {}) {
   interp::RunScratch scratch;
   interp::FaultRuntime runtime(built.program.get());
   runtime.SetWindow(window);
+  runtime.SetPinned(pinned);
   interp::Simulator simulator(built.program.get(), &cluster, seed, &runtime,
                               /*flat=*/nullptr, &scratch);
   if (tree_walk) {
@@ -89,23 +94,43 @@ void ExpectSameResult(const interp::RunResult& flat, const interp::RunResult& tr
   // decision_nanos deliberately not compared: wall-clock, sampled.
 }
 
+// Runs one workload on both interpreters and compares the results.
+void ExpectSameRun(const systems::BuiltCase& built, const interp::ClusterSpec& cluster,
+                   uint64_t seed, const std::vector<interp::InjectionCandidate>& window,
+                   const std::vector<interp::InjectionCandidate>& pinned,
+                   const std::string& label) {
+  ExpectSameResult(RunMode(built, cluster, seed, window, false, pinned),
+                   RunMode(built, cluster, seed, window, true, pinned), label);
+}
+
 void CheckCase(const systems::FailureCase& failure_case) {
   SCOPED_TRACE(failure_case.id);
   systems::BuiltCase built = systems::BuildCase(failure_case, /*verify=*/false);
 
   // Fault-free exploration workload, two seeds.
   for (uint64_t seed : {failure_case.explore_seed, failure_case.explore_seed + 17}) {
-    ExpectSameResult(RunMode(built, built.cluster, seed, {}, false),
-                     RunMode(built, built.cluster, seed, {}, true),
-                     failure_case.id + " fault-free seed " + std::to_string(seed));
+    ExpectSameRun(built, built.cluster, seed, {}, {},
+                  failure_case.id + " fault-free seed " + std::to_string(seed));
   }
-  // Failure workload with the ground-truth fault armed.
-  std::vector<interp::InjectionCandidate> window = {built.ground_truth};
-  ExpectSameResult(RunMode(built, built.failure_cluster, failure_case.failure_seed, window,
-                           false),
-                   RunMode(built, built.failure_cluster, failure_case.failure_seed, window,
-                           true),
-                   failure_case.id + " ground truth");
+  // Failure workload with the ground truth injected the way BuildCase
+  // generates the failure log: a cascade's earlier chain steps pinned, its
+  // last step (ground_truth) windowed.
+  std::vector<interp::InjectionCandidate> pinned;
+  if (!built.ground_truth_chain.empty()) {
+    pinned.assign(built.ground_truth_chain.begin(), built.ground_truth_chain.end() - 1);
+  }
+  ExpectSameRun(built, built.failure_cluster, failure_case.failure_seed, {built.ground_truth},
+                pinned, failure_case.id + " ground truth");
+  // The multi-candidate window shape a search arms: the context's first 10
+  // candidates, each at occurrence 1.
+  explorer::ExplorerContext context(built.spec, systems::OptionsForCase(failure_case));
+  std::vector<interp::InjectionCandidate> window;
+  for (size_t c = 0; c < std::min<size_t>(10, context.candidates().size()); ++c) {
+    window.push_back(explorer::Arm(context.candidates()[c], 1));
+  }
+  ASSERT_FALSE(window.empty());
+  ExpectSameRun(built, built.cluster, failure_case.explore_seed, window, {},
+                failure_case.id + " first-10 window");
 }
 
 TEST(InterpEquivalence, AllRegisteredScenarios) {
@@ -126,36 +151,17 @@ TEST(InterpEquivalence, NetworkScenarios) {
   }
 }
 
-// Whole-search equivalence: the two interpreters must drive the explorer to
-// the same ReproductionScript in the same number of rounds.
-void CheckSearch(const std::string& case_id) {
-  SCOPED_TRACE(case_id);
-  const systems::FailureCase* failure_case = systems::FindCase(case_id);
-  ASSERT_NE(failure_case, nullptr);
-  systems::BuiltCase built = systems::BuildCase(*failure_case, /*verify=*/false);
-
-  explorer::ExplorerOptions flat_options = explorer::OptionsForCase(*failure_case);
-  explorer::ExplorerOptions tree_options = flat_options;
-  tree_options.tree_walk_interpreter = true;
-
-  explorer::ExploreResult flat = explorer::RunSearch(built, flat_options);
-  explorer::ExploreResult tree = explorer::RunSearch(built, tree_options);
-
-  EXPECT_EQ(flat.reproduced, tree.reproduced);
-  EXPECT_EQ(flat.rounds, tree.rounds);
-  ASSERT_EQ(flat.script.has_value(), tree.script.has_value());
-  if (flat.script.has_value()) {
-    EXPECT_EQ(flat.script->site, tree.script->site);
-    EXPECT_EQ(flat.script->occurrence, tree.script->occurrence);
-    EXPECT_EQ(flat.script->type, tree.script->type);
-    EXPECT_EQ(flat.script->kind, tree.script->kind);
-    EXPECT_EQ(flat.script->seed, tree.script->seed);
+TEST(InterpEquivalence, CascadeScenarios) {
+  for (const systems::FailureCase& failure_case : systems::CascadeCases()) {
+    CheckCase(failure_case);
   }
 }
 
-TEST(InterpEquivalence, SearchProducesIdenticalScript) { CheckSearch("zk-2247"); }
-
-TEST(InterpEquivalence, NetworkSearchProducesIdenticalScript) { CheckSearch("hd-net-1"); }
+TEST(InterpEquivalence, StormScenarios) {
+  for (const systems::FailureCase& failure_case : systems::StormCases()) {
+    CheckCase(failure_case);
+  }
+}
 
 // The shared, context-cached FlatProgram must behave exactly like a
 // per-simulator self-lowered one.

@@ -1,11 +1,10 @@
 // Unit tests for the static-analysis stack introduced with anduril_lint:
-// per-method CFG construction, the generic dataflow engine, and each lint
-// pass (positive and negative cases).
+// per-method CFG construction and each lint pass (positive and negative
+// cases).
 
 #include <gtest/gtest.h>
 
 #include "src/analysis/cfg.h"
-#include "src/analysis/dataflow.h"
 #include "src/analysis/exception_flow.h"
 #include "src/analysis/lint.h"
 #include "src/ir/builder.h"
@@ -142,128 +141,6 @@ TEST_F(LintTest, CfgUncaughtTypeFlowsToExit) {
     exit_edge |= succ == cfg.exit();
   }
   EXPECT_TRUE(exit_edge);
-}
-
-// --- dataflow engine -------------------------------------------------------------
-
-// Forward may-analysis: bit v is set once variable v has been assigned on
-// SOME path (union meet). With intersect meet it becomes a must-analysis.
-class AssignedProblem : public DataflowProblem {
- public:
-  AssignedProblem(const ir::Program& program, ir::MethodId method, Meet meet)
-      : program_(program), method_(method), meet_(meet) {}
-  Direction direction() const override { return Direction::kForward; }
-  Meet meet() const override { return meet_; }
-  size_t bit_count() const override { return program_.var_count(); }
-  void Boundary(BitVector* entry) const override { entry->ClearAll(); }
-  void Transfer(const MethodCfg& cfg, CfgNodeId node, const BitVector& in,
-                BitVector* out) const override {
-    *out = in;
-    if (node == cfg.entry() || node == cfg.exit()) {
-      return;
-    }
-    const ir::Stmt& stmt = program_.method(method_).stmt(static_cast<ir::StmtId>(node));
-    if (stmt.kind == ir::StmtKind::kAssign) {
-      out->Set(static_cast<size_t>(stmt.assign_var));
-    }
-  }
-
- private:
-  const ir::Program& program_;
-  ir::MethodId method_;
-  Meet meet_;
-};
-
-TEST_F(LintTest, DataflowMayVsMustAssignment) {
-  MethodBuilder b(&program_, "m");
-  b.Assign("always", Expr::Const(1));
-  b.If(b.Eq("always", 1), [&] { b.Assign("sometimes", Expr::Const(2)); });
-  b.Nop();
-  b.Build();
-  program_.Finalize();
-  ir::MethodId m = program_.FindMethod("m");
-  MethodCfg cfg(program_, m);
-  size_t always = static_cast<size_t>(program_.InternVar("always"));
-  size_t sometimes = static_cast<size_t>(program_.InternVar("sometimes"));
-
-  DataflowResult may =
-      SolveDataflow(cfg, AssignedProblem(program_, m, DataflowProblem::Meet::kUnion));
-  const BitVector& may_exit = may.in[static_cast<size_t>(cfg.exit())];
-  EXPECT_TRUE(may_exit.Get(always));
-  EXPECT_TRUE(may_exit.Get(sometimes));  // assigned on the then-path
-
-  DataflowResult must =
-      SolveDataflow(cfg, AssignedProblem(program_, m, DataflowProblem::Meet::kIntersect));
-  const BitVector& must_exit = must.in[static_cast<size_t>(cfg.exit())];
-  EXPECT_TRUE(must_exit.Get(always));
-  EXPECT_FALSE(must_exit.Get(sometimes));  // skipped on the else-path
-}
-
-// Backward liveness: a variable read by a condition is live at entry.
-class LiveProblem : public DataflowProblem {
- public:
-  LiveProblem(const ir::Program& program, ir::MethodId method)
-      : program_(program), method_(method) {}
-  Direction direction() const override { return Direction::kBackward; }
-  Meet meet() const override { return Meet::kUnion; }
-  size_t bit_count() const override { return program_.var_count(); }
-  void Transfer(const MethodCfg& cfg, CfgNodeId node, const BitVector& in,
-                BitVector* out) const override {
-    *out = in;
-    if (node == cfg.entry() || node == cfg.exit()) {
-      return;
-    }
-    const ir::Stmt& stmt = program_.method(method_).stmt(static_cast<ir::StmtId>(node));
-    if (stmt.kind == ir::StmtKind::kAssign) {
-      out->Reset(static_cast<size_t>(stmt.assign_var));
-    }
-    std::vector<ir::VarId> reads;
-    if (stmt.kind == ir::StmtKind::kIf || stmt.kind == ir::StmtKind::kWhile) {
-      stmt.cond.CollectReads(&reads);
-    } else if (stmt.kind == ir::StmtKind::kAssign) {
-      stmt.expr.CollectReads(&reads);
-    }
-    for (ir::VarId var : reads) {
-      out->Set(static_cast<size_t>(var));
-    }
-  }
-
- private:
-  const ir::Program& program_;
-  ir::MethodId method_;
-};
-
-TEST_F(LintTest, DataflowBackwardLiveness) {
-  MethodBuilder b(&program_, "m");
-  b.Assign("killed", Expr::Const(1));   // redefined before any read: dead at entry
-  b.If(b.Eq("fromEnv", 1), [&] { b.Nop(); });
-  b.Build();
-  program_.Finalize();
-  ir::MethodId m = program_.FindMethod("m");
-  MethodCfg cfg(program_, m);
-  DataflowResult live = SolveDataflow(cfg, LiveProblem(program_, m));
-  // "in" of a backward problem holds the post-node fact; the fact at method
-  // entry is the out of the entry node's flow — use the first real stmt.
-  const BitVector& at_entry = live.out[static_cast<size_t>(cfg.entry())];
-  EXPECT_TRUE(at_entry.Get(static_cast<size_t>(program_.InternVar("fromEnv"))));
-  EXPECT_FALSE(at_entry.Get(static_cast<size_t>(program_.InternVar("killed"))));
-}
-
-TEST_F(LintTest, BitVectorOps) {
-  BitVector a(70);
-  BitVector c(70);
-  a.Set(0);
-  a.Set(69);
-  c.Set(69);
-  EXPECT_EQ(a.CountSet(), 2u);
-  EXPECT_TRUE(c.UnionWith(a));   // gains bit 0
-  EXPECT_FALSE(c.UnionWith(a));  // already a superset
-  EXPECT_TRUE(c == a);
-  BitVector all(70);
-  all.SetAll();
-  EXPECT_EQ(all.CountSet(), 70u);
-  EXPECT_TRUE(all.IntersectWith(a));
-  EXPECT_TRUE(all == a);
 }
 
 // --- lint passes -----------------------------------------------------------------

@@ -9,8 +9,8 @@
 // strategy pushes per round; a mismatch reports the first diverging round).
 //
 // Plus: a randomized dirty-set fuzz (incremental ApplyDeltas against a
-// from-scratch Reset on every round), the storm-scale candidate-space
-// floor, and unit tests for the arena the engine's scratch lives on.
+// from-scratch Reset on every round) and the storm-scale candidate-space
+// floor.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@
 #include "src/explorer/priority_engine.h"
 #include "src/explorer/strategy.h"
 #include "src/systems/common.h"
-#include "src/util/arena.h"
 #include "tests/test_util.h"
 
 namespace anduril::explorer {
@@ -325,58 +324,6 @@ TEST(PriorityEngineFuzzTest, ExhaustionMatchesUntriedBudgets) {
   EXPECT_TRUE(engine.AnyActive()) << "candidate 0 still has one untried instance";
   engine.NoteTriedIndex(0);
   EXPECT_FALSE(engine.AnyActive());
-}
-
-// --- arena -----------------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsAreAlignedAndDistinct) {
-  Arena arena;
-  int32_t* a = arena.Allocate<int32_t>(3);
-  int64_t* b = arena.Allocate<int64_t>(2);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % alignof(int32_t), 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % alignof(int64_t), 0u);
-  a[0] = 1;
-  a[2] = 3;
-  b[0] = 4;
-  b[1] = 5;
-  EXPECT_EQ(a[0], 1);
-  EXPECT_EQ(a[2], 3);
-  EXPECT_EQ(b[1], 5);
-}
-
-TEST(ArenaTest, ResetReusesCapacityWithoutGrowth) {
-  Arena arena;
-  for (int i = 0; i < 4; ++i) {
-    arena.Allocate<int64_t>(1000);
-  }
-  size_t capacity = arena.capacity_bytes();
-  EXPECT_GT(capacity, 0u);
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    arena.Reset();
-    for (int i = 0; i < 4; ++i) {
-      arena.Allocate<int64_t>(1000);
-    }
-  }
-  EXPECT_EQ(arena.capacity_bytes(), capacity)
-      << "steady-state Reset/alloc cycles must not grow the arena";
-}
-
-TEST(ArenaTest, ArenaVecPushAndClear) {
-  Arena arena;
-  ArenaVec<uint32_t> vec(&arena);
-  for (uint32_t i = 0; i < 1000; ++i) {
-    vec.push_back(i);
-  }
-  ASSERT_EQ(vec.size(), 1000u);
-  EXPECT_EQ(vec[0], 0u);
-  EXPECT_EQ(vec[999], 999u);
-  vec.clear();
-  EXPECT_TRUE(vec.empty());
-  vec.push_back(42);
-  ASSERT_EQ(vec.size(), 1u);
-  EXPECT_EQ(vec[0], 42u);
 }
 
 }  // namespace

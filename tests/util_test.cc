@@ -34,11 +34,6 @@ TEST(Strings, SplitNLimitsPieces) {
   EXPECT_EQ(SplitN("abc", '|', 3), (std::vector<std::string>{"abc"}));
 }
 
-TEST(Strings, JoinRoundTripsSplit) {
-  std::vector<std::string> pieces{"x", "", "yz"};
-  EXPECT_EQ(Split(Join(pieces, ";"), ';'), pieces);
-}
-
 TEST(Strings, StartsEndsContains) {
   EXPECT_TRUE(StartsWith("abcdef", "abc"));
   EXPECT_FALSE(StartsWith("ab", "abc"));

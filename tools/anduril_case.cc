@@ -178,6 +178,67 @@ bool WriteTextFile(const std::string& path, const std::string& text, const char*
   return true;
 }
 
+// The --trace-out / --metrics-out sinks of one search: Attach wires the
+// requested ones into the options, Dump writes them after the search.
+struct SearchSinks {
+  std::string trace_path;
+  std::string metrics_path;
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+
+  void Attach(explorer::ExplorerOptions* options) {
+    if (!trace_path.empty()) {
+      options->tracer = &tracer;
+    }
+    if (!metrics_path.empty()) {
+      options->metrics = &metrics;
+    }
+  }
+
+  // False (after reporting it) when a file cannot be written.
+  bool Dump() const {
+    if (!trace_path.empty()) {
+      const bool jsonl = EndsWith(trace_path, ".jsonl");
+      const std::string text = jsonl ? tracer.DumpJsonl(/*include_wall=*/true)
+                                     : tracer.DumpChromeTrace(/*include_wall=*/true);
+      if (!WriteTextFile(trace_path, text, "trace")) {
+        return false;
+      }
+      std::printf("trace: %zu events -> %s (%s)\n", tracer.event_count(), trace_path.c_str(),
+                  jsonl ? "jsonl" : "chrome trace_event");
+    }
+    if (!metrics_path.empty()) {
+      if (!WriteTextFile(metrics_path, metrics.DumpJson(), "metrics")) {
+        return false;
+      }
+      std::printf("metrics: -> %s\n", metrics_path.c_str());
+    }
+    return true;
+  }
+};
+
+// --checkpoint / --resume: points `config` at the checkpoint file and, with
+// --resume, loads the state to continue from into `resumed`. Returns 0, or
+// the exit code to stop with (2 usage, 1 unreadable checkpoint).
+int PrepareCheckpoint(const std::string& checkpoint_path, bool resume,
+                      explorer::SearchCheckpoint* resumed, explorer::CheckpointConfig* config) {
+  config->path = checkpoint_path;
+  if (!resume) {
+    return 0;
+  }
+  if (checkpoint_path.empty()) {
+    std::fprintf(stderr, "--resume requires --checkpoint=<path>\n");
+    return 2;
+  }
+  std::string error;
+  if (!explorer::LoadCheckpointFile(checkpoint_path, resumed, &error)) {
+    std::fprintf(stderr, "cannot resume: %s\n", error.c_str());
+    return 1;
+  }
+  config->resume = resumed;
+  return 0;
+}
+
 int RunCase(const std::string& id, const std::string& strategy_name, int max_rounds,
             const std::string& checkpoint_path, bool resume, const std::string& trace_path,
             const std::string& metrics_path) {
@@ -190,52 +251,25 @@ int RunCase(const std::string& id, const std::string& strategy_name, int max_rou
   options.max_rounds = max_rounds;
   options.track_site = built.ground_truth.site;
   options.cancel = &g_cancel;
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  if (!trace_path.empty()) {
-    options.tracer = &tracer;
-  }
-  if (!metrics_path.empty()) {
-    options.metrics = &metrics;
-  }
+  SearchSinks sinks{trace_path, metrics_path};
+  sinks.Attach(&options);
   explorer::Explorer ex(built.spec, options);
   auto strategy = explorer::MakeStrategy(strategy_name);
 
   explorer::CheckpointConfig checkpoint;
-  checkpoint.path = checkpoint_path;
   explorer::SearchCheckpoint resumed;
+  if (int status = PrepareCheckpoint(checkpoint_path, resume, &resumed, &checkpoint);
+      status != 0) {
+    return status;
+  }
   if (resume) {
-    if (checkpoint_path.empty()) {
-      std::fprintf(stderr, "--resume requires --checkpoint=<path>\n");
-      return 2;
-    }
-    std::string error;
-    if (!explorer::LoadCheckpointFile(checkpoint_path, &resumed, &error)) {
-      std::fprintf(stderr, "cannot resume: %s\n", error.c_str());
-      return 1;
-    }
-    checkpoint.resume = &resumed;
     std::printf("resuming from round %d (%s)\n", resumed.rounds_completed + 1,
                 checkpoint_path.c_str());
   }
 
   explorer::ExploreResult result = ex.Explore(strategy.get(), checkpoint);
-  if (!trace_path.empty()) {
-    const bool jsonl = trace_path.size() >= 6 &&
-                       trace_path.compare(trace_path.size() - 6, 6, ".jsonl") == 0;
-    const std::string text = jsonl ? tracer.DumpJsonl(/*include_wall=*/true)
-                                   : tracer.DumpChromeTrace(/*include_wall=*/true);
-    if (!WriteTextFile(trace_path, text, "trace")) {
-      return 1;
-    }
-    std::printf("trace: %zu events -> %s (%s)\n", tracer.event_count(), trace_path.c_str(),
-                jsonl ? "jsonl" : "chrome trace_event");
-  }
-  if (!metrics_path.empty()) {
-    if (!WriteTextFile(metrics_path, metrics.DumpJson(), "metrics")) {
-      return 1;
-    }
-    std::printf("metrics: -> %s\n", metrics_path.c_str());
+  if (!sinks.Dump()) {
+    return 1;
   }
   for (const explorer::RoundRecord& record : result.records) {
     std::printf(
@@ -290,29 +324,16 @@ int ChainCase(const std::string& id, int max_chain_length, int max_rounds,
   options.max_rounds = max_rounds;
   options.track_site = built.ground_truth.site;
   options.cancel = &g_cancel;
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  if (!trace_path.empty()) {
-    options.tracer = &tracer;
-  }
-  if (!metrics_path.empty()) {
-    options.metrics = &metrics;
-  }
+  SearchSinks sinks{trace_path, metrics_path};
+  sinks.Attach(&options);
 
   explorer::CheckpointConfig checkpoint;
-  checkpoint.path = checkpoint_path;
   explorer::SearchCheckpoint resumed;
+  if (int status = PrepareCheckpoint(checkpoint_path, resume, &resumed, &checkpoint);
+      status != 0) {
+    return status;
+  }
   if (resume) {
-    if (checkpoint_path.empty()) {
-      std::fprintf(stderr, "--resume requires --checkpoint=<path>\n");
-      return 2;
-    }
-    std::string error;
-    if (!explorer::LoadCheckpointFile(checkpoint_path, &resumed, &error)) {
-      std::fprintf(stderr, "cannot resume: %s\n", error.c_str());
-      return 1;
-    }
-    checkpoint.resume = &resumed;
     std::printf("resuming chain search: phase %d, %d steps accepted, round %d (%s)\n",
                 resumed.chain.phase, static_cast<int>(resumed.chain.steps.size()),
                 resumed.rounds_completed + 1, checkpoint_path.c_str());
@@ -320,22 +341,8 @@ int ChainCase(const std::string& id, int max_chain_length, int max_rounds,
 
   explorer::ChainExplorer ex(built.spec, options);
   explorer::ChainResult result = ex.Explore(max_chain_length, checkpoint);
-  if (!trace_path.empty()) {
-    const bool jsonl = trace_path.size() >= 6 &&
-                       trace_path.compare(trace_path.size() - 6, 6, ".jsonl") == 0;
-    const std::string text = jsonl ? tracer.DumpJsonl(/*include_wall=*/true)
-                                   : tracer.DumpChromeTrace(/*include_wall=*/true);
-    if (!WriteTextFile(trace_path, text, "trace")) {
-      return 1;
-    }
-    std::printf("trace: %zu events -> %s (%s)\n", tracer.event_count(), trace_path.c_str(),
-                jsonl ? "jsonl" : "chrome trace_event");
-  }
-  if (!metrics_path.empty()) {
-    if (!WriteTextFile(metrics_path, metrics.DumpJson(), "metrics")) {
-      return 1;
-    }
-    std::printf("metrics: -> %s\n", metrics_path.c_str());
+  if (!sinks.Dump()) {
+    return 1;
   }
   std::printf("phases: %d, total rounds: %d, demoted chain candidates: %d\n", result.phases,
               result.total_rounds, result.demoted_chain_candidates);
