@@ -151,14 +151,21 @@ void BM_InjectionDecision(benchmark::State& state) {
   const systems::BuiltCase& built = MotivatingCase();
   interp::FaultRuntime runtime(built.program.get());
   runtime.SetWindow({built.ground_truth});
+  // As in search runs: no instance trace (it would grow by one entry per
+  // iteration here).
+  runtime.set_tracing(false);
   runtime.BeginRun();
   const ir::FaultSite& site = built.program->fault_site(built.ground_truth.site);
   const ir::Stmt& stmt =
       built.program->method(site.location.method).stmt(site.location.stmt);
+  // The hook the interpreter's dispatch loop calls, with the transient
+  // parameters pre-decoded the way ir::FlatProgram lowers them.
+  const ir::ExceptionTypeId transient_type =
+      stmt.throwable_types.empty() ? ir::kInvalidId : stmt.throwable_types.front();
   int64_t clock = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        runtime.OnExternalCall(built.ground_truth.site, stmt, clock++, 0, 0));
+    benchmark::DoNotOptimize(runtime.OnExternalCallFast(
+        built.ground_truth.site, transient_type, stmt.transient_every_n, clock++, 0, 0));
   }
 }
 BENCHMARK(BM_InjectionDecision);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Refreshes the golden trace/metrics files under tests/golden/ after an
-# intentional change to the trace layout or metric namespace.
+# Refreshes the goldens under tests/golden/ after an intentional change: the
+# zk-2247 trace/metrics files (trace layout or metric namespace) and the
+# interpreter run digests (interpreter semantics).
 #
 # Usage: scripts/update_trace_golden.sh [build-dir]
 set -euo pipefail
@@ -8,9 +9,11 @@ set -euo pipefail
 build_dir="${1:-build}"
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 
-cmake --build "$repo_root/$build_dir" --target trace_golden_test
+cmake --build "$repo_root/$build_dir" --target trace_golden_test interp_equivalence_test
 ANDURIL_UPDATE_GOLDENS=1 "$repo_root/$build_dir/tests/trace_golden_test" \
   --gtest_filter='TraceGoldenTest.TraceAndMetricsMatchGoldenAtOneThread'
+ANDURIL_UPDATE_GOLDENS=1 "$repo_root/$build_dir/tests/interp_equivalence_test" \
+  --gtest_filter='InterpEquivalence.RunsMatchCommittedDigests'
 
 echo "goldens refreshed:"
 git -C "$repo_root" status --short tests/golden/

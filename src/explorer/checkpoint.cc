@@ -1,32 +1,12 @@
 #include "src/explorer/checkpoint.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
+#include "src/util/file.h"
 #include "src/util/hash.h"
 #include "src/util/json.h"
 #include "src/util/strings.h"
 
 namespace anduril::explorer {
 namespace {
-
-std::string U64ToString(uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  return buf;
-}
-
-uint64_t U64FromJson(const JsonValue* value) {
-  if (value == nullptr) {
-    return 0;
-  }
-  if (value->type() == JsonValue::Type::kString) {
-    return std::strtoull(value->as_string().c_str(), nullptr, 10);
-  }
-  return static_cast<uint64_t>(value->as_int());
-}
 
 JsonValue CandidateToJson(const interp::InjectionCandidate& candidate) {
   JsonValue object = JsonValue::Object();
@@ -61,7 +41,7 @@ bool CandidateFromJson(const JsonValue& value, interp::InjectionCandidate* out,
 
 uint64_t ChainSignatureHash(const ChainState& chain) {
   Fnv1aHasher hasher;
-  for (const ChainStepCheckpoint& step : chain.steps) {
+  for (const FaultChainStep& step : chain.steps) {
     hasher.MixInt(step.candidate.site);
     hasher.MixInt(step.candidate.occurrence);
     hasher.MixInt(step.candidate.type);
@@ -88,13 +68,30 @@ uint64_t ProgramFingerprint(const ir::Program& program) {
   return hasher.hash();
 }
 
+std::string CheckpointProgramMismatch(const SearchCheckpoint& checkpoint,
+                                      const ir::Program& program) {
+  if (checkpoint.version != kCheckpointVersion) {
+    return StrFormat("checkpoint version %d, this build resumes only version %d",
+                     checkpoint.version, kCheckpointVersion);
+  }
+  const uint64_t fingerprint = ProgramFingerprint(program);
+  if (checkpoint.program_fingerprint != fingerprint) {
+    return StrFormat(
+        "checkpoint was written for a different program (fingerprint %llu, this case's "
+        "program is %llu)",
+        static_cast<unsigned long long>(checkpoint.program_fingerprint),
+        static_cast<unsigned long long>(fingerprint));
+  }
+  return "";
+}
+
 std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
   JsonValue root = JsonValue::Object();
   root.Set("version", JsonValue::Int(checkpoint.version));
-  root.Set("program_fingerprint", JsonValue::Str(U64ToString(checkpoint.program_fingerprint)));
-  root.Set("base_seed", JsonValue::Str(U64ToString(checkpoint.base_seed)));
+  root.Set("program_fingerprint", JsonValue::U64(checkpoint.program_fingerprint));
+  root.Set("base_seed", JsonValue::U64(checkpoint.base_seed));
   root.Set("rounds_completed", JsonValue::Int(checkpoint.rounds_completed));
-  root.Set("retry_rng_draws", JsonValue::Str(U64ToString(checkpoint.retry_rng_draws)));
+  root.Set("retry_rng_draws", JsonValue::U64(checkpoint.retry_rng_draws));
 
   JsonValue network = JsonValue::Object();
   network.Set("candidates", JsonValue::Bool(checkpoint.network_candidates));
@@ -148,10 +145,10 @@ std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
 
   JsonValue chain = JsonValue::Object();
   JsonValue steps = JsonValue::Array();
-  for (const ChainStepCheckpoint& step : checkpoint.chain.steps) {
+  for (const FaultChainStep& step : checkpoint.chain.steps) {
     JsonValue entry = JsonValue::Object();
     entry.Set("candidate", CandidateToJson(step.candidate));
-    entry.Set("seed", JsonValue::Str(U64ToString(step.seed)));
+    entry.Set("seed", JsonValue::U64(step.seed));
     entry.Set("rounds", JsonValue::Int(step.rounds));
     JsonValue observables = JsonValue::Array();
     for (const std::string& key : step.stitched_observables) {
@@ -180,8 +177,7 @@ std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
   root.Set("chain", std::move(chain));
   // Always recomputed from the chain block — the struct field is only the
   // parsed-and-verified copy.
-  root.Set("chain_signature_hash",
-           JsonValue::Str(U64ToString(ChainSignatureHash(checkpoint.chain))));
+  root.Set("chain_signature_hash", JsonValue::U64(ChainSignatureHash(checkpoint.chain)));
 
   JsonValue engine = JsonValue::Object();
   engine.Set("kind", JsonValue::Str(checkpoint.engine_kind));
@@ -231,12 +227,21 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
     return false;
   }
   out->version = static_cast<int>(version->as_int());
-  out->program_fingerprint = U64FromJson(root.Find("program_fingerprint"));
-  out->base_seed = U64FromJson(root.Find("base_seed"));
+  auto read_u64 = [error](const JsonValue& object, const char* key, uint64_t* into) {
+    if (ReadU64Member(object, key, into, error)) {
+      return true;
+    }
+    *error = "checkpoint field " + *error;
+    return false;
+  };
+  if (!read_u64(root, "program_fingerprint", &out->program_fingerprint) ||
+      !read_u64(root, "base_seed", &out->base_seed) ||
+      !read_u64(root, "retry_rng_draws", &out->retry_rng_draws)) {
+    return false;
+  }
   out->rounds_completed =
       root.Find("rounds_completed") ? static_cast<int>(root.Find("rounds_completed")->as_int())
                                     : 0;
-  out->retry_rng_draws = U64FromJson(root.Find("retry_rng_draws"));
 
   const JsonValue* network = root.Find("network");
   if (network == nullptr || network->type() != JsonValue::Type::kObject) {
@@ -328,7 +333,7 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
   }
   if (const JsonValue* steps = chain->Find("steps"); steps != nullptr) {
     for (const JsonValue& entry : steps->items()) {
-      ChainStepCheckpoint step;
+      FaultChainStep step;
       const JsonValue* candidate = entry.Find("candidate");
       if (candidate == nullptr || !CandidateFromJson(*candidate, &step.candidate, error)) {
         if (error->empty()) {
@@ -336,7 +341,9 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
         }
         return false;
       }
-      step.seed = U64FromJson(entry.Find("seed"));
+      if (!read_u64(entry, "seed", &step.seed)) {
+        return false;
+      }
       step.rounds = entry.Find("rounds") ? static_cast<int>(entry.Find("rounds")->as_int()) : 0;
       if (const JsonValue* observables = entry.Find("stitched_observables");
           observables != nullptr) {
@@ -376,7 +383,9 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
       out->chain.round_candidates.push_back(summary);
     }
   }
-  out->chain_signature_hash = U64FromJson(root.Find("chain_signature_hash"));
+  if (!read_u64(root, "chain_signature_hash", &out->chain_signature_hash)) {
+    return false;
+  }
   if (out->chain_signature_hash != ChainSignatureHash(out->chain)) {
     *error =
         "chain signature hash mismatch: the checkpoint's chain state does not hash to "
@@ -414,31 +423,16 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
 }
 
 bool SaveCheckpointFile(const std::string& path, const SearchCheckpoint& checkpoint) {
-  // Write to a temp file and rename so a kill mid-write never leaves a
-  // truncated checkpoint behind.
-  std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      return false;
-    }
-    out << SerializeCheckpoint(checkpoint);
-    if (!out.flush()) {
-      return false;
-    }
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return WriteFileAtomic(path, SerializeCheckpoint(checkpoint));
 }
 
 bool LoadCheckpointFile(const std::string& path, SearchCheckpoint* out, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!ReadFileToString(path, &text)) {
     *error = "cannot open checkpoint file " + path;
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseCheckpoint(buffer.str(), out, error);
+  return ParseCheckpoint(text, out, error);
 }
 
 }  // namespace anduril::explorer

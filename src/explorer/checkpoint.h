@@ -83,15 +83,19 @@ namespace anduril::explorer {
 
 inline constexpr int kCheckpointVersion = 4;
 
-// One accepted step of a fault chain (v3). `seed` is the seed of the run
-// that validated the step: the stitch run for intermediate steps, the
-// successful search round for the final one.
-struct ChainStepCheckpoint {
+// One accepted step of an ordered fault chain (ChainExplorer, iterative.h),
+// as both the search result and the v3 checkpoint's chain block record it.
+// `seed` is the seed of the run that validated the step: the stitch run
+// (== base_seed) for intermediate steps, the successful search round's seed
+// for the final step.
+struct FaultChainStep {
   interp::InjectionCandidate candidate;
   uint64_t seed = 0;
   int rounds = 0;  // search rounds the step's phase consumed
+  // Relevant observable keys the step's stitch run newly flipped (empty for
+  // the final step — its run satisfied the oracle outright).
   std::vector<std::string> stitched_observables;
-  friend bool operator==(const ChainStepCheckpoint&, const ChainStepCheckpoint&) = default;
+  friend bool operator==(const FaultChainStep&, const FaultChainStep&) = default;
 };
 
 // Summary of one injected (unsuccessful) round of the live chain phase.
@@ -106,7 +110,7 @@ struct ChainRoundCandidate {
 
 // Complete ChainExplorer search state (v3). Empty for plain searches.
 struct ChainState {
-  std::vector<ChainStepCheckpoint> steps;  // accepted chain prefix, in order
+  std::vector<FaultChainStep> steps;       // accepted chain prefix, in order
   int phase = 0;                           // completed phases
   int rounds_before_phase = 0;             // rounds consumed by completed phases
   std::vector<ir::FaultSiteId> stitched_sites;  // seeds for the live phase
@@ -168,6 +172,12 @@ struct SearchCheckpoint {
 // enough to catch "this checkpoint came from a different build of the
 // scenario" without hashing the whole IR.
 uint64_t ProgramFingerprint(const ir::Program& program);
+
+// Why `checkpoint` cannot resume a search over `program` — another schema
+// version, or a different program build — or "" when it can.
+// Explorer::Explore validates the rest of the search configuration.
+std::string CheckpointProgramMismatch(const SearchCheckpoint& checkpoint,
+                                      const ir::Program& program);
 
 std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint);
 // Returns false (and fills *error) on malformed input or version mismatch.

@@ -204,6 +204,70 @@ void CountOutcome(ExperimentRecord* record, interp::RunOutcome outcome) {
   }
 }
 
+const char* EngineKind(const ExplorerOptions& options) {
+  return options.full_rerank ? "full-rerank" : "incremental";
+}
+
+// Why `snap` cannot resume this search, or "" when it can. Every check guards
+// the byte-identical-resume invariant: a mismatch means the resumed search
+// would silently leave the uninterrupted one's trajectory.
+std::string ResumeMismatch(const SearchCheckpoint& snap, const ExperimentSpec& spec,
+                           const ExplorerOptions& options, const ExplorerContext& context,
+                           const ChainState& expected_chain) {
+  if (std::string mismatch = CheckpointProgramMismatch(snap, *spec.program);
+      !mismatch.empty()) {
+    return mismatch;
+  }
+  if (snap.base_seed != spec.base_seed) {
+    return StrFormat("checkpoint base seed %llu does not match this search's base seed %llu",
+                     static_cast<unsigned long long>(snap.base_seed),
+                     static_cast<unsigned long long>(spec.base_seed));
+  }
+  if (snap.pinned != spec.pinned_faults) {
+    return StrFormat("checkpoint pins %zu faults that do not match this search's %zu",
+                     snap.pinned.size(), spec.pinned_faults.size());
+  }
+  // A network-config mismatch changes the candidate space or message timing.
+  if (snap.network_candidates != options.network_candidates ||
+      snap.partition_heal_ms != spec.cluster->partition_heal_ms ||
+      snap.network_delay_ms != spec.cluster->network_delay_ms) {
+    return StrFormat(
+        "checkpoint network configuration (candidates=%d, partition_heal_ms=%lld, "
+        "network_delay_ms=%lld) does not match this search's (%d, %lld, %lld)",
+        snap.network_candidates ? 1 : 0, static_cast<long long>(snap.partition_heal_ms),
+        static_cast<long long>(snap.network_delay_ms), options.network_candidates ? 1 : 0,
+        static_cast<long long>(spec.cluster->partition_heal_ms),
+        static_cast<long long>(spec.cluster->network_delay_ms));
+  }
+  // v4: the stage-1 ranking engine and the candidate space it ranked. The
+  // incremental and full-rerank engines are proven byte-identical, but a
+  // mismatch still means the resuming process is configured differently
+  // from the writer — surface that instead of quietly relying on the
+  // equivalence; and a candidate/observable count drift means the context
+  // was built differently (the fingerprint only guards the program shape).
+  if (snap.engine_kind != EngineKind(options)) {
+    return "checkpoint was written by the " + snap.engine_kind +
+           " ranking engine but this search is configured for the " + EngineKind(options) +
+           " one";
+  }
+  if (snap.engine_candidates != static_cast<int64_t>(context.candidates().size()) ||
+      snap.engine_observables != static_cast<int64_t>(context.observables().size())) {
+    return StrFormat(
+        "checkpoint ranked %lld candidates over %lld observables, this search has %zu over %zu",
+        static_cast<long long>(snap.engine_candidates),
+        static_cast<long long>(snap.engine_observables), context.candidates().size(),
+        context.observables().size());
+  }
+  // A chain checkpoint only resumes under the ChainExplorer that supplies the
+  // matching chain prefix; a plain search resuming one would silently drop
+  // the accepted chain steps.
+  if (snap.chain != expected_chain) {
+    return "checkpoint chain state does not match this search (chain checkpoints resume "
+           "only under ChainExplorer with the same chain prefix)";
+  }
+  return "";
+}
+
 }  // namespace
 
 std::string ReproductionScript::ToText(const ir::Program& program) const {
@@ -265,43 +329,16 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
   int first_round = 1;
   if (checkpoint.resume != nullptr) {
     const SearchCheckpoint& snap = *checkpoint.resume;
-    ANDURIL_CHECK(snap.version == kCheckpointVersion);
-    ANDURIL_CHECK(snap.program_fingerprint == ProgramFingerprint(*spec_->program));
-    ANDURIL_CHECK(snap.base_seed == spec_->base_seed);
-    ANDURIL_CHECK(snap.pinned == spec_->pinned_faults);
-    // A network-config mismatch changes the candidate space or message
-    // timing — resuming would diverge from the uninterrupted search.
-    ANDURIL_CHECK(snap.network_candidates == options_.network_candidates);
-    ANDURIL_CHECK(snap.partition_heal_ms == spec_->cluster->partition_heal_ms);
-    ANDURIL_CHECK(snap.network_delay_ms == spec_->cluster->network_delay_ms);
-    // v4: the stage-1 ranking engine and the candidate space it ranked. The
-    // incremental and full-rerank engines are proven byte-identical, but a
-    // mismatch still means the resuming process is configured differently
-    // from the writer — surface that instead of quietly relying on the
-    // equivalence; and a candidate/observable count drift means the context
-    // was built differently (the fingerprint only guards the program shape).
-    ANDURIL_CHECK(snap.engine_kind ==
-                  (options_.full_rerank ? std::string("full-rerank") : std::string("incremental")))
-        << "checkpoint was written by the " << snap.engine_kind
-        << " ranking engine but this search is configured for the other one";
-    ANDURIL_CHECK(snap.engine_candidates == static_cast<int64_t>(context_->candidates().size()))
-        << "checkpoint ranked " << snap.engine_candidates << " candidates, this context has "
-        << context_->candidates().size();
-    ANDURIL_CHECK(snap.engine_observables == static_cast<int64_t>(context_->observables().size()))
-        << "checkpoint ranked " << snap.engine_observables << " observables, this context has "
-        << context_->observables().size();
-    // A chain checkpoint only resumes under the ChainExplorer that supplies
-    // the matching chain prefix; a plain search resuming one would silently
-    // drop the accepted chain steps.
-    {
-      const ChainState empty_chain;
-      const ChainState& expected =
-          checkpoint.chain != nullptr ? *checkpoint.chain : empty_chain;
-      ANDURIL_CHECK(snap.chain == expected)
-          << "checkpoint chain state does not match this search (chain checkpoints "
-             "resume only under ChainExplorer with the same chain prefix)";
+    const ChainState empty_chain;
+    result.error = ResumeMismatch(snap, *spec_, options_, *context_,
+                                  checkpoint.chain != nullptr ? *checkpoint.chain : empty_chain);
+    if (result.error.empty() && !strategy->RestoreState(snap.strategy)) {
+      result.error = "the " + strategy->name() +
+                     " strategy cannot restore the checkpoint's search state";
     }
-    ANDURIL_CHECK(strategy->RestoreState(snap.strategy));
+    if (!result.error.empty()) {
+      return result;
+    }
     retry_backoff.FastForward(snap.retry_rng_draws);
     result.experiment = snap.experiment;
     result.rounds = snap.rounds_completed;
@@ -594,7 +631,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       snap.network_candidates = options_.network_candidates;
       snap.partition_heal_ms = spec_->cluster->partition_heal_ms;
       snap.network_delay_ms = spec_->cluster->network_delay_ms;
-      snap.engine_kind = options_.full_rerank ? "full-rerank" : "incremental";
+      snap.engine_kind = EngineKind(options_);
       snap.engine_candidates = static_cast<int64_t>(context_->candidates().size());
       snap.engine_observables = static_cast<int64_t>(context_->observables().size());
       snap.experiment = result.experiment;

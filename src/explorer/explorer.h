@@ -84,6 +84,12 @@ struct ExploreResult {
   // (empty when no registry was attached). Deterministic under a fixed seed
   // at any thread count.
   obs::MetricsSnapshot metrics;
+
+  // Set when the search refused to start: the CheckpointConfig::resume
+  // snapshot does not match this search (another program, seed, pinned set,
+  // network or ranking configuration, chain prefix, or a strategy that
+  // cannot restore it). No round ran.
+  std::string error;
 };
 
 // Checkpoint/resume wiring for a search. With a non-empty `path` the
@@ -119,7 +125,8 @@ class Explorer {
   ExploreResult Explore(InjectionStrategy* strategy);
   // Same, with checkpointing and/or resume. Checkpointing requires a
   // strategy that implements SaveState (the feedback family does; the list
-  // baselines do not).
+  // baselines do not). A resume snapshot that does not match this search
+  // returns at once with ExploreResult::error set.
   ExploreResult Explore(InjectionStrategy* strategy, const CheckpointConfig& checkpoint);
 
   const ExplorerContext& context() const { return *context_; }

@@ -11,6 +11,7 @@
 #include "src/obs/trace.h"
 #include "src/util/backoff.h"
 #include "src/util/check.h"
+#include "src/util/strings.h"
 
 namespace anduril::explorer {
 
@@ -189,16 +190,26 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
   // The persisted search state (v3 chain block): accepted prefix, completed
   // phases, the stitched-site seeds for the live phase, and the live phase's
   // injected-round summaries (filled in by the inner Explorer's snapshots).
+  // Its steps are the only record of the chain; the result takes them at
+  // the end.
   ChainState chain_state;
   const SearchCheckpoint* resume = checkpoint.resume;
   if (resume != nullptr) {
+    // Checked before the steps are pinned (they name this program's sites);
+    // the inner Explorer validates the rest of the configuration.
+    result.error = CheckpointProgramMismatch(*resume, *spec_.program);
+    if (result.error.empty() &&
+        static_cast<int>(resume->chain.steps.size()) > max_chain_length) {
+      result.error = StrFormat("checkpoint chain has %zu steps, more than this search's "
+                               "max_chain_length %d",
+                               resume->chain.steps.size(), max_chain_length);
+    }
+    if (!result.error.empty()) {
+      return result;
+    }
     chain_state = resume->chain;
-    ANDURIL_CHECK_LE(static_cast<int>(chain_state.steps.size()), max_chain_length)
-        << "checkpoint chain is longer than this search's max_chain_length";
-    for (const ChainStepCheckpoint& step : chain_state.steps) {
+    for (const FaultChainStep& step : chain_state.steps) {
       spec_.pinned_faults.push_back(step.candidate);
-      result.chain.steps.push_back(FaultChainStep{step.candidate, step.seed, step.rounds,
-                                                  step.stitched_observables});
     }
     result.phases = chain_state.phase;
     result.total_rounds = chain_state.rounds_before_phase;
@@ -220,7 +231,7 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
     // per-phase cap down to whatever the budget still allows.
     if (options_.max_total_rounds > 0 &&
         result.total_rounds >= options_.max_total_rounds) {
-      return result;
+      break;
     }
     ExplorerOptions phase_options = options_;
     phase_options.trace_phase = phase;
@@ -247,24 +258,28 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
       resume = nullptr;
     }
     ExploreResult search = explorer.Explore(strategy.get(), inner);
+    if (!search.error.empty()) {
+      result.error = std::move(search.error);
+      break;
+    }
     result.total_rounds += search.rounds;
 
     // Cooperative drain mid-phase: behave exactly like a kill — return with
     // the checkpoint as the inner explorer last flushed it, no stitch pass.
     if (search.interrupted) {
       result.interrupted = true;
-      return result;
+      break;
     }
     if (search.reproduced) {
       result.reproduced = true;
-      result.chain.steps.push_back(FaultChainStep{
+      chain_state.steps.push_back(FaultChainStep{
           interp::InjectionCandidate{search.script->site, search.script->occurrence,
                                      search.script->type, search.script->kind},
           search.script->seed, search.rounds, {}});
       if (options_.metrics != nullptr) {
         options_.metrics->Add("chain.reproduced");
       }
-      return result;
+      break;
     }
     if (phase + 1 == max_chain_length) {
       break;
@@ -273,7 +288,7 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
     // stitch pass, so a resume from the checkpoint continues this phase.
     if (options_.max_total_rounds > 0 &&
         result.total_rounds >= options_.max_total_rounds) {
-      return result;
+      break;
     }
 
     // Stitch-candidate pick. Merge the summaries restored from the
@@ -341,10 +356,8 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
       }
 
       spec_.pinned_faults.push_back(summary.candidate);
-      result.chain.steps.push_back(
-          FaultChainStep{summary.candidate, spec_.base_seed, search.rounds, flipped});
       chain_state.steps.push_back(
-          ChainStepCheckpoint{summary.candidate, spec_.base_seed, search.rounds, flipped});
+          FaultChainStep{summary.candidate, spec_.base_seed, search.rounds, flipped});
       chain_state.phase = phase + 1;
       chain_state.rounds_before_phase += search.rounds;
       chain_state.stitched_sites = std::move(new_sites);
@@ -360,7 +373,7 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
             {obs::ArgInt("phase", phase), obs::ArgInt("site", summary.candidate.site),
              obs::ArgInt("occurrence", summary.candidate.occurrence),
              obs::ArgInt("flipped", static_cast<int64_t>(
-                                        result.chain.steps.back().stitched_observables.size())),
+                                        chain_state.steps.back().stitched_observables.size())),
              obs::ArgInt("new_sites",
                          static_cast<int64_t>(chain_state.stitched_sites.size()))});
       }
@@ -371,6 +384,7 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
       break;  // no injectable fault moves the degraded system any further
     }
   }
+  result.chain.steps = std::move(chain_state.steps);
   return result;
 }
 

@@ -39,6 +39,7 @@
 #ifndef ANDURIL_SRC_EXPLORER_ITERATIVE_H_
 #define ANDURIL_SRC_EXPLORER_ITERATIVE_H_
 
+#include <string>
 #include <vector>
 
 #include "src/explorer/explorer.h"
@@ -71,22 +72,10 @@ class IterativeExplorer {
   ExplorerOptions options_;
 };
 
-// One accepted step of an ordered fault chain. `seed` is the seed of the run
-// that validated the step: the stitch run (== base_seed) for intermediate
-// steps, the successful search round's seed for the final step.
-struct FaultChainStep {
-  interp::InjectionCandidate candidate;
-  uint64_t seed = 0;
-  int rounds = 0;  // search rounds the step's phase consumed
-  // Relevant observable keys the step's stitch run newly flipped (empty for
-  // the final step — its run satisfied the oracle outright).
-  std::vector<std::string> stitched_observables;
-  friend bool operator==(const FaultChainStep&, const FaultChainStep&) = default;
-};
-
-// An ordered sequence of faults that together reproduce a cascading
-// failure. Unlike IterativeResult's independent faults, order matters: step
-// N's candidate typically has no dynamic instance until steps 1..N-1 fired.
+// An ordered sequence of faults (FaultChainStep, checkpoint.h) that together
+// reproduce a cascading failure. Unlike IterativeResult's independent
+// faults, order matters: step N's candidate typically has no dynamic
+// instance until steps 1..N-1 fired.
 struct FaultChain {
   std::vector<FaultChainStep> steps;
   friend bool operator==(const FaultChain&, const FaultChain&) = default;
@@ -106,6 +95,10 @@ struct ChainResult {
   // partition-stuck): a wedged intermediate step demotes the whole chain
   // candidate, not just the step.
   int demoted_chain_candidates = 0;
+  // Set when the search refused to resume: the checkpoint is longer than
+  // max_chain_length or does not match this search (ExploreResult::error).
+  // No round ran.
+  std::string error;
 };
 
 // Result of one chain-stitch run: the accepted chain prefix plus one

@@ -1,10 +1,6 @@
 #include "src/explorer/signature.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <unordered_set>
 #include <utility>
 
@@ -12,28 +8,13 @@
 #include "src/interp/simulator.h"
 #include "src/logdiff/compare.h"
 #include "src/util/check.h"
+#include "src/util/file.h"
 #include "src/util/hash.h"
 #include "src/util/json.h"
 #include "src/util/strings.h"
 
 namespace anduril::explorer {
 namespace {
-
-std::string U64ToString(uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  return buf;
-}
-
-uint64_t U64FromJson(const JsonValue* value) {
-  if (value == nullptr) {
-    return 0;
-  }
-  if (value->type() == JsonValue::Type::kString) {
-    return std::strtoull(value->as_string().c_str(), nullptr, 10);
-  }
-  return static_cast<uint64_t>(value->as_int());
-}
 
 std::string TaskName(const interp::InitialTask& task) { return task.node + "/" + task.thread; }
 
@@ -88,8 +69,7 @@ JsonValue SignatureToJson(const FaultSignature& signature) {
   JsonValue root = JsonValue::Object();
   root.Set("version", JsonValue::Int(signature.version));
   root.Set("case_id", JsonValue::Str(signature.case_id));
-  root.Set("program_fingerprint",
-           JsonValue::Str(U64ToString(signature.program_fingerprint)));
+  root.Set("program_fingerprint", JsonValue::U64(signature.program_fingerprint));
   root.Set("minimized", JsonValue::Bool(signature.minimized));
   JsonValue steps = JsonValue::Array();
   for (const SignatureStep& step : signature.steps) {
@@ -98,7 +78,7 @@ JsonValue SignatureToJson(const FaultSignature& signature) {
     entry.Set("exception", JsonValue::Str(step.exception));
     entry.Set("occurrence", JsonValue::Int(step.occurrence));
     entry.Set("kind", JsonValue::Str(interp::FaultKindName(step.kind)));
-    entry.Set("seed", JsonValue::Str(U64ToString(step.seed)));
+    entry.Set("seed", JsonValue::U64(step.seed));
     steps.Append(std::move(entry));
   }
   root.Set("steps", std::move(steps));
@@ -293,7 +273,7 @@ FaultSignature MinimizeSignature(const ExperimentSpec& spec, FaultSignature sign
 
 std::string SerializeSignature(const FaultSignature& signature) {
   JsonValue root = SignatureToJson(signature);
-  root.Set("content_hash", JsonValue::Str(U64ToString(ContentHash(signature))));
+  root.Set("content_hash", JsonValue::U64(ContentHash(signature)));
   return root.Dump();
 }
 
@@ -320,7 +300,16 @@ bool ParseSignature(const std::string& text, FaultSignature* out, std::string* e
   *out = FaultSignature{};
   out->version = static_cast<int>(version->as_int());
   out->case_id = root.Find("case_id") ? root.Find("case_id")->as_string() : "";
-  out->program_fingerprint = U64FromJson(root.Find("program_fingerprint"));
+  auto read_u64 = [error](const JsonValue& object, const char* key, uint64_t* into) {
+    if (ReadU64Member(object, key, into, error)) {
+      return true;
+    }
+    *error = "signature field " + *error;
+    return false;
+  };
+  if (!read_u64(root, "program_fingerprint", &out->program_fingerprint)) {
+    return false;
+  }
   out->minimized = root.Find("minimized") != nullptr && root.Find("minimized")->as_bool();
   if (const JsonValue* steps = root.Find("steps"); steps != nullptr) {
     for (const JsonValue& entry : steps->items()) {
@@ -339,7 +328,9 @@ bool ParseSignature(const std::string& text, FaultSignature* out, std::string* e
         *error = "unknown fault kind \"" + kind + "\"";
         return false;
       }
-      step.seed = U64FromJson(entry.Find("seed"));
+      if (!read_u64(entry, "seed", &step.seed)) {
+        return false;
+      }
       out->steps.push_back(std::move(step));
     }
   }
@@ -354,7 +345,10 @@ bool ParseSignature(const std::string& text, FaultSignature* out, std::string* e
   read_strings("retained_tasks", &out->retained_tasks);
   read_strings("ir_methods", &out->ir_methods);
 
-  uint64_t stored_hash = U64FromJson(root.Find("content_hash"));
+  uint64_t stored_hash = 0;
+  if (!read_u64(root, "content_hash", &stored_hash)) {
+    return false;
+  }
   if (stored_hash != ContentHash(*out)) {
     *error =
         "signature content hash mismatch: the file's fields do not hash to its "
@@ -367,29 +361,16 @@ bool ParseSignature(const std::string& text, FaultSignature* out, std::string* e
 }
 
 bool SaveSignatureFile(const std::string& path, const FaultSignature& signature) {
-  std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      return false;
-    }
-    out << SerializeSignature(signature) << "\n";
-    if (!out.flush()) {
-      return false;
-    }
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return WriteFileAtomic(path, SerializeSignature(signature) + "\n");
 }
 
 bool LoadSignatureFile(const std::string& path, FaultSignature* out, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!ReadFileToString(path, &text)) {
     *error = "cannot open signature file " + path;
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseSignature(buffer.str(), out, error);
+  return ParseSignature(text, out, error);
 }
 
 }  // namespace anduril::explorer

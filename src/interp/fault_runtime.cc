@@ -104,19 +104,6 @@ void FaultRuntime::FlushMetrics(obs::MetricsRegistry* metrics) const {
   }
 }
 
-bool FaultRuntime::Decide(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms,
-                          int32_t thread_id, FaultAction* action) {
-  ++injection_requests_;
-  int64_t occurrence = BumpOccurrence(site);
-  action->occurrence = occurrence;
-  if (tracing_) {
-    TraceAppend(site, occurrence, log_clock, time_ms, thread_id);
-  }
-  // The legacy hooks scan unconditionally (they may run without BeginRun, so
-  // no bitmap is guaranteed); the fast hooks gate this scan on Armed().
-  return MatchArmed(site, occurrence, action);
-}
-
 bool FaultRuntime::MatchArmed(ir::FaultSiteId site, int64_t occurrence, FaultAction* action) {
   // Pinned faults (iterative multi-fault mode) fire unconditionally and do
   // not consume the window's single injection. A dynamic instance fires at
@@ -156,41 +143,6 @@ bool FaultRuntime::MatchArmed(ir::FaultSiteId site, int64_t occurrence, FaultAct
     }
   }
   return false;
-}
-
-FaultAction FaultRuntime::OnExternalCall(ir::FaultSiteId site, const ir::Stmt& stmt,
-                                         int64_t log_clock, int64_t time_ms,
-                                         int32_t thread_id) {
-  auto start = std::chrono::steady_clock::now();
-  FaultAction action;
-  bool fired = Decide(site, log_clock, time_ms, thread_id, &action);
-  ANDURIL_CHECK(!fired || !IsNetworkFaultKind(action.kind))
-      << "network fault armed at external-call site " << program_->fault_site(site).name;
-  // Natural transient failure (deterministic, present in fault-free runs
-  // too): models handled errors that make production logs noisy.
-  if (!fired && stmt.transient_every_n > 0 &&
-      action.occurrence % stmt.transient_every_n == 0) {
-    action.exception = stmt.throwable_types.front();
-  }
-  decision_nanos_ +=
-      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                           start)
-          .count();
-  return action;
-}
-
-FaultAction FaultRuntime::OnSend(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms,
-                                 int32_t thread_id) {
-  auto start = std::chrono::steady_clock::now();
-  FaultAction action;
-  bool fired = Decide(site, log_clock, time_ms, thread_id, &action);
-  ANDURIL_CHECK(!fired || IsNetworkFaultKind(action.kind))
-      << "non-network fault armed at send site " << program_->fault_site(site).name;
-  decision_nanos_ +=
-      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                           start)
-          .count();
-  return action;
 }
 
 bool FaultRuntime::ExternalCallMatchArmed(ir::FaultSiteId site, int64_t occurrence,

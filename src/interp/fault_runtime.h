@@ -1,10 +1,11 @@
 // Fault-injection runtime: the C++ analog of the paper's instrumented
 // FIR.traceSite / FIR.throwIfEnabled hooks (Figure 3).
 //
-// Every ExternalCall statement consults this runtime when executed. The
-// runtime (1) traces the dynamic fault *instance* (site + occurrence, with
-// its position on the log-message timeline — the "logical clock" used for
-// temporal distance in §5.2.3), and (2) decides whether to inject.
+// Every ExternalCall and Send statement consults this runtime when executed
+// (OnExternalCallFast / OnSendFast). The runtime (1) traces the dynamic
+// fault *instance* (site + occurrence, with its position on the log-message
+// timeline — the "logical clock" used for temporal distance in §5.2.3), and
+// (2) decides whether to inject.
 //
 // The explorer hands the runtime a *window* of candidate instances
 // (§5.2.5 flexible priority window): the first candidate whose (site,
@@ -124,30 +125,23 @@ class FaultRuntime {
   // large; baselines that do not need it can turn it off).
   void set_tracing(bool enabled) { tracing_ = enabled; }
 
-  // Called by the interpreter right before an external call executes.
+  // Called by the interpreter right before an external call executes, with
+  // the statement's transient parameters pre-decoded by the flattener.
   // Returns the action to take: throw an exception (injected, pinned, or
   // natural transient), crash the node, stall the call, or proceed normally.
-  FaultAction OnExternalCall(ir::FaultSiteId site, const ir::Stmt& stmt, int64_t log_clock,
-                             int64_t time_ms, int32_t thread_id);
-
-  // Called by the interpreter right before a Send statement hands its
-  // message to the network. Same tracing and window/pinned matching as
-  // OnExternalCall, but the only kinds that can fire are the network ones
+  //
+  // OnSendFast is its counterpart for a Send statement about to hand its
+  // message to the network: same tracing and window/pinned matching, but
+  // the only kinds that can fire are the network ones
   // (drop/delay/duplicate/partition) and there is no natural transient.
-  FaultAction OnSend(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms,
-                     int32_t thread_id);
-
-  // Hot-path variants used by the flattened interpreter, with the
-  // statement's transient parameters pre-decoded by the flattener. Decision
-  // semantics and tracing are identical to the legacy hooks above; the
-  // difference is cost. The per-site occurrence bump is a dense-array
-  // increment and the armed check is one bitmap word load + branch (built by
-  // BeginRun from the window + pinned sets), so the common not-armed case
-  // never hashes — and the whole not-armed path is inlined into the
-  // dispatch loop (only the armed candidate scan and the timed stride leave
-  // the header). Decision latency is sampled — every kDecisionSample-th
-  // request is timed and extrapolated — instead of reading the clock twice
-  // per request; decision_nanos() stays an estimate of the same quantity.
+  //
+  // Both are hot. The per-site occurrence bump is a dense-array increment
+  // and the armed check is one bitmap word load + branch (built by BeginRun
+  // from the window + pinned sets), so the common not-armed case never
+  // hashes — and the whole not-armed path is inlined into the dispatch loop
+  // (only the armed candidate scan and the timed stride leave the header).
+  // Decision latency is sampled — every kDecisionSample-th request is timed
+  // and extrapolated — instead of reading the clock twice per request.
   // Requires BeginRun() (the armed bitmap is compiled there).
   FaultAction OnExternalCallFast(ir::FaultSiteId site, ir::ExceptionTypeId transient_type,
                                  int32_t transient_every_n, int64_t log_clock,
@@ -218,15 +212,9 @@ class FaultRuntime {
   void FlushMetrics(obs::MetricsRegistry* metrics) const;
 
  private:
-  // Shared pinned/window matching: traces the instance, fills `action` and
-  // returns true when a pinned or window candidate fired at (site,
-  // occurrence). Natural transients are the caller's (OnExternalCall's)
-  // business.
-  bool Decide(ir::FaultSiteId site, int64_t log_clock, int64_t time_ms, int32_t thread_id,
-              FaultAction* action);
-  // The scan half of Decide: matches (site, occurrence) against pinned +
-  // window candidates. Cold — only reached when the site's armed bit is set
-  // (fast path) or on every legacy Decide call.
+  // Matches (site, occurrence) against pinned + window candidates, fills
+  // `action` and returns true when one fired. Cold — only reached when the
+  // site's armed bit is set.
   bool MatchArmed(ir::FaultSiteId site, int64_t occurrence, FaultAction* action);
   // Armed-site halves of the fast hooks: candidate scan plus a kind sanity
   // check. Cold by construction — a clear armed bit skips them entirely.

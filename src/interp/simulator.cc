@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
-#include <functional>
 
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
-#include "src/util/strings.h"
 
 namespace anduril::interp {
 
@@ -14,12 +12,6 @@ namespace {
 
 int64_t WaiterKey(int32_t node, ir::VarId var) {
   return (static_cast<int64_t>(node) << 32) | static_cast<uint32_t>(var);
-}
-
-// Short thread name for a handler method: "wal.consume" -> "consume".
-std::string DefaultHandlerThread(const std::string& method_name) {
-  size_t pos = method_name.rfind('.');
-  return pos == std::string::npos ? method_name : method_name.substr(pos + 1);
 }
 
 constexpr int64_t kWhileIterationCap = 1'000'000;
@@ -160,7 +152,6 @@ void Simulator::ResetThread(Thread* thread) {
   thread->node = -1;
   thread->name.clear();
   thread->queue.clear();
-  thread->stack.clear();
   thread->fstack.clear();
   thread->loop_iters.clear();
   thread->caughts.clear();
@@ -220,38 +211,6 @@ int64_t& Simulator::EnvRef(int32_t node, ir::VarId var) {
   return env_[static_cast<size_t>(node)][static_cast<size_t>(var)];
 }
 
-int64_t Simulator::EvalExpr(const Thread& thread, const Frame& frame, const ir::Expr& expr) {
-  switch (expr.kind) {
-    case ir::ExprKind::kConst:
-      return expr.constant;
-    case ir::ExprKind::kVar:
-      return env_[static_cast<size_t>(thread.node)][static_cast<size_t>(expr.var)];
-    case ir::ExprKind::kPayload:
-      return frame.payload;
-    case ir::ExprKind::kAdd:
-      return env_[static_cast<size_t>(thread.node)][static_cast<size_t>(expr.var)] +
-             expr.constant;
-    case ir::ExprKind::kSub:
-      return env_[static_cast<size_t>(thread.node)][static_cast<size_t>(expr.var)] -
-             expr.constant;
-    case ir::ExprKind::kAddVar:
-      return env_[static_cast<size_t>(thread.node)][static_cast<size_t>(expr.var)] +
-             env_[static_cast<size_t>(thread.node)][static_cast<size_t>(expr.var2)];
-  }
-  ANDURIL_UNREACHABLE();
-}
-
-bool Simulator::EvalCond(const Thread& thread, const ir::Cond& cond) {
-  if (cond.IsTrue()) {
-    return true;
-  }
-  int64_t lhs = env_[static_cast<size_t>(thread.node)][static_cast<size_t>(cond.lhs)];
-  int64_t rhs = cond.rhs_is_var
-                    ? env_[static_cast<size_t>(thread.node)][static_cast<size_t>(cond.rhs_var)]
-                    : cond.rhs_const;
-  return cond.Evaluate(lhs, rhs);
-}
-
 void Simulator::PushEvent(Event event) {
   event.seq = ++event_seq_;
   EventRef ref{event.time, static_cast<uint32_t>(event.seq), 0};
@@ -309,39 +268,6 @@ Simulator::Event Simulator::PopEvent() {
   return std::move(events_[slot]);
 }
 
-const Simulator::ExcValue* Simulator::CurrentCaught(const Thread& thread) const {
-  if (thread.stack.empty()) {
-    return nullptr;
-  }
-  const Frame& frame = thread.stack.back();
-  for (auto it = frame.cursors.rbegin(); it != frame.cursors.rend(); ++it) {
-    if (it->ctx == Cursor::Ctx::kCatchBody && it->caught.valid()) {
-      return &it->caught;
-    }
-  }
-  return nullptr;
-}
-
-std::string Simulator::DescribeException(const ExcValue& exc) const {
-  const ExcValue& root = exc.Root();
-  std::string origin;
-  if (root.origin_site != ir::kInvalidId) {
-    origin = program_->fault_site(root.origin_site).name;
-  } else if (root.origin.method != ir::kInvalidId) {
-    origin = StrFormat("%s#%d", program_->method(root.origin.method).name.c_str(),
-                       root.origin.stmt);
-  } else {
-    origin = "unknown";
-  }
-  std::string text = StrFormat("%s at %s", program_->exception_type(exc.type).name.c_str(),
-                               origin.c_str());
-  if (exc.cause != nullptr) {
-    text += StrFormat("; caused by %s",
-                      program_->exception_type(exc.cause->type).name.c_str());
-  }
-  return text;
-}
-
 void Simulator::AppendExceptionDescription(std::string* out, const ExcValue& exc) const {
   const ExcValue& root = exc.Root();
   *out += program_->exception_type(exc.type).name;
@@ -361,45 +287,6 @@ void Simulator::AppendExceptionDescription(std::string* out, const ExcValue& exc
     *out += "; caused by ";
     *out += program_->exception_type(exc.cause->type).name;
   }
-}
-
-void Simulator::EmitLog(Thread* thread, const ir::Stmt& stmt, ir::MethodId method_id,
-                        ir::StmtId stmt_id) {
-  const ir::LogTemplate& tmpl = program_->log_template(stmt.log_template);
-  std::string message;
-  message.reserve(tmpl.text.size() + 16);
-  size_t arg_index = 0;
-  const Frame& frame = thread->stack.back();
-  for (size_t i = 0; i < tmpl.text.size();) {
-    if (i + 1 < tmpl.text.size() && tmpl.text[i] == '{' && tmpl.text[i + 1] == '}') {
-      int64_t value =
-          arg_index < stmt.log_args.size() ? EvalExpr(*thread, frame, stmt.log_args[arg_index])
-                                           : 0;
-      ++arg_index;
-      message += std::to_string(value);
-      i += 2;
-    } else {
-      message.push_back(tmpl.text[i]);
-      ++i;
-    }
-  }
-  if (stmt.log_attach_exception) {
-    const ExcValue* caught = CurrentCaught(*thread);
-    if (caught != nullptr) {
-      message += StrFormat(" [exc=%s]", DescribeException(*caught).c_str());
-    }
-  }
-  LogEntry entry;
-  entry.time_ms = now_;
-  entry.log_clock = static_cast<int64_t>(log_len_);
-  entry.node = node_names_[static_cast<size_t>(thread->node)];
-  entry.thread = thread->name;
-  entry.level = tmpl.level;
-  entry.logger = tmpl.logger;
-  entry.message = std::move(message);
-  entry.tmpl = stmt.log_template;
-  entry.source = ir::GlobalStmt{method_id, stmt_id};
-  NextLogEntry() = std::move(entry);
 }
 
 void Simulator::EmitBuiltinLog(Thread* thread, ir::LogLevel level, const std::string& logger,
@@ -474,38 +361,6 @@ void Simulator::CompleteFuture(int64_t future_id, ExcValue exc) {
   future.waiters.clear();
 }
 
-Simulator::RaiseResult Simulator::Raise(Thread* thread, ExcValue exc) {
-  while (!thread->stack.empty()) {
-    Frame& frame = thread->stack.back();
-    const ir::Method& method = program_->method(frame.method);
-    while (!frame.cursors.empty()) {
-      Cursor& cursor = frame.cursors.back();
-      if (cursor.ctx == Cursor::Ctx::kTryBody) {
-        const ir::Stmt& try_stmt = method.stmt(cursor.ctx_stmt);
-        for (const ir::CatchClause& clause : try_stmt.catches) {
-          if (program_->ExceptionIsA(exc.type, clause.type)) {
-            cursor.block = clause.block;
-            cursor.next_child = 0;
-            cursor.ctx = Cursor::Ctx::kCatchBody;
-            cursor.caught = std::move(exc);
-            return RaiseResult::kHandled;
-          }
-        }
-      }
-      frame.cursors.pop_back();
-    }
-    thread->stack.pop_back();
-  }
-  // Escaped the task root.
-  if (thread->current_future > 0) {
-    CompleteFuture(thread->current_future, std::move(exc));
-    thread->current_future = -1;
-    return RaiseResult::kTaskFailed;
-  }
-  HandleUncaught(thread, exc);
-  return RaiseResult::kThreadDied;
-}
-
 void Simulator::HandleUncaught(Thread* thread, const ExcValue& exc) {
   ir::MethodId method = exc.origin.method;
   std::string message = "Uncaught exception terminating thread: ";
@@ -517,473 +372,9 @@ void Simulator::HandleUncaught(Thread* thread, const ExcValue& exc) {
   thread->state = Thread::State::kDead;
   thread->death_exception = exc.type;
   thread->queue.clear();
-  thread->stack.clear();
   thread->fstack.clear();
   thread->loop_iters.clear();
   thread->caughts.clear();
-}
-
-Simulator::StepResult Simulator::Step(Thread* thread) {
-  Frame& frame = thread->stack.back();
-  if (frame.cursors.empty()) {
-    thread->stack.pop_back();
-    return thread->stack.empty() ? StepResult::kTaskDone : StepResult::kContinue;
-  }
-  Cursor& cursor = frame.cursors.back();
-  const ir::Method& method = program_->method(frame.method);
-  const ir::Stmt& block = method.stmt(cursor.block);
-  if (static_cast<size_t>(cursor.next_child) >= block.children.size()) {
-    if (cursor.ctx == Cursor::Ctx::kWhileBody) {
-      const ir::Stmt& while_stmt = method.stmt(cursor.ctx_stmt);
-      if (EvalCond(*thread, while_stmt.cond)) {
-        ANDURIL_CHECK_LT(cursor.loop_iter, kWhileIterationCap)
-            << "runaway loop in " << method.name;
-        ++cursor.loop_iter;
-        cursor.next_child = 0;
-        return StepResult::kContinue;
-      }
-    }
-    frame.cursors.pop_back();
-    if (frame.cursors.empty()) {
-      thread->stack.pop_back();
-      return thread->stack.empty() ? StepResult::kTaskDone : StepResult::kContinue;
-    }
-    return StepResult::kContinue;
-  }
-  ir::StmtId stmt_id = block.children[static_cast<size_t>(cursor.next_child)];
-  ++cursor.next_child;
-  // NOTE: `cursor`, `frame` may be invalidated by ExecStmt (cursor/frame
-  // pushes); do not touch them after this call.
-  return ExecStmt(thread, frame.method, stmt_id);
-}
-
-Simulator::StepResult Simulator::ExecStmt(Thread* thread, ir::MethodId method_id,
-                                          ir::StmtId stmt_id) {
-  const ir::Method& method = program_->method(method_id);
-  const ir::Stmt& stmt = method.stmt(stmt_id);
-  Frame& frame = thread->stack.back();
-
-  switch (stmt.kind) {
-    case ir::StmtKind::kNop:
-      return StepResult::kContinue;
-
-    case ir::StmtKind::kBlock: {
-      Cursor cursor;
-      cursor.block = stmt_id;
-      thread->stack.back().cursors.push_back(cursor);
-      return StepResult::kContinue;
-    }
-
-    case ir::StmtKind::kAssign:
-      EnvRef(thread->node, stmt.assign_var) = EvalExpr(*thread, frame, stmt.expr);
-      return StepResult::kContinue;
-
-    case ir::StmtKind::kLog:
-      EmitLog(thread, stmt, method_id, stmt_id);
-      return StepResult::kContinue;
-
-    case ir::StmtKind::kIf: {
-      ir::StmtId chosen =
-          EvalCond(*thread, stmt.cond) ? stmt.then_block : stmt.else_block;
-      if (chosen != ir::kInvalidId) {
-        Cursor cursor;
-        cursor.block = chosen;
-        thread->stack.back().cursors.push_back(cursor);
-      }
-      return StepResult::kContinue;
-    }
-
-    case ir::StmtKind::kWhile: {
-      if (EvalCond(*thread, stmt.cond)) {
-        Cursor cursor;
-        cursor.block = stmt.then_block;
-        cursor.ctx = Cursor::Ctx::kWhileBody;
-        cursor.ctx_stmt = stmt_id;
-        cursor.loop_iter = 1;
-        thread->stack.back().cursors.push_back(cursor);
-      }
-      return StepResult::kContinue;
-    }
-
-    case ir::StmtKind::kInvoke: {
-      Frame callee;
-      callee.method = stmt.callee;
-      callee.payload = frame.payload;
-      Cursor cursor;
-      cursor.block = 0;
-      callee.cursors.push_back(cursor);
-      thread->stack.push_back(std::move(callee));
-      return StepResult::kContinue;
-    }
-
-    case ir::StmtKind::kTryCatch: {
-      Cursor cursor;
-      cursor.block = stmt.try_block;
-      cursor.ctx = Cursor::Ctx::kTryBody;
-      cursor.ctx_stmt = stmt_id;
-      thread->stack.back().cursors.push_back(cursor);
-      return StepResult::kContinue;
-    }
-
-    case ir::StmtKind::kThrow: {
-      ExcValue exc;
-      if (stmt.exception_type == ir::kInvalidId) {
-        const ExcValue* caught = CurrentCaught(*thread);
-        ANDURIL_CHECK(caught != nullptr) << "rethrow with no in-flight exception";
-        exc = *caught;
-      } else {
-        exc.type = stmt.exception_type;
-        exc.origin = ir::GlobalStmt{method_id, stmt_id};
-        exc.origin_site = program_->FaultSiteAt(exc.origin);
-      }
-      switch (Raise(thread, std::move(exc))) {
-        case RaiseResult::kHandled:
-          return StepResult::kContinue;
-        case RaiseResult::kTaskFailed:
-          return StepResult::kTaskFailed;
-        case RaiseResult::kThreadDied:
-          return StepResult::kDied;
-      }
-      ANDURIL_UNREACHABLE();
-    }
-
-    case ir::StmtKind::kExternalCall: {
-      ir::FaultSiteId site = program_->FaultSiteAt(ir::GlobalStmt{method_id, stmt_id});
-      ANDURIL_CHECK_NE(site, ir::kInvalidId);
-      FaultAction action = fault_runtime_->OnExternalCall(
-          site, stmt, static_cast<int64_t>(log_len_), now_, thread->id);
-      if (action.fired && action.kind == FaultKind::kCrash) {
-        // The node halts at this call. No log line, no exception: the
-        // per-thread log is simply truncated here, like a killed process.
-        CrashNode(thread->node);
-        return StepResult::kDied;
-      }
-      if (action.fired && action.kind == FaultKind::kStall) {
-        // The call never returns. No wake event is scheduled, so the thread
-        // stays wedged until the run's budget expires.
-        BlockThread(thread, Thread::BlockKind::kStall, ir::GlobalStmt{method_id, stmt_id});
-        stall_fired_ = true;
-        return StepResult::kBlocked;
-      }
-      if (action.exception == ir::kInvalidId) {
-        return StepResult::kContinue;
-      }
-      ExcValue exc;
-      exc.type = action.exception;
-      exc.origin = ir::GlobalStmt{method_id, stmt_id};
-      exc.origin_site = site;
-      exc.injected = action.injected;
-      switch (Raise(thread, std::move(exc))) {
-        case RaiseResult::kHandled:
-          return StepResult::kContinue;
-        case RaiseResult::kTaskFailed:
-          return StepResult::kTaskFailed;
-        case RaiseResult::kThreadDied:
-          return StepResult::kDied;
-      }
-      ANDURIL_UNREACHABLE();
-    }
-
-    case ir::StmtKind::kAwait: {
-      if (EvalCond(*thread, stmt.cond)) {
-        return StepResult::kContinue;
-      }
-      BlockThread(thread, Thread::BlockKind::kAwait, ir::GlobalStmt{method_id, stmt_id});
-      stmt.cond.CollectReads(&thread->wait_vars);
-      for (ir::VarId var : thread->wait_vars) {
-        waiters_[WaiterKey(thread->node, var)].push_back(thread->id);
-      }
-      if (stmt.timeout_ms >= 0) {
-        Event event;
-        event.time = now_ + stmt.timeout_ms;
-        event.kind = Event::Kind::kTimer;
-        event.thread = thread->id;
-        event.epoch = thread->epoch;
-        PushEvent(event);
-      }
-      return StepResult::kBlocked;
-    }
-
-    case ir::StmtKind::kSignal:
-      WakeWaitersOf(thread->node, stmt.assign_var);
-      return StepResult::kContinue;
-
-    case ir::StmtKind::kSend: {
-      ir::FaultSiteId site = program_->FaultSiteAt(ir::GlobalStmt{method_id, stmt_id});
-      ANDURIL_CHECK_NE(site, ir::kInvalidId);
-      FaultAction action = fault_runtime_->OnSend(site, static_cast<int64_t>(log_len_),
-                                                  now_, thread->id);
-      std::string target = stmt.target_node;
-      if (stmt.target_index_var != ir::kInvalidId) {
-        target += std::to_string(EnvRef(thread->node, stmt.target_index_var));
-      }
-      int32_t target_node = NodeIndex(target);
-      std::string handler = stmt.handler_thread.empty()
-                                ? DefaultHandlerThread(program_->method(stmt.callee).name)
-                                : stmt.handler_thread;
-      Thread* target_thread = GetThread(target_node, handler);
-      network_.OnMessageSent();
-      Event event;
-      // The jitter draw stays unconditional so a fired network fault never
-      // shifts the rng stream of the rest of the run.
-      event.time = now_ + stmt.latency_ms + static_cast<int64_t>(rng_.NextBelow(2));
-      event.kind = Event::Kind::kDeliver;
-      event.thread = target_thread->id;
-      event.src_node = thread->node;
-      event.task = Task{stmt.callee, EvalExpr(*thread, frame, stmt.expr), -1};
-      bool duplicate = false;
-      if (action.fired) {
-        switch (action.kind) {
-          case FaultKind::kDrop:
-            network_.DropMessage();
-            return StepResult::kContinue;  // the message vanishes silently
-          case FaultKind::kDelay:
-            event.time += network_.DelayFor(site, action.occurrence, spec_->network_delay_ms);
-            break;
-          case FaultKind::kDuplicate:
-            network_.DuplicateMessage();
-            duplicate = true;
-            break;
-          case FaultKind::kPartition:
-            // Severs the pair; the triggering message is then swallowed by
-            // the severed-pair check below, like everything after it.
-            network_.Sever(thread->node, target_node, now_, spec_->partition_heal_ms);
-            break;
-          default:
-            ANDURIL_UNREACHABLE();  // OnSend only fires network kinds
-        }
-      }
-      if (network_.SeveredDrop(thread->node, target_node, now_)) {
-        return StepResult::kContinue;
-      }
-      PushEvent(event);
-      if (duplicate) {
-        PushEvent(event);  // same delivery time, later seq
-      }
-      return StepResult::kContinue;
-    }
-
-    case ir::StmtKind::kSubmit: {
-      futures_.emplace_back();
-      int64_t future_id = static_cast<int64_t>(futures_.size()) - 1;
-      EnvRef(thread->node, stmt.future_var) = future_id;
-      Thread* executor = GetThread(thread->node, stmt.executor_thread);
-      Event event;
-      event.time = now_;
-      event.kind = Event::Kind::kDeliver;
-      event.thread = executor->id;
-      event.task = Task{stmt.callee, EvalExpr(*thread, frame, stmt.expr), future_id};
-      PushEvent(event);
-      return StepResult::kContinue;
-    }
-
-    case ir::StmtKind::kFutureGet: {
-      int64_t future_id = EnvRef(thread->node, stmt.future_var);
-      ANDURIL_CHECK_GT(future_id, 0) << "FutureGet before Submit in " << method.name;
-      ANDURIL_CHECK_LT(static_cast<size_t>(future_id), futures_.size());
-      FutureState& future = futures_[static_cast<size_t>(future_id)];
-      if (future.done) {
-        if (!future.exception.valid()) {
-          return StepResult::kContinue;
-        }
-        ANDURIL_CHECK_NE(execution_exception_, ir::kInvalidId)
-            << "program uses futures but does not define ExecutionException";
-        ExcValue exc;
-        exc.type = execution_exception_;
-        exc.origin = ir::GlobalStmt{method_id, stmt_id};
-        exc.cause = std::make_shared<ExcValue>(future.exception);
-        exc.injected = future.exception.injected;
-        switch (Raise(thread, std::move(exc))) {
-          case RaiseResult::kHandled:
-            return StepResult::kContinue;
-          case RaiseResult::kTaskFailed:
-            return StepResult::kTaskFailed;
-          case RaiseResult::kThreadDied:
-            return StepResult::kDied;
-        }
-        ANDURIL_UNREACHABLE();
-      }
-      BlockThread(thread, Thread::BlockKind::kFuture, ir::GlobalStmt{method_id, stmt_id});
-      thread->wait_future = future_id;
-      future.waiters.push_back(thread->id);
-      if (stmt.timeout_ms >= 0) {
-        Event event;
-        event.time = now_ + stmt.timeout_ms;
-        event.kind = Event::Kind::kTimer;
-        event.thread = thread->id;
-        event.epoch = thread->epoch;
-        PushEvent(event);
-      }
-      return StepResult::kBlocked;
-    }
-
-    case ir::StmtKind::kSleep: {
-      BlockThread(thread, Thread::BlockKind::kSleep, ir::GlobalStmt{method_id, stmt_id});
-      Event event;
-      event.time = now_ + stmt.sleep_ms;
-      event.kind = Event::Kind::kTimer;
-      event.thread = thread->id;
-      event.epoch = thread->epoch;
-      PushEvent(event);
-      return StepResult::kBlocked;
-    }
-
-    case ir::StmtKind::kReturn: {
-      thread->stack.pop_back();
-      return thread->stack.empty() ? StepResult::kTaskDone : StepResult::kContinue;
-    }
-
-    case ir::StmtKind::kBreak: {
-      Frame& top = thread->stack.back();
-      while (!top.cursors.empty()) {
-        bool was_loop = top.cursors.back().ctx == Cursor::Ctx::kWhileBody;
-        top.cursors.pop_back();
-        if (was_loop) {
-          return StepResult::kContinue;
-        }
-      }
-      ANDURIL_UNREACHABLE() << "break outside loop escaped the verifier";
-    }
-  }
-  ANDURIL_UNREACHABLE();
-}
-
-void Simulator::RunThread(Thread* thread) {
-  for (;;) {
-    if (thread->state == Thread::State::kDead) {
-      return;
-    }
-    if (thread->stack.empty()) {
-      if (thread->queue.empty()) {
-        thread->state = Thread::State::kIdle;
-        return;
-      }
-      Task task = thread->queue.front();
-      thread->queue.pop_front();
-      thread->current_future = task.future;
-      Frame frame;
-      frame.method = task.method;
-      frame.payload = task.payload;
-      Cursor cursor;
-      cursor.block = 0;
-      frame.cursors.push_back(cursor);
-      thread->stack.push_back(std::move(frame));
-    }
-    if (++steps_ > spec_->step_limit) {
-      hit_step_limit_ = true;
-      return;
-    }
-    if ((steps_ & 2047) == 0 && WallBudgetExceeded()) {
-      return;
-    }
-    switch (Step(thread)) {
-      case StepResult::kContinue:
-        break;
-      case StepResult::kBlocked:
-        return;
-      case StepResult::kDied:
-        return;
-      case StepResult::kTaskDone:
-        if (thread->current_future > 0) {
-          CompleteFuture(thread->current_future, ExcValue{});
-          thread->current_future = -1;
-        }
-        break;
-      case StepResult::kTaskFailed:
-        // Raise already completed the future exceptionally.
-        break;
-    }
-  }
-}
-
-void Simulator::ProcessWake(const Event& event) {
-  Thread* thread = threads_[static_cast<size_t>(event.thread)].get();
-  if (thread->state != Thread::State::kBlocked || event.epoch != thread->epoch) {
-    return;  // stale wake
-  }
-  const ir::Method& method = program_->method(thread->blocked_at.method);
-  const ir::Stmt& stmt = method.stmt(thread->blocked_at.stmt);
-  ir::GlobalStmt at = thread->blocked_at;
-
-  auto raise_here = [&](ExcValue exc) {
-    UnblockThread(thread);
-    Raise(thread, std::move(exc));
-    RunThread(thread);
-  };
-
-  switch (thread->block_kind) {
-    case Thread::BlockKind::kAwait: {
-      if (event.kind == Event::Kind::kTimer) {
-        // Timeout elapsed; condition still unsatisfied (a satisfied one
-        // would have unblocked us via a signal wake).
-        if (EvalCond(*thread, stmt.cond)) {
-          UnblockThread(thread);
-          RunThread(thread);
-          return;
-        }
-        if (stmt.exception_type != ir::kInvalidId) {
-          ExcValue exc;
-          exc.type = stmt.exception_type;
-          exc.origin = at;
-          exc.origin_site = program_->FaultSiteAt(at);
-          raise_here(std::move(exc));
-          return;
-        }
-        UnblockThread(thread);
-        RunThread(thread);
-        return;
-      }
-      // Signal wake: re-check the condition.
-      if (EvalCond(*thread, stmt.cond)) {
-        UnblockThread(thread);
-        RunThread(thread);
-      }
-      // else: spurious wake; stay blocked (epoch unchanged, timer intact).
-      return;
-    }
-
-    case Thread::BlockKind::kFuture: {
-      if (event.kind == Event::Kind::kTimer) {
-        if (stmt.exception_type != ir::kInvalidId) {
-          ExcValue exc;
-          exc.type = stmt.exception_type;
-          exc.origin = at;
-          exc.origin_site = program_->FaultSiteAt(at);
-          raise_here(std::move(exc));
-          return;
-        }
-        UnblockThread(thread);
-        RunThread(thread);
-        return;
-      }
-      FutureState& future = futures_[static_cast<size_t>(thread->wait_future)];
-      ANDURIL_CHECK(future.done);
-      if (future.exception.valid()) {
-        ANDURIL_CHECK_NE(execution_exception_, ir::kInvalidId);
-        ExcValue exc;
-        exc.type = execution_exception_;
-        exc.origin = at;
-        exc.cause = std::make_shared<ExcValue>(future.exception);
-        exc.injected = future.exception.injected;
-        raise_here(std::move(exc));
-        return;
-      }
-      UnblockThread(thread);
-      RunThread(thread);
-      return;
-    }
-
-    case Thread::BlockKind::kSleep:
-      UnblockThread(thread);
-      RunThread(thread);
-      return;
-
-    case Thread::BlockKind::kStall:
-      return;  // a stalled call never wakes
-
-    case Thread::BlockKind::kNone:
-      ANDURIL_UNREACHABLE();
-  }
 }
 
 // --- Flattened execution ----------------------------------------------------
@@ -1138,16 +529,17 @@ void Simulator::PrepareFlatRun() {
     }
     auto it = node_index_.find(send.target_node);
     // Unknown static targets stay -1; the CHECK fires only if the send
-    // actually executes, matching the tree walker.
+    // actually executes.
     send_targets_.push_back(it == node_index_.end() ? -1 : it->second);
   }
 }
 
-// Direct-threaded dispatch loop. Each label is one tree-walker *step*; the
-// shared `dispatch` point does the per-step bookkeeping (dead/idle checks,
-// task pull, step limit, watchdog) and then jumps straight to the opcode's
-// body via a computed goto (GCC/Clang) or a dense switch. Every body ends in
-// ANDURIL_NEXT() or `return`; control never falls through between labels.
+// Direct-threaded dispatch loop. Each label is one interpreter *step* (the
+// accounting flatten.h documents); the shared `dispatch` point does the
+// per-step bookkeeping (dead/idle checks, task pull, step limit, watchdog)
+// and then jumps straight to the opcode's body via a computed goto
+// (GCC/Clang) or a dense switch. Every body ends in ANDURIL_NEXT() or
+// `return`; control never falls through between labels.
 #if defined(__GNUC__) || defined(__clang__)
 #define ANDURIL_COMPUTED_GOTO 1
 #else
@@ -1419,7 +811,7 @@ dispatch:
           network_.Sever(thread->node, target_node, now_, spec_->partition_heal_ms);
           break;
         default:
-          ANDURIL_UNREACHABLE();  // OnSend only fires network kinds
+          ANDURIL_UNREACHABLE();  // OnSendFast only fires network kinds
       }
     }
     if (network_.SeveredDrop(thread->node, target_node, now_)) {
@@ -1617,7 +1009,6 @@ void Simulator::CrashNode(int32_t node) {
     thread->block_kind = Thread::BlockKind::kNone;
     ++thread->epoch;  // pending wakes/timers for this thread go stale
     thread->queue.clear();
-    thread->stack.clear();
     thread->fstack.clear();
     thread->loop_iters.clear();
     thread->caughts.clear();
@@ -1637,9 +1028,7 @@ bool Simulator::WallBudgetExceeded() {
 RunResult Simulator::Run() {
   ANDURIL_CHECK(!ran_) << "Simulator::Run may be called once";
   ran_ = true;
-  if (use_flat_) {
-    PrepareFlatRun();
-  }
+  PrepareFlatRun();
   fault_runtime_->BeginRun();
   wall_limited_ = spec_->wall_budget_ms > 0;
   if (wall_limited_) {
@@ -1682,23 +1071,14 @@ RunResult Simulator::Run() {
           break;  // message to a thread dead from an uncaught exception
         }
         thread->queue.push_back(event.task);
-        if (thread->state == Thread::State::kIdle &&
-            (use_flat_ ? thread->fstack.empty() : thread->stack.empty())) {
-          if (use_flat_) {
-            RunThreadFlat(thread);
-          } else {
-            RunThread(thread);
-          }
+        if (thread->state == Thread::State::kIdle && thread->fstack.empty()) {
+          RunThreadFlat(thread);
         }
         break;
       }
       case Event::Kind::kWake:
       case Event::Kind::kTimer:
-        if (use_flat_) {
-          ProcessWakeFlat(event);
-        } else {
-          ProcessWake(event);
-        }
+        ProcessWakeFlat(event);
         break;
     }
   }
@@ -1771,12 +1151,8 @@ RunResult Simulator::Run() {
     } else if (thread->state == Thread::State::kBlocked) {
       summary.state = ThreadEndState::kBlocked;
       summary.blocked_at = thread->blocked_at;
-      if (use_flat_) {
-        if (!thread->fstack.empty()) {
-          summary.current_method = thread->fstack.back().method;
-        }
-      } else if (!thread->stack.empty()) {
-        summary.current_method = thread->stack.back().method;
+      if (!thread->fstack.empty()) {
+        summary.current_method = thread->fstack.back().method;
       }
     } else {
       summary.state = ThreadEndState::kFinished;

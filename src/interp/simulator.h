@@ -11,14 +11,13 @@
 // injection window). This is what lets a successful search end with a script
 // that deterministically reproduces the failure (§3 step 4.a).
 //
-// Execution modes: by default the simulator runs the flattened
-// direct-threaded program (ir::FlatProgram) — a caller may supply a shared
-// pre-built one (the explorer builds it once per context), otherwise the
-// simulator compiles its own at Run(). set_tree_walk(true) selects the
-// original statement-tree walker instead; both modes execute the identical
-// step sequence and produce identical RunResults (asserted across all
-// registered scenarios by tests/interp_equivalence_test.cc), differing only
-// in speed.
+// Execution: the simulator runs the flattened direct-threaded program
+// (ir::FlatProgram). A caller may supply a shared pre-built one (the explorer
+// builds it once per context); otherwise the simulator lowers its own at
+// Run(). What a run produces — outcome, log, fault trace, thread end states,
+// node state, network accounting, and the step count — is pinned for six
+// runs of every registered scenario by tests/golden/interp_runs.txt, which
+// interp_equivalence_test checks.
 //
 // Thread compatibility: a Simulator only *reads* the Program, ClusterSpec,
 // and FlatProgram it is given (all held by const pointer; none has lazy
@@ -88,17 +87,12 @@ class RunScratch {
 class Simulator {
  public:
   // `flat` is an optional pre-built flattening of `program` (shared,
-  // read-only); when null and the flat mode is active, Run() compiles one
-  // privately. `scratch` optionally pools per-run buffers across runs.
+  // read-only); when null, Run() lowers one privately. `scratch` optionally
+  // pools per-run buffers across runs.
   Simulator(const ir::Program* program, const ClusterSpec* spec, uint64_t seed,
             FaultRuntime* fault_runtime, const ir::FlatProgram* flat = nullptr,
             RunScratch* scratch = nullptr);
   ~Simulator();
-
-  // Selects the legacy statement-tree walker instead of the flattened
-  // dispatch loop: the reference that interp_equivalence_test and
-  // bench_interp_speed compare the flat engine against; call before Run().
-  void set_tree_walk(bool tree_walk) { use_flat_ = !tree_walk; }
 
   // Attaches a metrics sink; at the end of Run() the simulator folds its
   // per-run accounting ("sim.*") plus the fault runtime's ("fault.*") and
@@ -125,23 +119,6 @@ class Simulator {
     const ExcValue& Root() const { return cause ? cause->Root() : *this; }
   };
 
-  // --- Interpreter frames -----------------------------------------------------
-  struct Cursor {
-    enum class Ctx : uint8_t { kPlain, kWhileBody, kTryBody, kCatchBody };
-    ir::StmtId block = ir::kInvalidId;
-    int32_t next_child = 0;
-    Ctx ctx = Ctx::kPlain;
-    ir::StmtId ctx_stmt = ir::kInvalidId;  // the While / TryCatch statement
-    int64_t loop_iter = 0;
-    ExcValue caught;  // valid in kCatchBody
-  };
-
-  struct Frame {
-    ir::MethodId method = ir::kInvalidId;
-    int64_t payload = 0;
-    std::vector<Cursor> cursors;
-  };
-
   // Call frame of the flattened dispatch loop: a program counter into the
   // shared op array plus this frame's base offsets into the thread's
   // loop-iteration and caught-exception slot stacks.
@@ -164,10 +141,9 @@ class Simulator {
     int32_t node = -1;
     std::string name;
     std::deque<Task> queue;
-    std::vector<Frame> stack;       // tree-walk mode
-    std::vector<FlatFrame> fstack;  // flat mode
-    std::vector<int64_t> loop_iters;  // flat mode: frame-relative loop slots
-    std::vector<ExcValue> caughts;    // flat mode: frame-relative caught slots
+    std::vector<FlatFrame> fstack;
+    std::vector<int64_t> loop_iters;  // frame-relative loop slots
+    std::vector<ExcValue> caughts;    // frame-relative caught slots
     int64_t current_future = -1;
 
     enum class State : uint8_t { kIdle, kBlocked, kDead };
@@ -227,20 +203,12 @@ class Simulator {
     }
   };
 
-  enum class StepResult : uint8_t { kContinue, kBlocked, kTaskDone, kTaskFailed, kDied };
   enum class RaiseResult : uint8_t { kHandled, kTaskFailed, kThreadDied };
 
-  // --- Tree-walk core loop ----------------------------------------------------
-  void RunThread(Thread* thread);
-  StepResult Step(Thread* thread);
-  StepResult ExecStmt(Thread* thread, ir::MethodId method_id, ir::StmtId stmt_id);
-  RaiseResult Raise(Thread* thread, ExcValue exc);
-  void HandleUncaught(Thread* thread, const ExcValue& exc);
-  void ProcessWake(const Event& event);
-
-  // --- Flattened core loop ----------------------------------------------------
+  // --- Core loop --------------------------------------------------------------
   void RunThreadFlat(Thread* thread);
   RaiseResult FlatRaise(Thread* thread, ExcValue exc);
+  void HandleUncaught(Thread* thread, const ExcValue& exc);
   void ProcessWakeFlat(const Event& event);
   void PushFlatFrame(Thread* thread, ir::MethodId method, int64_t payload);
   void PopFlatFrame(Thread* thread);
@@ -252,12 +220,8 @@ class Simulator {
   int32_t NodeIndex(const std::string& name) const;
   Thread* GetThread(int32_t node, const std::string& name);
   int64_t& EnvRef(int32_t node, ir::VarId var);
-  int64_t EvalExpr(const Thread& thread, const Frame& frame, const ir::Expr& expr);
-  bool EvalCond(const Thread& thread, const ir::Cond& cond);
   int64_t EvalExprAt(int32_t node, int64_t payload, const ir::Expr& expr) const;
   bool EvalCondAt(int32_t node, const ir::Cond& cond) const;
-  void EmitLog(Thread* thread, const ir::Stmt& stmt, ir::MethodId method_id,
-               ir::StmtId stmt_id);
   void EmitBuiltinLog(Thread* thread, ir::LogLevel level, const std::string& logger,
                       const std::string& message, ir::MethodId uncaught_method);
   // Returns the next log slot: a recycled entry (overwritten in place by the
@@ -270,9 +234,8 @@ class Simulator {
     ++log_len_;
     return log_.emplace_back();
   }
-  std::string DescribeException(const ExcValue& exc) const;
-  // Appends DescribeException(exc) to `out` byte-for-byte, without the
-  // vsnprintf round trips (the flat interpreter's log hot path).
+  // Appends "<type> at <origin>[; caused by <cause type>]" for `exc` to `out`
+  // (the " [exc=...]" suffix of log lines and uncaught-exception reports).
   void AppendExceptionDescription(std::string* out, const ExcValue& exc) const;
   void PushEvent(Event event);
   Event PopEvent();
@@ -289,7 +252,6 @@ class Simulator {
   void UnblockThread(Thread* thread);
   void WakeWaitersOf(int32_t node, ir::VarId var);
   void CompleteFuture(int64_t future_id, ExcValue exc);
-  const ExcValue* CurrentCaught(const Thread& thread) const;
   void ResetThread(Thread* thread);
   void BorrowScratch();
   void ReturnScratch();
@@ -299,7 +261,6 @@ class Simulator {
   FaultRuntime* fault_runtime_;
   const ir::FlatProgram* flat_ = nullptr;
   std::unique_ptr<ir::FlatProgram> owned_flat_;
-  bool use_flat_ = true;
   RunScratch* scratch_ = nullptr;
   Rng rng_;
   NetworkModel network_;
@@ -311,12 +272,11 @@ class Simulator {
   std::vector<std::unique_ptr<Thread>> threads_;
   std::unordered_map<std::string, int32_t> thread_index_;  // "node_idx/name"
 
-  // Flat mode: (node * thread_name_count + name_id) -> thread id, lazily
-  // filled so hot Send/Submit statements skip the string-keyed map.
+  // (node * thread_name_count + name_id) -> thread id, lazily filled so hot
+  // Send/Submit statements skip the string-keyed map.
   std::vector<int32_t> flat_threads_;
-  // Flat mode: per-FlatSend static target node index (-1 = dynamic target or
-  // unknown node; unknown is CHECKed when the send executes, matching the
-  // tree walker).
+  // Per-FlatSend static target node index (-1 = dynamic target or unknown
+  // node; unknown is CHECKed when the send executes).
   std::vector<int32_t> send_targets_;
 
   // (node, var) -> blocked waiter thread ids

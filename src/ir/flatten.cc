@@ -8,8 +8,8 @@ namespace anduril::ir {
 
 namespace {
 
-// Short thread name for a handler method: "wal.consume" -> "consume". Must
-// match the interpreter's default-handler rule exactly.
+// Short thread name for a handler method: "wal.consume" -> "consume". A Send
+// without an explicit handler thread delivers to this thread.
 std::string DefaultHandlerThread(const std::string& method_name) {
   size_t pos = method_name.rfind('.');
   return pos == std::string::npos ? method_name : method_name.substr(pos + 1);
@@ -17,27 +17,26 @@ std::string DefaultHandlerThread(const std::string& method_name) {
 
 }  // namespace
 
-// Lowers one method. Emission preserves the tree walker's step accounting —
-// every op corresponds to exactly one Step() of the tree interpreter:
+// Lowers one method. Emission follows the step accounting (flatten.h) —
+// every op is exactly one interpreter step:
 //
-//   statement        tree steps                      flat ops
-//   ---------        ----------                      --------
+//   statement        steps                           flat ops
+//   ---------        -----                           --------
 //   simple stmt      1 (dispatch)                    the stmt's op
-//   Block            1 entry + body + 1 exit-pop     kNop + body + kNop
-//   If, taken arm    1 + arm body + 1 arm-pop        kBranch + body + kJump/kNop
+//   Block            1 entry + body + 1 exit         kNop + body + kNop
+//   If, taken arm    1 + arm body + 1 arm exit       kBranch + body + kJump/kNop
 //   If, no arm       1                               kBranch straight to merge
 //   While, N iters   1 + N re-checks + N bodies      kLoopEnter + N x (body
 //                    (re-check N is the false one)     + kLoopBack)
-//   Invoke           1 + callee + 1 root-pop         kInvoke + callee + kReturn
-//   TryCatch         1 + try body + 1 try-pop        kNop + body + kJump(merge)
-//   caught clause    0 entry + body + 1 catch-pop    (raise sets pc) + body
+//   Invoke           1 + callee + 1 frame pop        kInvoke + callee + kReturn
+//   TryCatch         1 + try body + 1 try exit       kNop + body + kJump(merge)
+//   caught clause    0 entry + body + 1 catch exit   (raise sets pc) + body
 //                                                      + kJump(merge)
-//   Break            1 (pops through the loop)       kJump past kLoopBack
+//   Break            1 (leaves the loop)             kJump past kLoopBack
 //   Return           1                               kReturn
 //
-// The raise path costs zero steps in both modes (the tree walker rewrites a
-// cursor in place; the flat walker rewrites pc), as do wakeups and task
-// pulls.
+// The raise path costs zero steps (it rewrites pc to the clause's target),
+// as do wakeups and task pulls.
 struct MethodLowering {
   FlatProgram* out;
   const Program* program;
@@ -142,9 +141,8 @@ struct MethodLowering {
 
       case StmtKind::kIf: {
         // kBranch is the If dispatch step. A taken arm executes its children
-        // directly (the tree repurposes one cursor, so arm entry is free)
-        // and pays one exit step — kJump to merge for the then arm, kNop
-        // fall-through for the else arm — matching the tree's cursor pop.
+        // directly (arm entry is free) and pays one exit step — kJump to
+        // merge for the then arm, kNop fall-through for the else arm.
         int32_t branch = Here();
         {
           FlatOp& op = Emit(OpCode::kBranch, stmt_id);
@@ -178,9 +176,8 @@ struct MethodLowering {
 
       case StmtKind::kWhile: {
         // kLoopEnter is the While dispatch step (false: straight to merge,
-        // one step, like the tree's no-push dispatch). kLoopBack is the
-        // end-of-body re-check step; on true it applies the tree's runaway
-        // cap before jumping back to the body.
+        // one step). kLoopBack is the end-of-body re-check step; on true it
+        // applies the runaway-loop cap before jumping back to the body.
         int32_t slot = loop_depth;
         max_loops = std::max(max_loops, slot + 1);
         int32_t enter = Here();
@@ -215,10 +212,9 @@ struct MethodLowering {
 
       case StmtKind::kTryCatch: {
         // kNop is the TryCatch dispatch step. The try body runs under a new
-        // handler record; its exit kJump is the tree's try-cursor pop.
-        // Catch entry costs zero steps (a raise rewrites pc directly, as
-        // the tree rewrites the cursor), and each catch body's exit kJump
-        // is its cursor pop. Ops inside a catch body resolve against the
+        // handler record; its exit kJump is the try's exit step. Catch
+        // entry costs zero steps (a raise rewrites pc directly), and each
+        // catch body's exit kJump is its exit step. Ops inside a catch body resolve against the
         // *enclosing* handler — the try that caught no longer handles.
         Emit(OpCode::kNop, stmt_id);
         int32_t slot = catch_depth;
@@ -338,7 +334,7 @@ struct MethodLowering {
     flat.id = method->id;
     flat.entry = Here();
     // The root block's children run directly off the task frame (no entry
-    // step in the tree), and the frame pop when they are exhausted is the
+    // step), and the frame pop when they are exhausted is the
     // trailing kReturn — unreachable when the method ends in Return.
     LowerChildren(0);
     Emit(OpCode::kReturn, 0);

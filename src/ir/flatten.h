@@ -3,8 +3,8 @@
 //
 // The statement tree is the IR of record — the causal analysis, the
 // verifier, and the fault-site registry all work on it — but walking it
-// costs a cursor stack, a parent chase, and a re-switch on `stmt.kind` at
-// every step. FlatProgram lowers every finalized method once into a single
+// would cost a cursor stack, a parent chase, and a re-switch on `stmt.kind`
+// at every step. FlatProgram lowers every finalized method once into a single
 // contiguous op array with everything the hot loop needs pre-resolved:
 //
 //   - control flow as absolute op indices (branch targets, loop back-edges,
@@ -20,11 +20,14 @@
 //     parent, and each catch body writes its caught exception into a fixed
 //     per-frame slot.
 //
-// Step-count parity: the lowering emits exactly one op per interpreter
-// *step* of the tree walker — including its bookkeeping steps (block
-// entry/exit, while re-checks, frame pops) — so `sim.steps`, step limits,
-// and every downstream golden are identical between the two execution
-// modes. The mapping is documented per-construct in flatten.cc.
+// Step accounting: the lowering emits exactly one op per interpreter *step*
+// of the statement semantics, bookkeeping steps included (block entry/exit,
+// while re-checks, frame pops). Steps are observable — `sim.steps`,
+// ClusterSpec::step_limit and every downstream golden count them — so the
+// accounting is a contract: tests/golden/interp_runs.txt pins the step count
+// (and a digest of everything else a run produces) for six runs of every
+// registered scenario, and interp_equivalence_test fails on any drift. The
+// mapping is documented per-construct in flatten.cc.
 //
 // A FlatProgram is immutable after construction and holds no run state, so
 // one instance is shared read-only across all runs, rounds, and worker
@@ -93,7 +96,7 @@ struct FlatHandler {
 
 // A log statement pre-split on its "{}" placeholders: the rendered message
 // is segments[0] + arg0 + segments[1] + arg1 + ... (missing args render as
-// 0, matching the tree walker).
+// 0).
 struct FlatLog {
   LogTemplateId tmpl = kInvalidId;
   LogLevel level = LogLevel::kInfo;

@@ -1,28 +1,10 @@
 #include "src/service/manifest.h"
 
-#include <charconv>
-
 #include "src/util/file.h"
 #include "src/util/hash.h"
 #include "src/util/json.h"
 
 namespace anduril::service {
-namespace {
-
-// u64 fields ride as strings, like the checkpoint format: JSON numbers lose
-// precision past 2^53.
-JsonValue U64(uint64_t value) { return JsonValue::Str(std::to_string(value)); }
-
-bool ParseU64(const JsonValue* value, uint64_t* out) {
-  if (value == nullptr || value->type() != JsonValue::Type::kString) {
-    return false;
-  }
-  const std::string& text = value->as_string();
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-}  // namespace
 
 const char* CaseStateName(CaseState state) {
   switch (state) {
@@ -103,12 +85,12 @@ std::string SerializeManifest(const QueueManifest& manifest) {
     item.Set("state", JsonValue::Str(CaseStateName(entry.state)));
     if (!entry.script.empty()) {
       item.Set("script", JsonValue::Str(entry.script));
-      item.Set("script_seed", U64(entry.script_seed));
+      item.Set("script_seed", JsonValue::U64(entry.script_seed));
     }
     cases.Append(std::move(item));
   }
   root.Set("cases", std::move(cases));
-  root.Set("integrity", U64(ManifestIntegrityHash(manifest)));
+  root.Set("integrity", JsonValue::U64(ManifestIntegrityHash(manifest)));
   return root.Dump();
 }
 
@@ -162,16 +144,16 @@ bool ParseManifest(const std::string& text, QueueManifest* out, std::string* err
     }
     if (const JsonValue* script = item.Find("script"); script != nullptr) {
       entry.script = script->as_string();
-      if (!ParseU64(item.Find("script_seed"), &entry.script_seed)) {
-        *error = "manifest: case " + entry.id + " has a script but no valid script_seed";
+      if (!ReadU64Member(item, "script_seed", &entry.script_seed, error)) {
+        *error = "manifest: case " + entry.id + ": " + *error;
         return false;
       }
     }
     manifest.cases.push_back(std::move(entry));
   }
   uint64_t stored = 0;
-  if (!ParseU64(root.Find("integrity"), &stored)) {
-    *error = "manifest: missing or malformed \"integrity\" hash";
+  if (!ReadU64Member(root, "integrity", &stored, error)) {
+    *error = "manifest: " + *error;
     return false;
   }
   const uint64_t computed = ManifestIntegrityHash(manifest);

@@ -98,6 +98,9 @@ WorkResult RunSlice(ContextCache* cache, const WorkUnit& unit,
     options.max_total_rounds = cap;
     explorer::ChainExplorer explorer(entry->built.spec, options);
     explorer::ChainResult chain = explorer.Explore(kServiceMaxChainLength, checkpoint);
+    if (!chain.error.empty()) {
+      return Error(unit.case_id, "cannot resume checkpoint: " + chain.error);
+    }
     result.rounds_done = chain.total_rounds;
     if (chain.reproduced) {
       result.status = SliceStatus::kReproduced;
@@ -124,6 +127,9 @@ WorkResult RunSlice(ContextCache* cache, const WorkUnit& unit,
     std::unique_ptr<explorer::InjectionStrategy> strategy =
         explorer::MakeFullFeedbackStrategy();
     explorer::ExploreResult search = explorer->Explore(strategy.get(), checkpoint);
+    if (!search.error.empty()) {
+      return Error(unit.case_id, "cannot resume checkpoint: " + search.error);
+    }
     result.rounds_done = search.rounds;
     result.status = search.reproduced      ? SliceStatus::kReproduced
                     : search.interrupted   ? SliceStatus::kInterrupted

@@ -1,22 +1,9 @@
 #include "src/service/work.h"
 
-#include <charconv>
-
 #include "src/util/json.h"
 
 namespace anduril::service {
 namespace {
-
-JsonValue U64(uint64_t value) { return JsonValue::Str(std::to_string(value)); }
-
-bool ParseU64(const JsonValue* value, uint64_t* out) {
-  if (value == nullptr || value->type() != JsonValue::Type::kString) {
-    return false;
-  }
-  const std::string& text = value->as_string();
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
 
 std::string RequireString(const JsonValue& root, const char* key) {
   const JsonValue* value = root.Find(key);
@@ -104,7 +91,7 @@ std::string SerializeWorkResult(const WorkResult& result) {
   root.Set("rounds_done", JsonValue::Int(result.rounds_done));
   if (!result.script.empty()) {
     root.Set("script", JsonValue::Str(result.script));
-    root.Set("script_seed", U64(result.script_seed));
+    root.Set("script_seed", JsonValue::U64(result.script_seed));
   }
   root.Set("daemon_pid", JsonValue::Int(result.daemon_pid));
   if (!result.error.empty()) {
@@ -134,8 +121,8 @@ bool ParseWorkResult(const std::string& text, WorkResult* out, std::string* erro
   result.rounds_done = static_cast<int>(IntOr(root, "rounds_done", 0));
   if (const JsonValue* script = root.Find("script"); script != nullptr) {
     result.script = script->as_string();
-    if (!ParseU64(root.Find("script_seed"), &result.script_seed)) {
-      *error = "work result: script without a valid script_seed";
+    if (!ReadU64Member(root, "script_seed", &result.script_seed, error)) {
+      *error = "work result: " + *error;
       return false;
     }
   }

@@ -1,6 +1,7 @@
 #include "src/util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -292,6 +293,8 @@ JsonValue JsonValue::Object() {
   return v;
 }
 
+JsonValue JsonValue::U64(uint64_t value) { return Str(std::to_string(value)); }
+
 JsonValue JsonValue::Parse(const std::string& text, std::string* error) {
   Parser parser{text};
   JsonValue value;
@@ -341,6 +344,15 @@ double JsonValue::as_double(double fallback) const {
 const std::string& JsonValue::as_string() const {
   static const std::string kEmpty;
   return type_ == Type::kString ? string_ : kEmpty;
+}
+
+bool JsonValue::AsU64(uint64_t* out) const {
+  if (type_ != Type::kString) {
+    return false;
+  }
+  const char* end = string_.data() + string_.size();
+  auto [ptr, ec] = std::from_chars(string_.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 void JsonValue::Append(JsonValue value) {
@@ -429,6 +441,19 @@ void JsonValue::DumpTo(std::string* out, int depth) const {
       return;
     }
   }
+}
+
+bool ReadU64Member(const JsonValue& object, const std::string& key, uint64_t* out,
+                   std::string* error) {
+  const JsonValue* value = object.Find(key);
+  if (value != nullptr && value->AsU64(out)) {
+    return true;
+  }
+  *error = "\"" + key + "\" is " +
+           (value == nullptr ? std::string("missing")
+                             : "not an unsigned 64-bit decimal string") +
+           " (u64 fields are written as decimal strings, e.g. \"42\")";
+  return false;
 }
 
 }  // namespace anduril

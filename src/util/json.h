@@ -26,6 +26,9 @@ class JsonValue {
   static JsonValue Str(std::string value);
   static JsonValue Array();
   static JsonValue Object();
+  // An unsigned 64-bit integer as a decimal string: JSON numbers lose
+  // precision past 2^53, so every u64 field the project writes rides this way.
+  static JsonValue U64(uint64_t value);
 
   // Deepest nesting of arrays and objects Parse accepts. Every format the
   // project writes nests at most 5 levels; the bound keeps the recursive
@@ -44,6 +47,10 @@ class JsonValue {
   int64_t as_int(int64_t fallback = 0) const;
   double as_double(double fallback = 0.0) const;
   const std::string& as_string() const;
+  // Strict inverse of U64(): true, with *out set, only when this value is a
+  // string that is, as a whole, a decimal number in [0, 2^64). "12abc", "-1",
+  // "", an out-of-range number and a non-string value are all rejected.
+  bool AsU64(uint64_t* out) const;
 
   // --- Arrays ----------------------------------------------------------------
   void Append(JsonValue value);
@@ -69,6 +76,11 @@ class JsonValue {
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
+
+// AsU64 over member `key` of `object`. On failure (member missing or not a
+// u64 string) returns false and sets *error to a message naming `key`.
+bool ReadU64Member(const JsonValue& object, const std::string& key, uint64_t* out,
+                   std::string* error);
 
 }  // namespace anduril
 

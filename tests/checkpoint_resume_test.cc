@@ -13,6 +13,7 @@
 
 #include "src/explorer/checkpoint.h"
 #include "src/explorer/explorer.h"
+#include "src/explorer/iterative.h"
 #include "src/explorer/strategy.h"
 #include "src/systems/common.h"
 #include "tests/test_util.h"
@@ -60,12 +61,12 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   snap.strategy.demotions.push_back(
       {interp::InjectionCandidate{8, 4, ir::kInvalidId, interp::FaultKind::kStall}, 2});
   // v3 chain block: an accepted two-step prefix mid-search.
-  snap.chain.steps.push_back(ChainStepCheckpoint{
+  snap.chain.steps.push_back(FaultChainStep{
       interp::InjectionCandidate{3, 9, 2, interp::FaultKind::kException},
       (1ull << 62) + 5,
       20,
       {"ERROR append failed", "WARN retry queued"}});
-  snap.chain.steps.push_back(ChainStepCheckpoint{
+  snap.chain.steps.push_back(FaultChainStep{
       interp::InjectionCandidate{5, 1, ir::kInvalidId, interp::FaultKind::kCrash}, 1, 13, {}});
   snap.chain.phase = 2;
   snap.chain.rounds_before_phase = 33;
@@ -229,14 +230,16 @@ TEST(CheckpointTest, RejectsVersion2FileWithChainStateWithActionableError) {
 
 TEST(CheckpointTest, RejectsTamperedChainSignatureHash) {
   SearchCheckpoint snap;
-  snap.chain.steps.push_back(ChainStepCheckpoint{
+  snap.chain.steps.push_back(FaultChainStep{
       interp::InjectionCandidate{3, 9, 2, interp::FaultKind::kException}, 1, 20, {"obs"}});
   std::string text = SerializeCheckpoint(snap);
-  // Flip one digit of the recorded hash: the chain state no longer matches.
+  // Flip the last digit of the recorded hash: still a well-formed u64 (a
+  // flipped leading digit can overflow 2^64, which the field decoder rejects
+  // as malformed), but the chain state no longer matches it.
   const std::string key = "\"chain_signature_hash\": \"";
   size_t pos = text.find(key);
   ASSERT_NE(pos, std::string::npos);
-  pos += key.size();
+  pos = text.find('"', pos + key.size()) - 1;
   text[pos] = text[pos] == '1' ? '2' : '1';
   SearchCheckpoint out;
   std::string error;
@@ -249,7 +252,7 @@ TEST(CheckpointTest, RejectsTamperedChainStep) {
   // Editing the chain block itself (not the hash) must fail the same check:
   // the recomputed hash diverges from the recorded one.
   SearchCheckpoint snap;
-  snap.chain.steps.push_back(ChainStepCheckpoint{
+  snap.chain.steps.push_back(FaultChainStep{
       interp::InjectionCandidate{3, 777, 2, interp::FaultKind::kException}, 1, 20, {}});
   std::string text = SerializeCheckpoint(snap);
   size_t pos = text.find("777");
@@ -275,6 +278,33 @@ TEST(CheckpointTest, ParseRejectsUnknownFaultKind) {
   std::string error;
   EXPECT_FALSE(ParseCheckpoint(bad, &out, &error));
   EXPECT_NE(error.find("teleport"), std::string::npos) << error;
+}
+
+// u64 fields ride as decimal strings and are decoded strictly: a malformed
+// value is rejected with an error naming the field, never read as its digit
+// prefix ("12abc" -> 12) or as 0.
+TEST(CheckpointTest, ParseRejectsMalformedU64Fields) {
+  SearchCheckpoint snap;
+  snap.base_seed = 77;
+  snap.chain.steps.push_back(FaultChainStep{
+      interp::InjectionCandidate{3, 9, 2, interp::FaultKind::kException}, 5, 20, {}});
+  const std::string text = SerializeCheckpoint(snap);
+  for (const std::string field :
+       {"program_fingerprint", "base_seed", "retry_rng_draws", "seed", "chain_signature_hash"}) {
+    for (const std::string bad : {"12abc", "-1", "", "18446744073709551616"}) {
+      SCOPED_TRACE(field + "=\"" + bad + "\"");
+      std::string tampered = text;
+      const std::string key = "\"" + field + "\": \"";
+      size_t begin = tampered.find(key);
+      ASSERT_NE(begin, std::string::npos);
+      begin += key.size();
+      tampered.replace(begin, tampered.find('"', begin) - begin, bad);
+      SearchCheckpoint out;
+      std::string error;
+      EXPECT_FALSE(ParseCheckpoint(tampered, &out, &error));
+      EXPECT_NE(error.find("\"" + field + "\""), std::string::npos) << error;
+    }
+  }
 }
 
 TEST(CheckpointTest, SaveAndLoadFileRoundTrip) {
@@ -337,6 +367,59 @@ void ExpectResumeMatchesUninterrupted(const std::string& case_id, int threads) {
   // The resumed accounting includes the pre-checkpoint rounds.
   EXPECT_EQ(resumed.experiment.total_rounds(), baseline.experiment.total_rounds());
   std::remove(path.c_str());
+}
+
+// A readable checkpoint that does not match the search is refused with an
+// error before any round runs — never an abort. Here zk-2247 is resumed from
+// a checkpoint hd-4233's search wrote, by the plain and the chain explorer.
+TEST(CheckpointResumeTest, MismatchedCheckpointReturnsErrorInsteadOfAborting) {
+  const systems::FailureCase* writer_case = systems::FindCase("hd-4233");
+  const systems::FailureCase* reader_case = systems::FindCase("zk-2247");
+  ASSERT_NE(writer_case, nullptr);
+  ASSERT_NE(reader_case, nullptr);
+  systems::BuiltCase writer = systems::BuildCase(*writer_case);
+  ExplorerOptions writer_options = OptionsForCase(*writer_case, 1);
+  writer_options.max_rounds = 1;
+  const std::string path = TempPath("resume_mismatch.json");
+  ASSERT_FALSE(RunSearch(writer, writer_options, CheckpointConfig{path, nullptr}).reproduced);
+  SearchCheckpoint snap;
+  std::string error;
+  ASSERT_TRUE(LoadCheckpointFile(path, &snap, &error)) << error;
+  std::remove(path.c_str());
+
+  systems::BuiltCase reader = systems::BuildCase(*reader_case);
+  ExplorerOptions options = OptionsForCase(*reader_case, 1);
+  ExploreResult plain = RunSearch(reader, options, CheckpointConfig{"", &snap});
+  EXPECT_NE(plain.error.find("different program"), std::string::npos) << plain.error;
+  EXPECT_FALSE(plain.reproduced);
+  EXPECT_TRUE(plain.records.empty());
+
+  ChainExplorer chain_explorer(reader.spec, options);
+  ChainResult chain = chain_explorer.Explore(4, CheckpointConfig{"", &snap});
+  EXPECT_NE(chain.error.find("different program"), std::string::npos) << chain.error;
+  EXPECT_EQ(chain.total_rounds, 0);
+
+  // The right program, but another search configuration.
+  const std::string own_path = TempPath("resume_mismatch_own.json");
+  ExplorerOptions truncated = options;
+  truncated.max_rounds = 1;
+  RunSearch(reader, truncated, CheckpointConfig{own_path, nullptr});
+  SearchCheckpoint own;
+  ASSERT_TRUE(LoadCheckpointFile(own_path, &own, &error)) << error;
+  std::remove(own_path.c_str());
+  own.base_seed += 1;
+  ExploreResult reseeded = RunSearch(reader, options, CheckpointConfig{"", &own});
+  EXPECT_NE(reseeded.error.find("base seed"), std::string::npos) << reseeded.error;
+
+  // A chain-bearing checkpoint under the plain explorer, and a chain longer
+  // than the chain search may grow.
+  own.base_seed -= 1;
+  own.chain.steps.assign(3, FaultChainStep{});
+  ExploreResult chained = RunSearch(reader, options, CheckpointConfig{"", &own});
+  EXPECT_NE(chained.error.find("chain state does not match"), std::string::npos)
+      << chained.error;
+  ChainResult too_long = chain_explorer.Explore(2, CheckpointConfig{"", &own});
+  EXPECT_NE(too_long.error.find("max_chain_length"), std::string::npos) << too_long.error;
 }
 
 TEST(CheckpointResumeTest, Zk2247SerialResumeIsByteIdentical) {

@@ -300,6 +300,27 @@ TEST_F(SignatureTest, SerializationRoundTripsAndRejectsTampering) {
   EXPECT_NE(error.find("hash"), std::string::npos) << error;
 }
 
+// u64 fields are decoded strictly: a malformed value is an error naming the
+// field, not its digit prefix or 0.
+TEST_F(SignatureTest, ParseRejectsMalformedU64Fields) {
+  const std::string text = SerializeSignature(signature_);
+  for (const std::string field : {"program_fingerprint", "seed", "content_hash"}) {
+    for (const std::string bad : {"12abc", "-1", "", "18446744073709551616"}) {
+      SCOPED_TRACE(field + "=\"" + bad + "\"");
+      std::string tampered = text;
+      const std::string key = "\"" + field + "\": \"";
+      size_t begin = tampered.find(key);
+      ASSERT_NE(begin, std::string::npos);
+      begin += key.size();
+      tampered.replace(begin, tampered.find('"', begin) - begin, bad);
+      FaultSignature out;
+      std::string error;
+      EXPECT_FALSE(ParseSignature(tampered, &out, &error));
+      EXPECT_NE(error.find("\"" + field + "\""), std::string::npos) << error;
+    }
+  }
+}
+
 TEST_F(SignatureTest, SaveLoadFileRoundTrip) {
   std::string path = TempPath("sig_roundtrip.json");
   ASSERT_TRUE(SaveSignatureFile(path, signature_));

@@ -1,166 +1,317 @@
-// Differential semantics: the flattened direct-threaded interpreter must be
-// observably identical to the legacy statement-tree walker — same outcome,
-// logs, fault-instance trace, thread end states, network accounting, and
-// final node state — on every registered scenario (the paper cases,
-// crash/stall, network, cascade and storm registries): fault-free, with its
-// ground-truth fault injected, and with the multi-candidate window a search
-// arms. decision_nanos is the one exempt field: it is host wall-clock (and
-// the fast path samples it), so only its sign is checked elsewhere, never its
-// value.
+// Pinned interpreter semantics. tests/golden/interp_runs.txt records one line
+// per run over every registered scenario (the paper cases, crash/stall,
+// network, cascade and storm registries), six runs per case:
 //
-// The explorer always runs the flat engine; the tree walker stays, behind
-// Simulator::set_tree_walk, as the reference this suite and
-// bench_interp_speed compare it against.
+//   fault-free.0/1/2  the exploration workload at three seeds;
+//   window.occ1/occ2  the multi-candidate window a search arms (the context's
+//                     first 10 candidates) at occurrence 1 and at 2;
+//   ground-truth      the failure workload with the ground truth injected the
+//                     way BuildCase generates the failure log (a cascade's
+//                     earlier chain steps pinned, its last step windowed).
+//
+// Each line carries readable fields (seed, outcome, interpreter steps, end
+// time, log lines, trace events) and an FNV-1a digest over everything a run
+// observably produces: outcome and budget flags, the formatted log, the
+// fault-instance trace, thread end states, final node variables, crashed
+// nodes, network accounting, partition transitions and the fault runtime's
+// accounting. decision_nanos is the one field left out: it is host
+// wall-clock, sampled, so only its sign is checked elsewhere.
+//
+// The lines were first written by running every point on both the flattened
+// interpreter and the statement-tree walker it replaced, refusing to write
+// unless the two agreed, so the file is the reference semantics. After an
+// intentional change to them, refresh it with scripts/update_trace_golden.sh.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/explorer/context.h"
 #include "src/interp/log_entry.h"
 #include "src/interp/simulator.h"
 #include "src/ir/flatten.h"
+#include "src/obs/metrics.h"
 #include "src/systems/common.h"
+#include "src/util/file.h"
+#include "src/util/hash.h"
 #include "tests/test_util.h"
 
 namespace anduril {
 namespace {
 
-interp::RunResult RunMode(const systems::BuiltCase& built, const interp::ClusterSpec& cluster,
-                          uint64_t seed, const std::vector<interp::InjectionCandidate>& window,
-                          bool tree_walk,
-                          const std::vector<interp::InjectionCandidate>& pinned = {}) {
+using Window = std::vector<interp::InjectionCandidate>;
+
+constexpr const char* kGoldenFile = "interp_runs.txt";
+
+constexpr const char* kGoldenHeader =
+    "# Interpreter run digests, written by tests/interp_equivalence_test.cc.\n"
+    "# <case> <run> seed= outcome= steps= end_ms= log= trace= digest=\n"
+    "# digest: FNV-1a over outcome, budget flags, formatted log, fault trace,\n"
+    "# thread end states, node vars, crashed nodes, network stats, partition\n"
+    "# transitions and fault accounting (decision_nanos excluded).\n"
+    "# Refresh after an intentional semantics change: scripts/update_trace_golden.sh\n";
+
+std::string GoldenPath() { return std::string(ANDURIL_GOLDEN_DIR) + "/" + kGoldenFile; }
+
+bool UpdateGoldens() {
+  const char* env = std::getenv("ANDURIL_UPDATE_GOLDENS");
+  return env != nullptr && std::string(env) == "1";
+}
+
+// One point of the per-case grid.
+struct RunPoint {
+  std::string label;
+  const interp::ClusterSpec* cluster = nullptr;
+  uint64_t seed = 0;
+  Window window;
+  Window pinned;
+};
+
+struct Run {
+  interp::RunResult result;
+  int64_t steps = 0;
+};
+
+Run Execute(const systems::BuiltCase& built, const RunPoint& point,
+            const ir::FlatProgram* flat = nullptr) {
   interp::RunScratch scratch;
   interp::FaultRuntime runtime(built.program.get());
-  runtime.SetWindow(window);
-  runtime.SetPinned(pinned);
-  interp::Simulator simulator(built.program.get(), &cluster, seed, &runtime,
-                              /*flat=*/nullptr, &scratch);
-  if (tree_walk) {
-    simulator.set_tree_walk(true);
-  }
-  return simulator.Run();
+  runtime.SetWindow(point.window);
+  runtime.SetPinned(point.pinned);
+  interp::Simulator simulator(built.program.get(), point.cluster, point.seed, &runtime, flat,
+                              &scratch);
+  obs::MetricsRegistry metrics;
+  simulator.set_metrics(&metrics);
+  Run run;
+  run.result = simulator.Run();
+  run.steps = metrics.histogram("sim.steps").sum;
+  return run;
 }
 
-void ExpectSameResult(const interp::RunResult& flat, const interp::RunResult& tree,
-                      const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(flat.outcome, tree.outcome);
-  EXPECT_EQ(flat.end_time_ms, tree.end_time_ms);
-  EXPECT_EQ(flat.hit_time_limit, tree.hit_time_limit);
-  EXPECT_EQ(flat.hit_step_limit, tree.hit_step_limit);
-  EXPECT_EQ(flat.hit_wall_budget, tree.hit_wall_budget);
-  EXPECT_EQ(interp::FormatLogFile(flat.log), interp::FormatLogFile(tree.log));
-
-  ASSERT_EQ(flat.trace.size(), tree.trace.size());
-  for (size_t i = 0; i < flat.trace.size(); ++i) {
-    EXPECT_EQ(flat.trace[i].site, tree.trace[i].site) << "trace[" << i << "]";
-    EXPECT_EQ(flat.trace[i].occurrence, tree.trace[i].occurrence) << "trace[" << i << "]";
-    EXPECT_EQ(flat.trace[i].log_clock, tree.trace[i].log_clock) << "trace[" << i << "]";
-    EXPECT_EQ(flat.trace[i].time_ms, tree.trace[i].time_ms) << "trace[" << i << "]";
-    EXPECT_EQ(flat.trace[i].thread_id, tree.trace[i].thread_id) << "trace[" << i << "]";
-  }
-
-  ASSERT_EQ(flat.threads.size(), tree.threads.size());
-  for (size_t i = 0; i < flat.threads.size(); ++i) {
-    EXPECT_EQ(flat.threads[i].node, tree.threads[i].node) << "thread " << i;
-    EXPECT_EQ(flat.threads[i].name, tree.threads[i].name) << "thread " << i;
-    EXPECT_EQ(flat.threads[i].state, tree.threads[i].state) << "thread " << i;
-    EXPECT_EQ(flat.threads[i].blocked_at, tree.threads[i].blocked_at) << "thread " << i;
-    EXPECT_EQ(flat.threads[i].current_method, tree.threads[i].current_method)
-        << "thread " << i;
-    EXPECT_EQ(flat.threads[i].death_exception, tree.threads[i].death_exception)
-        << "thread " << i;
-  }
-
-  EXPECT_EQ(flat.node_vars, tree.node_vars);
-  EXPECT_EQ(flat.crashed_nodes, tree.crashed_nodes);
-  EXPECT_EQ(flat.network, tree.network);
-
-  ASSERT_EQ(flat.partition_events.size(), tree.partition_events.size());
-  for (size_t i = 0; i < flat.partition_events.size(); ++i) {
-    EXPECT_EQ(flat.partition_events[i].time_ms, tree.partition_events[i].time_ms);
-    EXPECT_EQ(flat.partition_events[i].node_a, tree.partition_events[i].node_a);
-    EXPECT_EQ(flat.partition_events[i].node_b, tree.partition_events[i].node_b);
-    EXPECT_EQ(flat.partition_events[i].sever, tree.partition_events[i].sever);
-  }
-
-  EXPECT_EQ(flat.injection_requests, tree.injection_requests);
-  EXPECT_EQ(flat.pinned_fired, tree.pinned_fired);
-  EXPECT_EQ(flat.injected, tree.injected);
-  EXPECT_EQ(flat.preempted_window, tree.preempted_window);
-  // decision_nanos deliberately not compared: wall-clock, sampled.
+void MixCandidate(Fnv1aHasher* hasher, const interp::InjectionCandidate& candidate) {
+  hasher->MixInt(candidate.site);
+  hasher->MixInt(candidate.occurrence);
+  hasher->MixInt(candidate.type);
+  hasher->MixInt(static_cast<int64_t>(candidate.kind));
 }
 
-// Runs one workload on both interpreters and compares the results.
-void ExpectSameRun(const systems::BuiltCase& built, const interp::ClusterSpec& cluster,
-                   uint64_t seed, const std::vector<interp::InjectionCandidate>& window,
-                   const std::vector<interp::InjectionCandidate>& pinned,
-                   const std::string& label) {
-  ExpectSameResult(RunMode(built, cluster, seed, window, false, pinned),
-                   RunMode(built, cluster, seed, window, true, pinned), label);
+uint64_t DigestRun(const interp::RunResult& run) {
+  Fnv1aHasher hasher;
+  hasher.MixInt(static_cast<int64_t>(run.outcome));
+  hasher.MixInt(run.end_time_ms);
+  hasher.MixInt(run.hit_time_limit);
+  hasher.MixInt(run.hit_step_limit);
+  hasher.MixInt(run.hit_wall_budget);
+  hasher.MixStr(interp::FormatLogFile(run.log));
+
+  hasher.MixInt(static_cast<int64_t>(run.trace.size()));
+  for (const interp::FaultInstanceEvent& event : run.trace) {
+    hasher.MixInt(event.site);
+    hasher.MixInt(event.occurrence);
+    hasher.MixInt(event.log_clock);
+    hasher.MixInt(event.time_ms);
+    hasher.MixInt(event.thread_id);
+  }
+
+  hasher.MixInt(static_cast<int64_t>(run.threads.size()));
+  for (const interp::ThreadSummary& thread : run.threads) {
+    hasher.MixStr(thread.node);
+    hasher.MixStr(thread.name);
+    hasher.MixInt(static_cast<int64_t>(thread.state));
+    hasher.MixInt(thread.blocked_at.method);
+    hasher.MixInt(thread.blocked_at.stmt);
+    hasher.MixInt(thread.current_method);
+    hasher.MixInt(thread.death_exception);
+  }
+
+  // The node-variable maps are unordered; digest them sorted.
+  std::map<std::string, std::map<ir::VarId, int64_t>> vars;
+  for (const auto& [node, values] : run.node_vars) {
+    vars[node].insert(values.begin(), values.end());
+  }
+  for (const auto& [node, values] : vars) {
+    hasher.MixStr(node);
+    for (const auto& [var, value] : values) {
+      hasher.MixInt(var);
+      hasher.MixInt(value);
+    }
+    hasher.MixSeparator();
+  }
+  hasher.MixSeparator();
+
+  for (const std::string& node : run.crashed_nodes) {
+    hasher.MixStr(node);
+  }
+  hasher.MixSeparator();
+
+  const interp::NetworkStats& net = run.network;
+  for (int64_t count : {net.messages_sent, net.dropped_by_fault, net.dropped_by_partition,
+                        net.dropped_to_crashed, net.delayed, net.duplicated,
+                        net.partitions_severed, net.partitions_healed}) {
+    hasher.MixInt(count);
+  }
+  hasher.MixInt(static_cast<int64_t>(run.partition_events.size()));
+  for (const interp::PartitionTransition& transition : run.partition_events) {
+    hasher.MixInt(transition.time_ms);
+    hasher.MixStr(transition.node_a);
+    hasher.MixStr(transition.node_b);
+    hasher.MixInt(transition.sever);
+  }
+
+  hasher.MixInt(run.injection_requests);
+  hasher.MixInt(run.pinned_fired);
+  hasher.MixInt(run.injected.has_value());
+  if (run.injected.has_value()) {
+    MixCandidate(&hasher, *run.injected);
+  }
+  hasher.MixInt(static_cast<int64_t>(run.preempted_window.size()));
+  for (const interp::InjectionCandidate& candidate : run.preempted_window) {
+    MixCandidate(&hasher, candidate);
+  }
+  return hasher.hash();
 }
 
-void CheckCase(const systems::FailureCase& failure_case) {
-  SCOPED_TRACE(failure_case.id);
-  systems::BuiltCase built = systems::BuildCase(failure_case, /*verify=*/false);
-
-  // Fault-free exploration workload, two seeds.
-  for (uint64_t seed : {failure_case.explore_seed, failure_case.explore_seed + 17}) {
-    ExpectSameRun(built, built.cluster, seed, {}, {},
-                  failure_case.id + " fault-free seed " + std::to_string(seed));
-  }
-  // Failure workload with the ground truth injected the way BuildCase
-  // generates the failure log: a cascade's earlier chain steps pinned, its
-  // last step (ground_truth) windowed.
-  std::vector<interp::InjectionCandidate> pinned;
-  if (!built.ground_truth_chain.empty()) {
-    pinned.assign(built.ground_truth_chain.begin(), built.ground_truth_chain.end() - 1);
-  }
-  ExpectSameRun(built, built.failure_cluster, failure_case.failure_seed, {built.ground_truth},
-                pinned, failure_case.id + " ground truth");
-  // The multi-candidate window shape a search arms: the context's first 10
-  // candidates, each at occurrence 1.
-  explorer::ExplorerContext context(built.spec, systems::OptionsForCase(failure_case));
-  std::vector<interp::InjectionCandidate> window;
-  for (size_t c = 0; c < std::min<size_t>(10, context.candidates().size()); ++c) {
-    window.push_back(explorer::Arm(context.candidates()[c], 1));
-  }
-  ASSERT_FALSE(window.empty());
-  ExpectSameRun(built, built.cluster, failure_case.explore_seed, window, {},
-                failure_case.id + " first-10 window");
+std::string RunLine(const std::string& case_id, const RunPoint& point, const Run& run) {
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016" PRIx64, DigestRun(run.result));
+  std::ostringstream line;
+  line << case_id << ' ' << point.label << " seed=" << point.seed
+       << " outcome=" << interp::RunOutcomeName(run.result.outcome) << " steps=" << run.steps
+       << " end_ms=" << run.result.end_time_ms << " log=" << run.result.log.size()
+       << " trace=" << run.result.trace.size() << " digest=" << digest;
+  return line.str();
 }
 
-TEST(InterpEquivalence, AllRegisteredScenarios) {
-  for (const systems::FailureCase& failure_case : systems::AllCases()) {
-    CheckCase(failure_case);
+// The six-run grid of one case. The host wall-clock watchdog is off so a
+// slow (e.g. sanitized) build can never cut a run short.
+std::vector<RunPoint> GridFor(const systems::FailureCase& failure_case,
+                              systems::BuiltCase* built) {
+  built->cluster.wall_budget_ms = 0;
+  built->failure_cluster.wall_budget_ms = 0;
+  std::vector<RunPoint> points;
+  for (int i = 0; i < 3; ++i) {
+    points.push_back(RunPoint{"fault-free." + std::to_string(i), &built->cluster,
+                              failure_case.explore_seed + 17 * static_cast<uint64_t>(i),
+                              {},
+                              {}});
   }
+  explorer::ExplorerContext context(built->spec, systems::OptionsForCase(failure_case));
+  for (int64_t occurrence : {1, 2}) {
+    Window window;
+    for (size_t c = 0; c < std::min<size_t>(10, context.candidates().size()); ++c) {
+      window.push_back(explorer::Arm(context.candidates()[c], occurrence));
+    }
+    EXPECT_FALSE(window.empty()) << failure_case.id;
+    points.push_back(RunPoint{"window.occ" + std::to_string(occurrence), &built->cluster,
+                              failure_case.explore_seed, std::move(window), {}});
+  }
+  Window pinned;
+  if (!built->ground_truth_chain.empty()) {
+    pinned.assign(built->ground_truth_chain.begin(), built->ground_truth_chain.end() - 1);
+  }
+  points.push_back(RunPoint{"ground-truth", &built->failure_cluster, failure_case.failure_seed,
+                            {built->ground_truth},
+                            std::move(pinned)});
+  return points;
 }
 
-TEST(InterpEquivalence, CrashStallScenarios) {
-  for (const systems::FailureCase& failure_case : systems::CrashStallCases()) {
-    CheckCase(failure_case);
+std::vector<std::string> CurrentRunLines() {
+  std::vector<std::string> lines;
+  for (const std::vector<systems::FailureCase>* registry :
+       {&systems::AllCases(), &systems::CrashStallCases(), &systems::NetworkCases(),
+        &systems::CascadeCases(), &systems::StormCases()}) {
+    for (const systems::FailureCase& failure_case : *registry) {
+      systems::BuiltCase built = systems::BuildCase(failure_case, /*verify=*/false);
+      for (const RunPoint& point : GridFor(failure_case, &built)) {
+        lines.push_back(RunLine(failure_case.id, point, Execute(built, point)));
+      }
+    }
   }
+  return lines;
 }
 
-TEST(InterpEquivalence, NetworkScenarios) {
-  for (const systems::FailureCase& failure_case : systems::NetworkCases()) {
-    CheckCase(failure_case);
+std::vector<std::string> ParseGolden(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') {
+      lines.push_back(line);
+    }
   }
+  return lines;
 }
 
-TEST(InterpEquivalence, CascadeScenarios) {
-  for (const systems::FailureCase& failure_case : systems::CascadeCases()) {
-    CheckCase(failure_case);
+std::vector<std::string> Tokens(const std::string& line) {
+  std::vector<std::string> tokens;
+  std::istringstream in(line);
+  for (std::string token; in >> token;) {
+    tokens.push_back(token);
   }
+  return tokens;
 }
 
-TEST(InterpEquivalence, StormScenarios) {
-  for (const systems::FailureCase& failure_case : systems::StormCases()) {
-    CheckCase(failure_case);
+// The first field two run lines disagree on: "case", "run", or the key of a
+// key=value field.
+std::string FirstDifferingField(const std::string& expected, const std::string& actual) {
+  const std::vector<std::string> want = Tokens(expected);
+  const std::vector<std::string> got = Tokens(actual);
+  for (size_t i = 0; i < std::max(want.size(), got.size()); ++i) {
+    const std::string a = i < want.size() ? want[i] : "";
+    const std::string b = i < got.size() ? got[i] : "";
+    if (a != b) {
+      if (i < 2) {
+        return i == 0 ? "case" : "run";
+      }
+      const std::string& token = a.empty() ? b : a;
+      return token.substr(0, token.find('='));
+    }
   }
+  return "";
+}
+
+TEST(InterpEquivalence, RunsMatchCommittedDigests) {
+  const std::vector<std::string> actual = CurrentRunLines();
+  EXPECT_EQ(actual.size(), 33u * 6u) << "the grid is 33 cases x 6 runs";
+  if (UpdateGoldens()) {
+    ASSERT_FALSE(HasFailure()) << "not writing " << GoldenPath();
+    std::string text = kGoldenHeader;
+    for (const std::string& line : actual) {
+      text += line + "\n";
+    }
+    ASSERT_TRUE(WriteFileAtomic(GoldenPath(), text)) << "cannot write " << GoldenPath();
+    return;
+  }
+  std::string text;
+  ASSERT_TRUE(ReadFileToString(GoldenPath(), &text))
+      << GoldenPath() << " missing; run scripts/update_trace_golden.sh";
+  const std::vector<std::string> expected = ParseGolden(text);
+
+  int differing = 0;
+  std::string first;
+  for (size_t i = 0; i < std::max(expected.size(), actual.size()); ++i) {
+    const std::string want = i < expected.size() ? expected[i] : "(no run)";
+    const std::string got = i < actual.size() ? actual[i] : "(no run)";
+    if (want == got) {
+      continue;
+    }
+    if (differing++ == 0) {
+      const std::vector<std::string> tokens = Tokens(i < expected.size() ? want : got);
+      first = tokens.size() >= 2 ? tokens[0] + " " + tokens[1] : want;
+      first += ": field '" + FirstDifferingField(want, got) + "' differs\n  expected: " +
+               want + "\n  actual:   " + got;
+    }
+  }
+  EXPECT_EQ(differing, 0) << differing << " of " << expected.size()
+                          << " runs differ from " << GoldenPath() << "; first: " << first
+                          << "\nif the change is intentional, run scripts/update_trace_golden.sh";
 }
 
 // The shared, context-cached FlatProgram must behave exactly like a
@@ -170,15 +321,10 @@ TEST(InterpEquivalence, SharedFlatProgramMatchesSelfLowered) {
   ASSERT_NE(failure_case, nullptr);
   systems::BuiltCase built = systems::BuildCase(*failure_case, /*verify=*/false);
   ir::FlatProgram flat(*built.program);
-
-  interp::FaultRuntime shared_runtime(built.program.get());
-  interp::Simulator shared_sim(built.program.get(), &built.cluster,
-                               failure_case->explore_seed, &shared_runtime, &flat);
-  interp::RunResult shared = shared_sim.Run();
-
-  ExpectSameResult(shared,
-                   RunMode(built, built.cluster, failure_case->explore_seed, {}, false),
-                   "shared vs self-lowered");
+  for (const RunPoint& point : GridFor(*failure_case, &built)) {
+    EXPECT_EQ(RunLine(failure_case->id, point, Execute(built, point, &flat)),
+              RunLine(failure_case->id, point, Execute(built, point)));
+  }
 }
 
 }  // namespace

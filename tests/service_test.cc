@@ -349,6 +349,31 @@ TEST(RunSliceTest, UnknownCaseReportsError) {
   EXPECT_FALSE(result.error.empty());
 }
 
+// A checkpoint another case wrote (another program) fails the slice once,
+// as a setup error, instead of aborting the worker on every retry.
+TEST(RunSliceTest, MismatchedCheckpointReportsError) {
+  ContextCache cache;
+  WorkUnit writer;
+  writer.case_id = "hd-4233";
+  writer.slice_rounds = 1;
+  writer.round_budget = 2000;
+  writer.checkpoint_path = explorer::TempPath("service_slice_mismatch.ckpt");
+  writer.metrics_path = explorer::TempPath("service_slice_mismatch.metrics");
+  fs::remove(writer.checkpoint_path);
+  ASSERT_EQ(RunSlice(&cache, writer, nullptr).status, SliceStatus::kSliceDone);
+
+  for (bool chain : {false, true}) {
+    WorkUnit reader = writer;
+    reader.case_id = "zk-2247";
+    reader.chain = chain;
+    const WorkResult result = RunSlice(&cache, reader, nullptr);
+    EXPECT_EQ(result.status, SliceStatus::kError) << "chain=" << chain;
+    EXPECT_NE(result.error.find("different program"), std::string::npos) << result.error;
+  }
+  fs::remove(writer.checkpoint_path);
+  fs::remove(writer.metrics_path);
+}
+
 // ---------------------------------------------------------------------------
 // Service end-to-end: in-process (workers=0) and sharded
 

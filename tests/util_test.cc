@@ -402,5 +402,29 @@ TEST(Json, NestingBombsFailWithAnErrorInsteadOfOverflowingTheStack) {
   EXPECT_EQ(error, "nesting deeper than 64 levels at offset 73");
 }
 
+TEST(Json, U64RoundTripsAsADecimalStringAndDecodesStrictly) {
+  for (uint64_t value : {uint64_t{0}, uint64_t{42}, ~uint64_t{0}}) {
+    const JsonValue encoded = JsonValue::U64(value);
+    EXPECT_EQ(encoded.as_string(), std::to_string(value));
+    uint64_t decoded = 1;
+    EXPECT_TRUE(encoded.AsU64(&decoded));
+    EXPECT_EQ(decoded, value);
+  }
+  uint64_t out = 0;
+  for (const char* bad : {"12abc", "-1", "", " 1", "+1", "1.5", "18446744073709551616"}) {
+    EXPECT_FALSE(JsonValue::Str(bad).AsU64(&out)) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(JsonValue::Int(12).AsU64(&out));  // a JSON number, not a string
+
+  JsonValue object = JsonValue::Object();
+  object.Set("seed", JsonValue::Str("x"));
+  std::string error;
+  EXPECT_FALSE(ReadU64Member(object, "seed", &out, &error));
+  EXPECT_NE(error.find("\"seed\" is not an unsigned 64-bit decimal string"), std::string::npos)
+      << error;
+  EXPECT_FALSE(ReadU64Member(object, "hash", &out, &error));
+  EXPECT_NE(error.find("\"hash\" is missing"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace anduril

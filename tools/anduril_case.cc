@@ -32,10 +32,11 @@
 //       Emit the causal graph in Graphviz DOT — to stdout, or to the
 //       --graph-out path (the same flag anduril_lint accepts).
 //
-// Exit codes for run/chain: 0 reproduced, 1 capped out (or setup error),
-// 2 usage, 3 interrupted. SIGTERM/SIGINT drain cooperatively: the search
-// stops at the next round boundary, after the active checkpoint (if any)
-// was flushed, so `--resume` continues exactly where the signal landed.
+// Exit codes for run/chain: 0 reproduced, 1 capped out or a setup error
+// (e.g. "cannot resume: ..." for a checkpoint that does not match the
+// search), 2 usage, 3 interrupted. SIGTERM/SIGINT drain cooperatively: the
+// search stops at the next round boundary, after the active checkpoint (if
+// any) was flushed, so `--resume` continues exactly where the signal landed.
 
 #include <atomic>
 #include <csignal>
@@ -219,7 +220,9 @@ struct SearchSinks {
 
 // --checkpoint / --resume: points `config` at the checkpoint file and, with
 // --resume, loads the state to continue from into `resumed`. Returns 0, or
-// the exit code to stop with (2 usage, 1 unreadable checkpoint).
+// the exit code to stop with (2 usage, 1 unreadable checkpoint). A readable
+// checkpoint that does not match the search fails later, from Explore, with
+// the same "cannot resume" message and exit code.
 int PrepareCheckpoint(const std::string& checkpoint_path, bool resume,
                       explorer::SearchCheckpoint* resumed, explorer::CheckpointConfig* config) {
   config->path = checkpoint_path;
@@ -262,12 +265,16 @@ int RunCase(const std::string& id, const std::string& strategy_name, int max_rou
       status != 0) {
     return status;
   }
-  if (resume) {
-    std::printf("resuming from round %d (%s)\n", resumed.rounds_completed + 1,
-                checkpoint_path.c_str());
-  }
 
   explorer::ExploreResult result = ex.Explore(strategy.get(), checkpoint);
+  if (!result.error.empty()) {
+    std::fprintf(stderr, "cannot resume: %s\n", result.error.c_str());
+    return 1;
+  }
+  if (resume) {
+    std::printf("resumed from round %d (%s)\n", resumed.rounds_completed + 1,
+                checkpoint_path.c_str());
+  }
   if (!sinks.Dump()) {
     return 1;
   }
@@ -333,14 +340,18 @@ int ChainCase(const std::string& id, int max_chain_length, int max_rounds,
       status != 0) {
     return status;
   }
-  if (resume) {
-    std::printf("resuming chain search: phase %d, %d steps accepted, round %d (%s)\n",
-                resumed.chain.phase, static_cast<int>(resumed.chain.steps.size()),
-                resumed.rounds_completed + 1, checkpoint_path.c_str());
-  }
 
   explorer::ChainExplorer ex(built.spec, options);
   explorer::ChainResult result = ex.Explore(max_chain_length, checkpoint);
+  if (!result.error.empty()) {
+    std::fprintf(stderr, "cannot resume: %s\n", result.error.c_str());
+    return 1;
+  }
+  if (resume) {
+    std::printf("resumed chain search: phase %d, %d steps accepted, round %d (%s)\n",
+                resumed.chain.phase, static_cast<int>(resumed.chain.steps.size()),
+                resumed.rounds_completed + 1, checkpoint_path.c_str());
+  }
   if (!sinks.Dump()) {
     return 1;
   }
