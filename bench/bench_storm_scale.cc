@@ -13,8 +13,9 @@
 // Algorithm 2-shaped round (raise I_k of a fixed "present" set, read the
 // top-10 window, retire one instance). Steady-state per-round cost must stay
 // flat — at 10^5 candidates no more than kFlatRatio x the 10^3 cost — while
-// the from-scratch re-rank (ExplorerOptions::full_rerank's O(C*K) path,
-// modeled by Reset) grows with the candidate count.
+// a from-scratch re-rank (the O(C*K) recompute the engine replaced, modeled
+// by Reset; reported as full_rerank_round_nanos) grows with the candidate
+// count.
 
 #include <algorithm>
 #include <cstdio>
@@ -180,8 +181,8 @@ SweepPoint MeasurePoint(size_t candidates) {
     }
   }
 
-  // The reference cost: what full_rerank pays per round to reach the same
-  // ranking — a from-scratch recompute over every candidate and observable.
+  // The reference cost: what a from-scratch re-rank pays per round to reach
+  // the same ranking — a recompute over every candidate and observable.
   for (int rep = 0; rep < kRepetitions; ++rep) {
     PriorityEngine engine(spec);
     std::vector<int64_t> priorities(kSweepObservables, 0);

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "src/util/check.h"
 #include "src/util/strings.h"
 
 namespace anduril::bench {
@@ -22,6 +23,7 @@ CaseRun RunCase(const systems::FailureCase& failure_case, const std::string& str
 
   explorer::Explorer ex(built.spec, options);
   auto strat = explorer::MakeStrategy(strategy);
+  ANDURIL_CHECK(strat != nullptr) << "unknown strategy " << strategy;
   explorer::ExploreResult result = ex.Explore(strat.get());
 
   CaseRun run;

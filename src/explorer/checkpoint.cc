@@ -1,5 +1,8 @@
 #include "src/explorer/checkpoint.h"
 
+#include <limits>
+
+#include "src/explorer/priority_engine.h"
 #include "src/util/file.h"
 #include "src/util/hash.h"
 #include "src/util/json.h"
@@ -180,7 +183,7 @@ std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
   root.Set("chain_signature_hash", JsonValue::U64(ChainSignatureHash(checkpoint.chain)));
 
   JsonValue engine = JsonValue::Object();
-  engine.Set("kind", JsonValue::Str(checkpoint.engine_kind));
+  engine.Set("kind", JsonValue::Str("incremental"));
   engine.Set("candidates", JsonValue::Int(checkpoint.engine_candidates));
   engine.Set("observables", JsonValue::Int(checkpoint.engine_observables));
   root.Set("engine", std::move(engine));
@@ -288,16 +291,31 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
     *error = "checkpoint has no strategy object";
     return false;
   }
-  out->strategy.window_size =
-      strategy->Find("window_size") ? static_cast<int>(strategy->Find("window_size")->as_int())
-                                    : 0;
+  const int64_t window_size =
+      strategy->Find("window_size") ? strategy->Find("window_size")->as_int() : 0;
+  if (window_size < 1 || window_size > std::numeric_limits<int>::max()) {
+    *error = StrFormat("checkpoint field \"window_size\" is %lld; a search window holds 1 to %d "
+                       "candidates",
+                       static_cast<long long>(window_size), std::numeric_limits<int>::max());
+    return false;
+  }
+  out->strategy.window_size = static_cast<int>(window_size);
   out->strategy.exhausted =
       strategy->Find("exhausted") != nullptr && strategy->Find("exhausted")->as_bool();
   out->strategy.observable_priorities.clear();
   if (const JsonValue* priorities = strategy->Find("observable_priorities");
       priorities != nullptr) {
     for (const JsonValue& entry : priorities->items()) {
-      out->strategy.observable_priorities.push_back(entry.as_int());
+      const int64_t priority = entry.as_int();
+      if (priority < -kMaxObservablePriority || priority > kMaxObservablePriority) {
+        *error = StrFormat(
+            "checkpoint field \"observable_priorities\" holds %lld, outside the ranking's "
+            "range [-%lld, %lld]",
+            static_cast<long long>(priority), static_cast<long long>(kMaxObservablePriority),
+            static_cast<long long>(kMaxObservablePriority));
+        return false;
+      }
+      out->strategy.observable_priorities.push_back(priority);
     }
   }
   out->strategy.tried.clear();
@@ -399,10 +417,9 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
     *error = "checkpoint has no engine object (required since version 4)";
     return false;
   }
-  out->engine_kind = engine->Find("kind") ? engine->Find("kind")->as_string() : std::string();
-  if (out->engine_kind != "incremental" && out->engine_kind != "full-rerank") {
-    *error = "checkpoint engine kind \"" + out->engine_kind +
-             "\" is not \"incremental\" or \"full-rerank\"";
+  const std::string kind = engine->Find("kind") ? engine->Find("kind")->as_string() : "";
+  if (kind != "incremental") {
+    *error = "checkpoint engine kind \"" + kind + "\" is not \"incremental\"";
     return false;
   }
   out->engine_candidates =

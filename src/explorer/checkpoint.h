@@ -21,8 +21,9 @@
 //     },
 //     "pinned": [ {site, occurrence, type, kind}, ... ],
 //     "strategy": {
-//       "window_size": k, "exhausted": bool,
-//       "observable_priorities": [ ... ],   // context observable order
+//       "window_size": k, "exhausted": bool,   // k >= 1
+//       "observable_priorities": [ ... ],   // context observable order; each
+//                                           // within ±kMaxObservablePriority
 //       "tried": [ {site, occurrence, type, kind}, ... ],
 //       "demotions": [ {candidate: {...}, count}, ... ]
 //     },
@@ -38,7 +39,7 @@
 //     "chain_signature_hash": "<u64>",  // v3: FNV-1a over the chain steps;
 //                                       // detects a tampered/corrupt chain
 //     "engine": {                       // v4: stage-1 ranking engine record
-//       "kind": "incremental" | "full-rerank",   // ExplorerOptions::full_rerank
+//       "kind": "incremental",          // the only ranking engine
 //       "candidates": N,                // candidate-array size when written
 //       "observables": N                // observable count when written
 //     },
@@ -59,11 +60,14 @@
 // empty chain. v4 added the engine block: the SoA candidate state of the
 // incremental priority engine (F_i, argmin k*, untried budgets, heap) is
 // *derivable* from (observable_priorities, tried), so the checkpoint stores
-// no engine arrays — restore recomputes them — but it does record which
-// stage-1 engine wrote the file and the candidate/observable counts it saw,
-// and resume validates all three against the live search: resuming under a
-// different ranking engine or over a differently-built candidate space would
-// break the byte-identical-resume invariant silently. Old versions —
+// no engine arrays — restore recomputes them — but it does record the
+// candidate/observable counts the engine saw, and resume validates both
+// against the live search: resuming over a differently-built candidate space
+// would break the byte-identical-resume invariant silently. Its "kind" is
+// always "incremental"; a v4 file naming the removed "full-rerank" engine is
+// refused like any other kind. Parsing also refuses search state no search
+// can reach: a window below one candidate, or an observable priority the
+// ranking arithmetic could overflow on. Old versions —
 // including a version-2 file that smuggles a chain block — are rejected with
 // an actionable error rather than silently resumed into a different search
 // space.
@@ -150,10 +154,8 @@ struct SearchCheckpoint {
   // ParseCheckpoint stores the verified value here.
   ChainState chain;
   uint64_t chain_signature_hash = 0;
-  // v4: which stage-1 ranking engine wrote the file ("incremental" or
-  // "full-rerank") and the candidate space it ranked. Validation metadata,
-  // not bulk state — see the header comment.
-  std::string engine_kind = "incremental";
+  // v4: the candidate space the stage-1 ranking engine ranked. Validation
+  // metadata, not bulk state — see the header comment.
   int64_t engine_candidates = 0;
   int64_t engine_observables = 0;
   // Optional (still version 2): snapshot of the attached MetricsRegistry at

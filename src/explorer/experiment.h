@@ -106,13 +106,6 @@ struct ExplorerOptions {
   int max_run_retries = 2;
   int64_t retry_initial_delay_ms = 5;
   int64_t retry_max_delay_ms = 250;
-  // Run the full-feedback strategy's stage-1 ranking as a full per-round
-  // re-rank (recompute every F_i and sort the whole candidate array) instead
-  // of the incremental priority engine. The two are byte-identical on every
-  // scenario, seed, and thread count (asserted by priority_engine_test); the
-  // full re-rank is kept as the reference implementation and differential
-  // baseline.
-  bool full_rerank = false;
   // Observability sinks (src/obs/), not owned; null = disabled, and every
   // instrumentation hook reduces to a single pointer test. Both sinks are
   // deterministic under a fixed seed at any thread count: trace timestamps

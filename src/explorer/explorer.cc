@@ -204,10 +204,6 @@ void CountOutcome(ExperimentRecord* record, interp::RunOutcome outcome) {
   }
 }
 
-const char* EngineKind(const ExplorerOptions& options) {
-  return options.full_rerank ? "full-rerank" : "incremental";
-}
-
 // Why `snap` cannot resume this search, or "" when it can. Every check guards
 // the byte-identical-resume invariant: a mismatch means the resumed search
 // would silently leave the uninterrupted one's trajectory.
@@ -239,17 +235,9 @@ std::string ResumeMismatch(const SearchCheckpoint& snap, const ExperimentSpec& s
         static_cast<long long>(spec.cluster->partition_heal_ms),
         static_cast<long long>(spec.cluster->network_delay_ms));
   }
-  // v4: the stage-1 ranking engine and the candidate space it ranked. The
-  // incremental and full-rerank engines are proven byte-identical, but a
-  // mismatch still means the resuming process is configured differently
-  // from the writer — surface that instead of quietly relying on the
-  // equivalence; and a candidate/observable count drift means the context
-  // was built differently (the fingerprint only guards the program shape).
-  if (snap.engine_kind != EngineKind(options)) {
-    return "checkpoint was written by the " + snap.engine_kind +
-           " ranking engine but this search is configured for the " + EngineKind(options) +
-           " one";
-  }
+  // v4: the candidate space the engine ranked. A candidate/observable count
+  // drift means the context was built differently (the fingerprint only
+  // guards the program shape).
   if (snap.engine_candidates != static_cast<int64_t>(context.candidates().size()) ||
       snap.engine_observables != static_cast<int64_t>(context.observables().size())) {
     return StrFormat(
@@ -316,6 +304,17 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
   const int64_t phase_base = static_cast<int64_t>(options_.trace_phase) * obs::kPhaseStride;
 
   strategy->Initialize(*context_);
+  // A strategy without serializable state cannot checkpoint: refuse before
+  // round 1 instead of failing after it.
+  if (!checkpoint.path.empty()) {
+    StrategyCheckpoint probe;
+    if (!strategy->SaveState(&probe)) {
+      result.error = "the " + strategy->name() +
+                     " strategy cannot save its search state, so it cannot checkpoint to " +
+                     checkpoint.path;
+      return result;
+    }
+  }
 
   // Backoff for transient (wall-budget-killed) rounds. Its jitter RNG is
   // seeded off base_seed so the delay *stream* is deterministic; checkpoints
@@ -330,13 +329,15 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
   if (checkpoint.resume != nullptr) {
     const SearchCheckpoint& snap = *checkpoint.resume;
     const ChainState empty_chain;
-    result.error = ResumeMismatch(snap, *spec_, options_, *context_,
-                                  checkpoint.chain != nullptr ? *checkpoint.chain : empty_chain);
-    if (result.error.empty() && !strategy->RestoreState(snap.strategy)) {
-      result.error = "the " + strategy->name() +
-                     " strategy cannot restore the checkpoint's search state";
+    std::string mismatch =
+        ResumeMismatch(snap, *spec_, options_, *context_,
+                       checkpoint.chain != nullptr ? *checkpoint.chain : empty_chain);
+    if (mismatch.empty() && !strategy->RestoreState(snap.strategy)) {
+      mismatch =
+          "the " + strategy->name() + " strategy cannot restore the checkpoint's search state";
     }
-    if (!result.error.empty()) {
+    if (!mismatch.empty()) {
+      result.error = "cannot resume: " + mismatch;
       return result;
     }
     retry_backoff.FastForward(snap.retry_rng_draws);
@@ -631,12 +632,11 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       snap.network_candidates = options_.network_candidates;
       snap.partition_heal_ms = spec_->cluster->partition_heal_ms;
       snap.network_delay_ms = spec_->cluster->network_delay_ms;
-      snap.engine_kind = EngineKind(options_);
       snap.engine_candidates = static_cast<int64_t>(context_->candidates().size());
       snap.engine_observables = static_cast<int64_t>(context_->observables().size());
       snap.experiment = result.experiment;
       snap.pinned = spec_->pinned_faults;
-      ANDURIL_CHECK(strategy->SaveState(&snap.strategy));
+      ANDURIL_CHECK(strategy->SaveState(&snap.strategy));  // probed before round 1
       if (checkpoint.chain != nullptr) {
         snap.chain = *checkpoint.chain;
         // Persist the live phase's injected-round summaries so a mid-chain
@@ -654,7 +654,11 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
         snap.has_metrics = true;
         snap.metrics = metrics->Snapshot();
       }
-      ANDURIL_CHECK(SaveCheckpointFile(checkpoint.path, snap));
+      if (!SaveCheckpointFile(checkpoint.path, snap)) {
+        result.error = StrFormat("cannot write checkpoint file %s after round %d",
+                                 checkpoint.path.c_str(), round);
+        break;
+      }
     }
 
     // The round's results are consumed; hand one run's log/trace buffers

@@ -85,10 +85,13 @@ struct ExploreResult {
   // at any thread count.
   obs::MetricsSnapshot metrics;
 
-  // Set when the search refused to start: the CheckpointConfig::resume
-  // snapshot does not match this search (another program, seed, pinned set,
-  // network or ranking configuration, chain prefix, or a strategy that
-  // cannot restore it). No round ran.
+  // Set when the search refused to start or stopped early on a checkpoint
+  // problem. Refusals run no round: a CheckpointConfig::resume snapshot that
+  // does not match this search ("cannot resume: ..." — another program, seed,
+  // pinned set, network configuration, candidate space, chain prefix, or a
+  // strategy that cannot restore it), or a checkpoint path for a strategy
+  // that cannot save its state. A checkpoint file that cannot be written
+  // stops the search after the round that tried to write it.
   std::string error;
 };
 
@@ -125,8 +128,8 @@ class Explorer {
   ExploreResult Explore(InjectionStrategy* strategy);
   // Same, with checkpointing and/or resume. Checkpointing requires a
   // strategy that implements SaveState (the feedback family does; the list
-  // baselines do not). A resume snapshot that does not match this search
-  // returns at once with ExploreResult::error set.
+  // baselines do not). Any other strategy, and a resume snapshot that does
+  // not match this search, return at once with ExploreResult::error set.
   ExploreResult Explore(InjectionStrategy* strategy, const CheckpointConfig& checkpoint);
 
   const ExplorerContext& context() const { return *context_; }

@@ -197,14 +197,14 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
   if (resume != nullptr) {
     // Checked before the steps are pinned (they name this program's sites);
     // the inner Explorer validates the rest of the configuration.
-    result.error = CheckpointProgramMismatch(*resume, *spec_.program);
-    if (result.error.empty() &&
-        static_cast<int>(resume->chain.steps.size()) > max_chain_length) {
-      result.error = StrFormat("checkpoint chain has %zu steps, more than this search's "
-                               "max_chain_length %d",
-                               resume->chain.steps.size(), max_chain_length);
+    std::string mismatch = CheckpointProgramMismatch(*resume, *spec_.program);
+    if (mismatch.empty() && static_cast<int>(resume->chain.steps.size()) > max_chain_length) {
+      mismatch = StrFormat("checkpoint chain has %zu steps, more than this search's "
+                           "max_chain_length %d",
+                           resume->chain.steps.size(), max_chain_length);
     }
-    if (!result.error.empty()) {
+    if (!mismatch.empty()) {
+      result.error = "cannot resume: " + mismatch;
       return result;
     }
     chain_state = resume->chain;

@@ -95,9 +95,9 @@ struct ChainResult {
   // partition-stuck): a wedged intermediate step demotes the whole chain
   // candidate, not just the step.
   int demoted_chain_candidates = 0;
-  // Set when the search refused to resume: the checkpoint is longer than
-  // max_chain_length or does not match this search (ExploreResult::error).
-  // No round ran.
+  // Set when the search refused to resume (the checkpoint is longer than
+  // max_chain_length or does not match this search; no round ran) or a
+  // phase's search failed on its checkpoint (ExploreResult::error).
   std::string error;
 };
 

@@ -36,8 +36,8 @@ PriorityEngine::PriorityEngine(const ExplorerContext& context,
     const auto& instances = context.InstancesOf(candidate.site);
     // The untried budget leans on the runtime's dense occurrence numbering:
     // the n instances of a site in the fault-free trace carry occurrences
-    // exactly 1..n, so "occurrence in [1, n]" is the same predicate the
-    // reference path evaluates by scanning InstancesOf.
+    // exactly 1..n, so "occurrence in [1, n]" is the same predicate as
+    // "one of InstancesOf(site)", which the strategies' stage 2 scans.
     for (size_t j = 0; j < instances.size(); ++j) {
       ANDURIL_CHECK(instances[j].occurrence == static_cast<int64_t>(j) + 1)
           << "fault-free trace occurrences are not dense for site " << candidate.site;
@@ -249,8 +249,7 @@ void PriorityEngine::VisitActive(
 
 int PriorityEngine::RankOfSite(ir::FaultSiteId site) const {
   // Best (lowest stage-1 key) finite candidate of the site, over *all*
-  // finite candidates — tried ones keep their rank, exactly like the
-  // reference path's scan of its sorted order.
+  // finite candidates — tried ones keep their rank, as in a full sort.
   const size_t n = f_.size();
   bool found = false;
   int64_t target_f = 0;

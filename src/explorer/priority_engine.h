@@ -1,15 +1,15 @@
-// Incremental stage-1 priority engine for the full-feedback strategy.
+// Incremental stage-1 priority engine of the feedback strategies.
 //
-// The reference implementation (RankSites in strategies/full_feedback.cc,
-// kept behind ExplorerOptions::full_rerank) recomputes
+// Recomputing
 //
 //     F_i = min_k ( L_{i,k} + I_k )
 //
-// for every candidate i over every observable k each round and then sorts
-// the whole candidate array — O(C·K + C log C) per round, which is fine at
-// the stock scenarios' 10²–10³ candidates and ruinous at the storm
+// for every candidate i over every observable k each round and then sorting
+// the whole candidate array costs O(C·K + C log C) per round, which is fine
+// at the stock scenarios' 10²–10³ candidates and ruinous at the storm
 // scenarios' 10⁴–10⁵. This engine maintains the same quantities
-// incrementally in flat structure-of-arrays form:
+// incrementally in flat structure-of-arrays form, and it is the one holder
+// of the observable priorities I_k:
 //
 //   - The finite entries of L are stored as a CSR matrix (row per candidate,
 //     ascending observable ids) plus a reverse CSR (column per observable),
@@ -29,8 +29,9 @@
 //     member vectors that are cleared — not freed — every round.
 //
 // Tie-breaks are explicit ((F, candidate index) at stage 1; see
-// docs/priority_engine.md) and identical to the reference path's, which the
-// differential harness in tests/priority_engine_test.cc enforces.
+// docs/priority_engine.md). tests/golden/search_runs.txt pins the search
+// trajectories of every feedback strategy; it was written while a
+// from-scratch re-rank still existed and agreed with this engine.
 
 #ifndef ANDURIL_SRC_EXPLORER_PRIORITY_ENGINE_H_
 #define ANDURIL_SRC_EXPLORER_PRIORITY_ENGINE_H_
@@ -51,17 +52,25 @@ namespace anduril::explorer {
 // F_i = kPriorityInfinity and never enters the ranking.
 inline constexpr int64_t kPriorityInfinity = std::numeric_limits<int64_t>::max() / 4;
 
+// Largest |I_k| a search may hold. A search moves I_k by the feedback
+// adjustment at most once per round, so it never gets near; the bound keeps
+// all ranking arithmetic far from overflow and every finite L + I (L is an
+// int32 graph distance) below kPriorityInfinity — the engine's min and
+// stitch boost, the sum ablation's sum over observables, and the multiply
+// ablation's product. Checkpoint parsing rejects priorities beyond it.
+inline constexpr int64_t kMaxObservablePriority = int64_t{1} << 40;
+
 // Subtracted from the stage-1 F_i of a causally-stitched site (chain mode):
 // large enough to outrank any finite L+I (spatial distances are graph-sized,
 // priorities grow by the feedback adjustment per round), small enough that
 // effective priorities never get near overflow.
 inline constexpr int64_t kStitchBoost = 1'000'000'000;
 
-// The shared stage-1 ordering: ascending effective priority, ties broken by
+// The stage-1 ordering: ascending effective priority, ties broken by
 // candidate index (candidate enumeration order — causal-graph sources first,
-// then crash/stall, then network kinds). Both the incremental engine and the
-// full_rerank reference path order by exactly this predicate, so they cannot
-// legally disagree on ties.
+// then crash/stall, then network kinds). The engine's heap and the sum
+// ablation's from-scratch sort both order by exactly this predicate, so ties
+// never depend on heap shape or sort stability.
 inline bool Stage1Less(int64_t f_a, size_t a, int64_t f_b, size_t b) {
   return f_a != f_b ? f_a < f_b : a < b;
 }
@@ -106,8 +115,8 @@ class PriorityEngine {
   // Marks one dynamic instance of `armed` tried. Call once per fresh
   // TriedSet insert only — the engine counts down the candidate's untried
   // budget and deactivates it at zero. Unknown (site, type, kind) triples
-  // and occurrences outside the fault-free trace are ignored, matching the
-  // reference path (such instances never appear in any window).
+  // and occurrences outside the fault-free trace are ignored (such instances
+  // never appear in any window).
   void NoteTried(const interp::InjectionCandidate& armed);
   void NoteTriedIndex(size_t candidate);
 
@@ -119,13 +128,13 @@ class PriorityEngine {
   void VisitActive(const std::function<bool(size_t candidate, size_t best_observable)>& visit);
 
   // 1-based rank of `site`'s best candidate among all finite candidates
-  // (tried or not), matching the reference path's RankOfSite semantics; -1
-  // when the site has no finite candidate.
+  // (tried or not): its position in a full stage-1 sort. -1 when the site
+  // has no finite candidate.
   int RankOfSite(ir::FaultSiteId site) const;
 
   // Order-sensitive digest of the current ranking: every finite candidate's
-  // (index, effective F, k*) in index order. The differential harness
-  // compares per-round sequences of these between engines.
+  // (index, effective F, k*) in index order. The search-trajectory golden
+  // pins the per-round sequence of these.
   uint64_t RankAuditHash() const;
 
   size_t num_candidates() const { return f_.size(); }

@@ -5,9 +5,10 @@
 //   window   = best untried instance of each of the top-k sites (§5.2.5)
 //   feedback = Algorithm 2 on the observables of each unsuccessful round
 //
-// Also home of the "multiply feedback" ablation (§8.3), which replaces the
-// two-level selection with a flat (F_i+1)×(T_{i,j}+1) product over all
-// dynamic instances.
+// Also home of the feedback ablations (§5.2.3–5.2.4, §8.3): sum aggregation,
+// order-temporal distance, the flat "multiply" product and site-only
+// feedback. All of them digest feedback into one PriorityEngine, and all but
+// sum aggregation take their stage-1 order from it.
 
 #include <algorithm>
 #include <limits>
@@ -19,7 +20,6 @@
 #include "src/explorer/strategies/strategy_util.h"
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
-#include "src/util/hash.h"
 
 namespace anduril::explorer {
 
@@ -39,10 +39,6 @@ int64_t TemporalDistance(const InstanceEstimate& instance,
 
 namespace {
 
-// Stage-1 sentinels and the stitch boost live in priority_engine.h now, so
-// the incremental engine and this reference path share one definition.
-constexpr int64_t kInfinity = kPriorityInfinity;
-
 // Added to the stage-2 temporal distance per demotion: large enough to push
 // a demoted instance behind every fresh one, small enough to never overflow.
 constexpr int64_t kDemotionPenalty = 1'000'000;
@@ -59,12 +55,9 @@ class FeedbackStrategyBase : public InjectionStrategy {
     metrics_ = context.options().metrics;
     feedback_.Initialize(context);
     window_size_ = context.options().initial_window;
-    if (UsesEngine() && !context.options().full_rerank) {
-      // SeedStitchedSites (chain mode) runs before Initialize, so the engine
-      // sees the stitch boosts at build time. Its constructor installs the
-      // all-zero priorities feedback_ starts from.
-      engine_ = std::make_unique<PriorityEngine>(context, stitched_sites_);
-    }
+    // SeedStitchedSites (chain mode) runs before Initialize, so the engine
+    // sees the stitch boosts at build time. It starts from all-zero I_k.
+    engine_ = std::make_unique<PriorityEngine>(context, stitched_sites_);
   }
 
   void OnRound(const RoundOutcome& outcome) override {
@@ -110,19 +103,15 @@ class FeedbackStrategyBase : public InjectionStrategy {
       // deterministic.
       metrics_->Set("strategy.window_size", window_size_);
     }
-    if (engine_ != nullptr) {
-      deltas_.clear();
-      feedback_.Digest(outcome.present_keys, context_->options().feedback_adjustment, &deltas_);
-      engine_->ApplyDeltas(deltas_);
-    } else {
-      feedback_.Digest(outcome.present_keys, context_->options().feedback_adjustment);
-    }
+    deltas_.clear();
+    feedback_.Digest(outcome.present_keys, context_->options().feedback_adjustment, &deltas_);
+    engine_->ApplyDeltas(deltas_);
   }
 
   bool SaveState(StrategyCheckpoint* out) const override {
     out->window_size = window_size_;
     out->exhausted = exhausted_;
-    out->observable_priorities = feedback_.priorities();
+    out->observable_priorities = engine_->priorities();
     out->tried.clear();
     for (const TriedKey& key : tried_) {
       out->tried.push_back(
@@ -153,15 +142,12 @@ class FeedbackStrategyBase : public InjectionStrategy {
     }
     window_size_ = state.window_size;
     exhausted_ = state.exhausted;
-    feedback_.SetPriorities(state.observable_priorities);
     tried_.clear();
     // The checkpoint carries no engine arrays — F_i / k*_i / untried budgets
     // are all derivable from (priorities, tried), so a restore recomputes
     // them from scratch and replays the tried set through Retire, landing on
     // exactly the state an uninterrupted search would hold.
-    if (engine_ != nullptr) {
-      engine_->Reset(state.observable_priorities);
-    }
+    engine_->Reset(state.observable_priorities);
     for (const interp::InjectionCandidate& candidate : state.tried) {
       Retire(candidate);
     }
@@ -182,95 +168,18 @@ class FeedbackStrategyBase : public InjectionStrategy {
 
   int RankOfSite(ir::FaultSiteId site) const override {
     // Queried by the explorer between NextWindow and OnRound, when the
-    // engine's ranking state is exactly what NextWindow ranked from — so the
-    // on-demand computation matches the reference path's cached order.
-    if (engine_ != nullptr) {
-      return engine_->RankOfSite(site);
-    }
-    for (size_t rank = 0; rank < last_site_order_.size(); ++rank) {
-      if (context_->candidates()[last_site_order_[rank]].site == site) {
-        return static_cast<int>(rank) + 1;
-      }
-    }
-    return -1;
+    // engine's ranking state is exactly what NextWindow ranked from.
+    return engine_->RankOfSite(site);
   }
 
-  void SetRankAuditSink(std::vector<uint64_t>* sink) override { rank_audit_ = sink; }
-
  protected:
-  // Whether this strategy runs on the incremental priority engine when the
-  // options don't force full_rerank. Only the plain full-feedback strategy
-  // opts in; the ablations keep the reference ranking (they are
-  // evaluation-only and never see storm-scale candidate counts).
-  virtual bool UsesEngine() const { return false; }
-
   // Marks a dynamic instance tried, feeding the engine's untried budget on
   // fresh inserts only (re-retiring an already-tried instance must not
   // double-count).
   void Retire(const interp::InjectionCandidate& candidate) {
-    if (tried_.insert(KeyOf(candidate)).second && engine_ != nullptr) {
+    if (tried_.insert(KeyOf(candidate)).second) {
       engine_->NoteTried(candidate);
     }
-  }
-
-  // Candidate indices sorted by F_i; fills per-candidate F and k*.
-  std::vector<size_t> RankSites(std::vector<int64_t>* f_values,
-                                std::vector<size_t>* best_observable) const {
-    const auto& candidates = context_->candidates();
-    f_values->assign(candidates.size(), kInfinity);
-    best_observable->assign(candidates.size(), 0);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      for (size_t k = 0; k < context_->observables().size(); ++k) {
-        int32_t distance = context_->Distance(i, k);
-        if (distance == analysis::CausalGraph::kUnreachable) {
-          continue;
-        }
-        int64_t value = static_cast<int64_t>(distance) + feedback_.priority(k);
-        if (value < (*f_values)[i]) {
-          (*f_values)[i] = value;
-          (*best_observable)[i] = k;
-        }
-      }
-    }
-    std::vector<size_t> order;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if ((*f_values)[i] < kInfinity) {
-        // Chain mode: a site the previous step's stitch run newly executed
-        // outranks every ordinary candidate — it is where the cascade
-        // continues — while stitched sites still order among themselves (and
-        // against each other's kinds) by their ordinary F.
-        if (stitched_sites_.count(candidates[i].site) != 0) {
-          (*f_values)[i] -= kStitchBoost;
-        }
-        order.push_back(i);
-      }
-    }
-    // Explicit total order (F, candidate index) shared with the incremental
-    // engine (Stage1Less): a plain sort over a total order is deterministic,
-    // and ties cannot depend on sort stability.
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return Stage1Less((*f_values)[a], a, (*f_values)[b], b);
-    });
-    return order;
-  }
-
-  // Reference-path twin of PriorityEngine::RankAuditHash: digests the same
-  // (index, effective F, k*) stream so the differential harness can compare
-  // per-round rankings across engines.
-  void PushRankAudit(const std::vector<int64_t>& f_values,
-                     const std::vector<size_t>& best_observable) {
-    if (rank_audit_ == nullptr) {
-      return;
-    }
-    Fnv1aHasher hasher;
-    for (size_t i = 0; i < f_values.size(); ++i) {
-      if (f_values[i] < kInfinity) {
-        hasher.MixInt(static_cast<int64_t>(i));
-        hasher.MixInt(f_values[i]);
-        hasher.MixInt(static_cast<int64_t>(best_observable[i]));
-      }
-    }
-    rank_audit_->push_back(hasher.hash());
   }
 
   // Demotion count per hung candidate (see OnRound); consulted as a stage-2
@@ -298,11 +207,9 @@ class FeedbackStrategyBase : public InjectionStrategy {
   std::unordered_map<TriedKey, int, TriedKeyHash> demotions_;
   int window_size_ = 10;
   bool exhausted_ = false;
-  mutable std::vector<size_t> last_site_order_;
-  // Non-null only for the plain full-feedback strategy without full_rerank.
+  // The one holder of the observable priorities I_k and of stage-1 F_i.
   std::unique_ptr<PriorityEngine> engine_;
   std::vector<std::pair<size_t, int64_t>> deltas_;  // reused per round
-  std::vector<uint64_t>* rank_audit_ = nullptr;
 };
 
 class FullFeedbackStrategy : public FeedbackStrategyBase {
@@ -327,21 +234,56 @@ class FullFeedbackStrategy : public FeedbackStrategyBase {
   }
 
   std::vector<interp::InjectionCandidate> NextWindow() override {
-    return engine_ != nullptr ? NextWindowIncremental() : NextWindowFullRerank();
+    std::vector<interp::InjectionCandidate> window;
+    if (sum_aggregation_) {
+      FillWindowBySum(&window);
+    } else if (window_size_ > 0) {
+      // Stage-1 order comes from the engine's top-k heap: the round visits
+      // window_size ranked candidates, never the whole candidate array.
+      engine_->VisitActive([&](size_t index, size_t best_k) {
+        const FaultCandidate& candidate = context_->candidates()[index];
+        const InstanceEstimate* best = BestUntriedInstance(candidate, best_k);
+        // Active candidates have untried instances by construction — the
+        // engine's budget counts down on exactly the fresh Retire inserts.
+        ANDURIL_CHECK(best != nullptr)
+            << "engine ranked candidate " << index << " active with no untried instance";
+        window.push_back(Arm(candidate, best->occurrence));
+        return static_cast<int>(window.size()) < window_size_;
+      });
+    }
+    if (!engine_->AnyActive()) {
+      exhausted_ = true;  // no candidate has an untried instance left
+    }
+    if (!sum_aggregation_ && rank_audit_ != nullptr) {
+      rank_audit_->push_back(engine_->RankAuditHash());
+    }
+    return window;
   }
 
- private:
-  bool UsesEngine() const override { return !sum_aggregation_ && !order_temporal_; }
+  int RankOfSite(ir::FaultSiteId site) const override {
+    if (!sum_aggregation_) {
+      return FeedbackStrategyBase::RankOfSite(site);
+    }
+    for (size_t rank = 0; rank < sum_order_.size(); ++rank) {
+      if (context_->candidates()[sum_order_[rank]].site == site) {
+        return static_cast<int>(rank) + 1;
+      }
+    }
+    return -1;
+  }
 
-  // Stage 2 (§5.2.3), shared verbatim by both stage-1 engines: the best
-  // untried instance of `candidate` against the chosen observable's
-  // positions, under the explicit order (T + demotion penalty, occurrence).
-  // The occurrence tie-break makes the "earliest instance wins" behavior of
-  // the historical strict-< scan an explicit part of the contract. Returns
-  // nullptr when every instance is tried; flags *any_untried otherwise.
+  void SetRankAuditSink(std::vector<uint64_t>* sink) override { rank_audit_ = sink; }
+
+ private:
+  // Stage 2 (§5.2.3): the best untried instance of `candidate` against
+  // observable k's failure-log positions, under the explicit order
+  // (T + demotion penalty, occurrence). The occurrence tie-break makes the
+  // "earliest instance wins" behavior of the historical strict-< scan an
+  // explicit part of the contract. Returns nullptr when every instance is
+  // tried.
   const InstanceEstimate* BestUntriedInstance(const FaultCandidate& candidate,
-                                              const std::vector<int64_t>& positions,
-                                              bool* any_untried) const {
+                                              size_t observable) const {
+    const auto& positions = context_->observables()[observable].failure_positions;
     const auto& instances = context_->InstancesOf(candidate.site);
     const InstanceEstimate* best = nullptr;
     int64_t best_distance = 0;
@@ -351,7 +293,6 @@ class FullFeedbackStrategy : public FeedbackStrategyBase {
       if (WasTried(tried_, armed)) {
         continue;
       }
-      *any_untried = true;
       int64_t distance = order_temporal_ ? OrderTemporalDistance(instances, j, positions)
                                          : TemporalDistance(instance, positions);
       distance += DemotionPenalty(armed);
@@ -364,118 +305,48 @@ class FullFeedbackStrategy : public FeedbackStrategyBase {
     return best;
   }
 
-  // Incremental path: stage-1 order comes from the engine's top-k heap —
-  // the round visits window_size ranked candidates plus the fully-tried ones
-  // the heap already excluded, never the whole candidate array.
-  std::vector<interp::InjectionCandidate> NextWindowIncremental() {
-    std::vector<interp::InjectionCandidate> window;
-    if (window_size_ > 0) {
-      engine_->VisitActive([&](size_t index, size_t best_k) {
-        const FaultCandidate& candidate = context_->candidates()[index];
-        const auto& positions = context_->observables()[best_k].failure_positions;
-        bool any_untried = false;
-        const InstanceEstimate* best = BestUntriedInstance(candidate, positions, &any_untried);
-        // Active candidates have untried instances by construction — the
-        // engine's budget counts down on exactly the fresh Retire inserts.
-        ANDURIL_CHECK(best != nullptr)
-            << "engine ranked candidate " << index << " active with no untried instance";
-        window.push_back(Arm(candidate, best->occurrence));
-        return static_cast<int>(window.size()) < window_size_;
-      });
-    }
-    if (!engine_->AnyActive()) {
-      // No candidate has an untried instance left: the same condition the
-      // reference path establishes with its global re-scan.
-      exhausted_ = true;
-    }
-    if (rank_audit_ != nullptr) {
-      rank_audit_->push_back(engine_->RankAuditHash());
-    }
-    return window;
-  }
-
-  // Reference path (ExplorerOptions::full_rerank): recompute and sort
-  // everything, every round.
-  std::vector<interp::InjectionCandidate> NextWindowFullRerank() {
-    std::vector<int64_t> f_values;
-    std::vector<size_t> best_observable;
-    std::vector<size_t> order =
-        sum_aggregation_ ? RankSitesSum(&f_values, &best_observable)
-                         : RankSites(&f_values, &best_observable);
-    last_site_order_ = order;
-
-    std::vector<interp::InjectionCandidate> window;
-    bool any_untried = false;
-    for (size_t index : order) {
-      if (static_cast<int>(window.size()) >= window_size_) {
-        break;
-      }
-      const FaultCandidate& candidate = context_->candidates()[index];
-      const auto& positions =
-          context_->observables()[best_observable[index]].failure_positions;
-      const InstanceEstimate* best = BestUntriedInstance(candidate, positions, &any_untried);
-      if (best != nullptr) {
-        window.push_back(Arm(candidate, best->occurrence));
-      }
-    }
-    if (!any_untried && window.empty()) {
-      // Check globally: all instances of all ranked candidates tried?
-      exhausted_ = true;
-      for (size_t index : order) {
-        const FaultCandidate& candidate = context_->candidates()[index];
-        for (const InstanceEstimate& instance : context_->InstancesOf(candidate.site)) {
-          if (!WasTried(tried_, Arm(candidate, instance.occurrence))) {
-            exhausted_ = false;
-            break;
-          }
-        }
-        if (!exhausted_) {
-          break;
-        }
-      }
-    }
-    if (!sum_aggregation_) {
-      PushRankAudit(f_values, best_observable);
-    }
-    return window;
-  }
-  // §5.2.4 alternative: sum over observables instead of min.
-  std::vector<size_t> RankSitesSum(std::vector<int64_t>* f_values,
-                                   std::vector<size_t>* best_observable) const {
+  // §5.2.4 alternative: F_i = sum_k (L_{i,k} + I_k) instead of the min. A
+  // sum is not a min, so the engine cannot maintain it: every round ranks
+  // all candidates from scratch, by (sum, candidate index), and keeps the
+  // order for RankOfSite. Stage 2 still chases the argmin observable.
+  void FillWindowBySum(std::vector<interp::InjectionCandidate>* window) {
     const auto& candidates = context_->candidates();
-    f_values->assign(candidates.size(), kInfinity);
-    best_observable->assign(candidates.size(), 0);
+    const std::vector<int64_t>& priorities = engine_->priorities();
+    std::vector<int64_t> sums(candidates.size(), 0);
+    std::vector<size_t> best_observable(candidates.size(), 0);
+    sum_order_.clear();
     for (size_t i = 0; i < candidates.size(); ++i) {
-      int64_t sum = 0;
-      bool any = false;
-      int64_t best = kInfinity;
-      for (size_t k = 0; k < context_->observables().size(); ++k) {
+      if (!engine_->Finite(i)) {
+        continue;  // no observable reachable: never ranked
+      }
+      int64_t best = kPriorityInfinity;
+      for (size_t k = 0; k < priorities.size(); ++k) {
         int32_t distance = context_->Distance(i, k);
         if (distance == analysis::CausalGraph::kUnreachable) {
           continue;
         }
-        int64_t value = static_cast<int64_t>(distance) + feedback_.priority(k);
-        sum += value;
-        any = true;
+        int64_t value = static_cast<int64_t>(distance) + priorities[k];
+        sums[i] += value;
         if (value < best) {
           best = value;
-          (*best_observable)[i] = k;
+          best_observable[i] = k;
         }
       }
-      if (any) {
-        (*f_values)[i] = sum;
-      }
+      sum_order_.push_back(i);
     }
-    std::vector<size_t> order;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if ((*f_values)[i] < kInfinity) {
-        order.push_back(i);
-      }
-    }
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return Stage1Less((*f_values)[a], a, (*f_values)[b], b);
+    std::sort(sum_order_.begin(), sum_order_.end(), [&](size_t a, size_t b) {
+      return Stage1Less(sums[a], a, sums[b], b);
     });
-    return order;
+    for (size_t index : sum_order_) {
+      if (static_cast<int>(window->size()) >= window_size_) {
+        break;
+      }
+      const FaultCandidate& candidate = candidates[index];
+      const InstanceEstimate* best = BestUntriedInstance(candidate, best_observable[index]);
+      if (best != nullptr) {
+        window->push_back(Arm(candidate, best->occurrence));
+      }
+    }
   }
 
   // §5.2.3 alternative: distance measured in instance *order* — how many of
@@ -502,28 +373,27 @@ class FullFeedbackStrategy : public FeedbackStrategyBase {
 
   bool sum_aggregation_;
   bool order_temporal_;
+  std::vector<size_t> sum_order_;  // full-sum's last ranking
+  std::vector<uint64_t>* rank_audit_ = nullptr;
 };
 
 class MultiplyFeedbackStrategy : public FeedbackStrategyBase {
  public:
   std::string name() const override { return "multiply"; }
 
+  // Scores every untried instance of every active candidate, visited in
+  // stage-1 order, by (F_i + 1) × (T + 1).
   std::vector<interp::InjectionCandidate> NextWindow() override {
-    std::vector<int64_t> f_values;
-    std::vector<size_t> best_observable;
-    std::vector<size_t> order = RankSites(&f_values, &best_observable);
-    last_site_order_ = order;
-
     struct Scored {
       int64_t priority;
       size_t seq;  // insertion order: explicit tie-break, was stable_sort position
       interp::InjectionCandidate candidate;
     };
     std::vector<Scored> scored;
-    for (size_t index : order) {
+    engine_->VisitActive([&](size_t index, size_t best_k) {
       const FaultCandidate& candidate = context_->candidates()[index];
-      const auto& positions =
-          context_->observables()[best_observable[index]].failure_positions;
+      const auto& positions = context_->observables()[best_k].failure_positions;
+      const int64_t f = engine_->EffectivePriority(index);
       for (const InstanceEstimate& instance : context_->InstancesOf(candidate.site)) {
         interp::InjectionCandidate armed = Arm(candidate, instance.occurrence);
         if (WasTried(tried_, armed)) {
@@ -533,9 +403,10 @@ class MultiplyFeedbackStrategy : public FeedbackStrategyBase {
         // +1 on both factors avoids the degenerate zero product; the flat
         // combination is still what Table 2 shows to be inferior to the
         // two-level selection.
-        scored.push_back(Scored{(f_values[index] + 1) * (t + 1), scored.size(), armed});
+        scored.push_back(Scored{(f + 1) * (t + 1), scored.size(), armed});
       }
-    }
+      return true;
+    });
     if (scored.empty()) {
       exhausted_ = true;
       return {};
@@ -562,30 +433,25 @@ class SiteFeedbackStrategy : public FeedbackStrategyBase {
   std::string name() const override { return "site-feedback"; }
 
   std::vector<interp::InjectionCandidate> NextWindow() override {
-    std::vector<int64_t> f_values;
-    std::vector<size_t> best_observable;
-    std::vector<size_t> order = RankSites(&f_values, &best_observable);
-    last_site_order_ = order;
-
     std::vector<interp::InjectionCandidate> window;
-    bool any_untried = false;
-    for (size_t index : order) {
-      if (static_cast<int>(window.size()) >= window_size_) {
-        break;
-      }
-      const FaultCandidate& candidate = context_->candidates()[index];
-      const auto& instances = context_->InstancesOf(candidate.site);
-      size_t limit = std::min<size_t>(instances.size(), 3);
-      for (size_t j = 0; j < limit; ++j) {
-        interp::InjectionCandidate armed = Arm(candidate, instances[j].occurrence);
-        if (!WasTried(tried_, armed)) {
-          any_untried = true;
-          window.push_back(armed);
-          break;  // one instance per site per round
+    if (window_size_ > 0) {
+      engine_->VisitActive([&](size_t index, size_t /*best_k*/) {
+        const FaultCandidate& candidate = context_->candidates()[index];
+        const auto& instances = context_->InstancesOf(candidate.site);
+        size_t limit = std::min<size_t>(instances.size(), 3);
+        for (size_t j = 0; j < limit; ++j) {
+          interp::InjectionCandidate armed = Arm(candidate, instances[j].occurrence);
+          if (!WasTried(tried_, armed)) {
+            window.push_back(armed);
+            break;  // one instance per site per round
+          }
         }
-      }
+        return static_cast<int>(window.size()) < window_size_;
+      });
     }
-    if (window.empty() && !any_untried) {
+    // Not AnyActive(): instances past a site's first three keep it active,
+    // but this strategy never arms them.
+    if (window.empty()) {
       exhausted_ = true;
     }
     return window;

@@ -275,7 +275,6 @@ std::unique_ptr<InjectionStrategy> MakeStrategy(const std::string& name) {
   if (name == "crashtuner") {
     return MakeCrashTunerStrategy();
   }
-  ANDURIL_CHECK(false) << "unknown strategy " << name;
   return nullptr;
 }
 

@@ -15,47 +15,32 @@
 
 namespace anduril::explorer {
 
-// Observable priority values I_k, updated per Algorithm 2: every relevant
-// observable *present* in an unsuccessful run gets its value incremented
-// (higher value = lower priority), so observables still missing become the
-// ones to chase.
+// Algorithm 2's feedback: every relevant observable *present* in an
+// unsuccessful run gets its priority value I_k raised by the feedback
+// adjustment (higher value = lower priority), so observables still missing
+// become the ones to chase. The priority engine holds I_k; this maps a
+// round's present keys to the (observable, delta) moves it applies.
 class FeedbackState {
  public:
   void Initialize(const ExplorerContext& context) {
-    priorities_.assign(context.observables().size(), 0);
     for (size_t k = 0; k < context.observables().size(); ++k) {
       key_index_[context.observables()[k].key] = k;
     }
   }
 
-  void Digest(const std::vector<std::string>& present_keys, int adjustment) {
-    Digest(present_keys, adjustment, nullptr);
-  }
-
-  // Like Digest, but also records each applied (observable, delta) move so
-  // the incremental priority engine can dirty exactly the I_k that changed.
-  // Keys absent from the observable set contribute nothing to either.
+  // Appends one (observable, adjustment) move per present key. Keys absent
+  // from the observable set contribute nothing.
   void Digest(const std::vector<std::string>& present_keys, int adjustment,
-              std::vector<std::pair<size_t, int64_t>>* deltas) {
+              std::vector<std::pair<size_t, int64_t>>* deltas) const {
     for (const std::string& key : present_keys) {
       auto it = key_index_.find(key);
       if (it != key_index_.end()) {
-        priorities_[it->second] += adjustment;
-        if (deltas != nullptr) {
-          deltas->emplace_back(it->second, adjustment);
-        }
+        deltas->emplace_back(it->second, adjustment);
       }
     }
   }
 
-  int64_t priority(size_t observable) const { return priorities_[observable]; }
-
-  // Checkpoint support: the raw priority vector, in observable order.
-  const std::vector<int64_t>& priorities() const { return priorities_; }
-  void SetPriorities(std::vector<int64_t> priorities) { priorities_ = std::move(priorities); }
-
  private:
-  std::vector<int64_t> priorities_;
   std::unordered_map<std::string, size_t> key_index_;
 };
 

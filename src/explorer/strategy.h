@@ -51,7 +51,7 @@ struct RoundOutcome {
 // as the in-memory structures; the checkpoint header's program fingerprint
 // guards against resuming over a different program build.
 struct StrategyCheckpoint {
-  int window_size = 0;
+  int window_size = 1;  // >= 1: checkpoint parsing rejects a smaller window
   bool exhausted = false;
   // Priority value per observable, in context observable order.
   std::vector<int64_t> observable_priorities;
@@ -96,12 +96,12 @@ class InjectionStrategy {
   // or -1 if unranked. Used only for Fig. 6 reporting.
   virtual int RankOfSite(ir::FaultSiteId /*site*/) const { return -1; }
 
-  // Differential-test hook: when a sink is attached, feedback strategies
+  // Test hook: when a sink is attached, the min-aggregation strategies that
+  // fill their window straight from the stage-1 ranking (full, full-order)
   // append one order-sensitive digest of the full (F_i, k*_i) ranking per
-  // NextWindow call. priority_engine_test compares the per-round sequences
-  // between the incremental engine and the full_rerank reference and reports
-  // the first diverging round. Strategies without a ranking ignore it; a
-  // null/absent sink costs nothing.
+  // NextWindow call. priority_engine_test pins the per-round sequences in
+  // tests/golden/search_runs.txt. Other strategies ignore it; a null/absent
+  // sink costs nothing.
   virtual void SetRankAuditSink(std::vector<uint64_t>* /*sink*/) {}
 
   // Checkpoint support. SaveState snapshots the strategy's mutable search
@@ -129,7 +129,7 @@ std::unique_ptr<InjectionStrategy> MakeCrashTunerStrategy();
 // Instantiates a strategy by the name used in bench tables:
 // "full" | "full-sum" | "full-order" | "exhaustive" | "site-distance" |
 // "site-distance-limit" | "site-feedback" | "multiply" | "stacktrace" |
-// "fate" | "crashtuner".
+// "fate" | "crashtuner". Null for any other name.
 std::unique_ptr<InjectionStrategy> MakeStrategy(const std::string& name);
 
 }  // namespace anduril::explorer

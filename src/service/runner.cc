@@ -99,7 +99,7 @@ WorkResult RunSlice(ContextCache* cache, const WorkUnit& unit,
     explorer::ChainExplorer explorer(entry->built.spec, options);
     explorer::ChainResult chain = explorer.Explore(kServiceMaxChainLength, checkpoint);
     if (!chain.error.empty()) {
-      return Error(unit.case_id, "cannot resume checkpoint: " + chain.error);
+      return Error(unit.case_id, chain.error);
     }
     result.rounds_done = chain.total_rounds;
     if (chain.reproduced) {
@@ -128,7 +128,7 @@ WorkResult RunSlice(ContextCache* cache, const WorkUnit& unit,
         explorer::MakeFullFeedbackStrategy();
     explorer::ExploreResult search = explorer->Explore(strategy.get(), checkpoint);
     if (!search.error.empty()) {
-      return Error(unit.case_id, "cannot resume checkpoint: " + search.error);
+      return Error(unit.case_id, search.error);
     }
     result.rounds_done = search.rounds;
     result.status = search.reproduced      ? SliceStatus::kReproduced

@@ -73,8 +73,7 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   snap.chain.stitched_sites = {7, 11};
   snap.chain.round_candidates.push_back(ChainRoundCandidate{
       interp::InjectionCandidate{9, 3, ir::kInvalidId, interp::FaultKind::kDelay}, 4, 17});
-  // v4 engine block: identity of the ranking path plus candidate-space shape.
-  snap.engine_kind = "full-rerank";
+  // v4 engine block: the candidate-space shape.
   snap.engine_candidates = 100000;
   snap.engine_observables = 40;
 
@@ -111,7 +110,6 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   EXPECT_EQ(parsed.strategy.demotions[0].count, snap.strategy.demotions[0].count);
   EXPECT_EQ(parsed.chain, snap.chain);
   EXPECT_EQ(parsed.chain_signature_hash, ChainSignatureHash(snap.chain));
-  EXPECT_EQ(parsed.engine_kind, snap.engine_kind);
   EXPECT_EQ(parsed.engine_candidates, snap.engine_candidates);
   EXPECT_EQ(parsed.engine_observables, snap.engine_observables);
 
@@ -202,16 +200,51 @@ TEST(CheckpointTest, RejectsVersion4FileWithoutEngineBlock) {
   EXPECT_NE(error.find("no engine object"), std::string::npos) << error;
 }
 
-TEST(CheckpointTest, RejectsUnknownEngineKind) {
+// "incremental" is the only ranking engine; the retired from-scratch
+// re-rank's "full-rerank" is refused like any other kind, by name.
+TEST(CheckpointTest, RejectsUnknownRankingEngine) {
   SearchCheckpoint snap;
-  std::string text = SerializeCheckpoint(snap);
-  size_t pos = text.find("\"incremental\"");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 13, "\"telepathic\"");
-  SearchCheckpoint out;
-  std::string error;
-  EXPECT_FALSE(ParseCheckpoint(text, &out, &error));
-  EXPECT_NE(error.find("telepathic"), std::string::npos) << error;
+  const std::string text = SerializeCheckpoint(snap);
+  for (const std::string kind : {"telepathic", "full-rerank"}) {
+    std::string tampered = text;
+    size_t pos = tampered.find("\"incremental\"");
+    ASSERT_NE(pos, std::string::npos);
+    tampered.replace(pos, 13, "\"" + kind + "\"");
+    SearchCheckpoint out;
+    std::string error;
+    EXPECT_FALSE(ParseCheckpoint(tampered, &out, &error));
+    EXPECT_NE(error.find("\"" + kind + "\""), std::string::npos) << error;
+  }
+}
+
+// Search state no search can reach is refused by field name rather than
+// resumed: an empty or negative window (a resume would run empty rounds, or
+// overflow the doubling) and a priority large enough to overflow the
+// ranking arithmetic.
+TEST(CheckpointTest, RejectsOutOfRangeSearchState) {
+  SearchCheckpoint snap;
+  snap.strategy.window_size = 20;
+  snap.strategy.observable_priorities = {0, 12345};
+  const std::string text = SerializeCheckpoint(snap);
+  struct Case {
+    std::string from;
+    std::string to;
+    std::string field;
+  };
+  for (const Case& bad : {Case{"\"window_size\": 20", "\"window_size\": 0", "window_size"},
+                          Case{"\"window_size\": 20", "\"window_size\": -2147483648",
+                               "window_size"},
+                          Case{"12345", "9223372036854775807", "observable_priorities"}}) {
+    SCOPED_TRACE(bad.to);
+    std::string tampered = text;
+    size_t pos = tampered.find(bad.from);
+    ASSERT_NE(pos, std::string::npos);
+    tampered.replace(pos, bad.from.size(), bad.to);
+    SearchCheckpoint out;
+    std::string error;
+    EXPECT_FALSE(ParseCheckpoint(tampered, &out, &error));
+    EXPECT_NE(error.find("\"" + bad.field + "\""), std::string::npos) << error;
+  }
 }
 
 TEST(CheckpointTest, RejectsVersion2FileWithChainStateWithActionableError) {
@@ -323,27 +356,38 @@ TEST(CheckpointTest, SaveAndLoadFileRoundTrip) {
 
 // --- kill-and-resume invariant --------------------------------------------------
 
+// One search of `built` with the named strategy.
+ExploreResult RunStrategy(const systems::BuiltCase& built, const ExplorerOptions& options,
+                          const std::string& strategy_name,
+                          const CheckpointConfig& checkpoint = {}) {
+  Explorer explorer(built.spec, options);
+  std::unique_ptr<InjectionStrategy> strategy = MakeStrategy(strategy_name);
+  return explorer.Explore(strategy.get(), checkpoint);
+}
+
 // Runs `case_id` uninterrupted, then again with the round budget cut short
 // and a checkpoint file, then resumes a fresh explorer from that file, and
 // asserts the resumed search is indistinguishable from the uninterrupted one.
-void ExpectResumeMatchesUninterrupted(const std::string& case_id, int threads) {
-  SCOPED_TRACE(case_id + " @" + std::to_string(threads) + " threads");
+void ExpectResumeMatchesUninterrupted(const std::string& case_id, int threads,
+                                      const std::string& strategy_name = "full") {
+  SCOPED_TRACE(case_id + " " + strategy_name + " @" + std::to_string(threads) + " threads");
   const systems::FailureCase* failure_case = systems::FindCase(case_id);
   ASSERT_NE(failure_case, nullptr);
   systems::BuiltCase built = systems::BuildCase(*failure_case);
   ExplorerOptions options = OptionsForCase(*failure_case, threads);
 
-  ExploreResult baseline = RunSearch(built, options);
+  ExploreResult baseline = RunStrategy(built, options, strategy_name);
   ASSERT_TRUE(baseline.reproduced);
   ASSERT_TRUE(baseline.script.has_value());
   ASSERT_GT(baseline.rounds, 1) << "need at least two rounds to interrupt between";
 
   // Interrupted search: stop one round before success, checkpointing.
-  std::string path =
-      TempPath("resume_" + case_id + "_" + std::to_string(threads) + ".json");
+  std::string path = TempPath("resume_" + case_id + "_" + strategy_name + "_" +
+                              std::to_string(threads) + ".json");
   ExplorerOptions truncated = options;
   truncated.max_rounds = baseline.rounds - 1;
-  ExploreResult interrupted = RunSearch(built, truncated, CheckpointConfig{path, nullptr});
+  ExploreResult interrupted =
+      RunStrategy(built, truncated, strategy_name, CheckpointConfig{path, nullptr});
   EXPECT_FALSE(interrupted.reproduced);
 
   // Resume in a brand-new explorer + strategy, rebuilt from the file alone.
@@ -352,10 +396,7 @@ void ExpectResumeMatchesUninterrupted(const std::string& case_id, int threads) {
   ASSERT_TRUE(LoadCheckpointFile(path, &snap, &error)) << error;
   EXPECT_EQ(snap.rounds_completed, baseline.rounds - 1);
   systems::BuiltCase rebuilt = systems::BuildCase(*failure_case);
-  Explorer resumed_explorer(rebuilt.spec, options);
-  std::unique_ptr<InjectionStrategy> strategy = MakeFullFeedbackStrategy();
-  ExploreResult resumed =
-      resumed_explorer.Explore(strategy.get(), CheckpointConfig{"", &snap});
+  ExploreResult resumed = RunStrategy(rebuilt, options, strategy_name, CheckpointConfig{"", &snap});
 
   ASSERT_TRUE(resumed.reproduced);
   ASSERT_TRUE(resumed.script.has_value());
@@ -457,6 +498,65 @@ TEST(CheckpointResumeTest, HdNet1DropEightThreadResumeIsByteIdentical) {
 // engine at full scale, not just on the Table 5 registry.
 TEST(CheckpointResumeTest, CaStorm1SerialResumeIsByteIdentical) {
   ExpectResumeMatchesUninterrupted("ca-storm-1", 1);
+}
+
+// The ablations restore through the same engine Reset plus tried-set replay
+// as full feedback. zk-crash-1's searches pass through hung rounds, so their
+// checkpoints carry demotions too.
+TEST(CheckpointResumeTest, AblationResumesAreByteIdentical) {
+  for (const char* strategy : {"full-order", "full-sum", "multiply", "site-feedback"}) {
+    for (const char* case_id : {"hd-4233", "zk-crash-1"}) {
+      ExpectResumeMatchesUninterrupted(case_id, 1, strategy);
+    }
+  }
+}
+
+// A checkpoint the search cannot write ends it with an error after the round
+// that tried, instead of aborting the process: the plain search, and the
+// chain search whose phase it stops.
+TEST(CheckpointResumeTest, UnwritableCheckpointStopsThePlainSearchWithAnError) {
+  const systems::FailureCase* failure_case = systems::FindCase("hd-4233");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  const std::string path = TempPath("no_such_dir/checkpoint.json");
+  ExploreResult result =
+      RunSearch(built, OptionsForCase(*failure_case, 1), CheckpointConfig{path, nullptr});
+  EXPECT_NE(result.error.find("cannot write checkpoint file " + path + " after round 1"),
+            std::string::npos)
+      << result.error;
+  EXPECT_FALSE(result.reproduced);
+  EXPECT_EQ(result.rounds, 1);
+}
+
+TEST(CheckpointResumeTest, UnwritableCheckpointStopsTheChainSearchWithAnError) {
+  const systems::FailureCase* failure_case = systems::FindCase("casc-retry-1");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  const std::string path = TempPath("no_such_dir/chain_checkpoint.json");
+  ChainExplorer explorer(built.spec, OptionsForCase(*failure_case, 1));
+  ChainResult result = explorer.Explore(4, CheckpointConfig{path, nullptr});
+  EXPECT_NE(result.error.find("cannot write checkpoint file " + path), std::string::npos)
+      << result.error;
+  EXPECT_FALSE(result.reproduced);
+  EXPECT_EQ(result.phases, 1);
+}
+
+// The list baselines have no serializable state: asking one to checkpoint is
+// refused before round 1, and no file appears.
+TEST(CheckpointResumeTest, StrategyThatCannotCheckpointIsRefusedBeforeRoundOne) {
+  const systems::FailureCase* failure_case = systems::FindCase("zk-2247");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  const std::string path = TempPath("fate_checkpoint.json");
+  std::remove(path.c_str());
+  ExploreResult result = RunStrategy(built, OptionsForCase(*failure_case, 1), "fate",
+                                     CheckpointConfig{path, nullptr});
+  EXPECT_NE(result.error.find("fate strategy cannot save its search state"), std::string::npos)
+      << result.error;
+  EXPECT_TRUE(result.records.empty());
+  SearchCheckpoint snap;
+  std::string error;
+  EXPECT_FALSE(LoadCheckpointFile(path, &snap, &error));
 }
 
 TEST(CheckpointResumeTest, NetworkConfigIsPersistedInCheckpoint) {

@@ -1,8 +1,11 @@
 # CLI robustness check: anduril_case must reject hostile or mismatched input
-# files with an error and exit status 1, never die on a signal. Writes a
+# with an error and a nonzero exit status, never die on a signal. Writes a
 # signature of 200k '[' and a checkpoint of 100k nested objects into WORK_DIR,
-# then replays the first and resumes from the second; then resumes zk-2247's
-# plain and chain searches from a checkpoint hd-4233's search wrote.
+# then replays the first and resumes from the second; resumes zk-2247's plain
+# and chain searches from a checkpoint hd-4233's search wrote, and from one
+# whose observable priority is out of range; checkpoints into a missing
+# directory and with a strategy that cannot checkpoint (all exit 1); and
+# passes an unknown strategy and malformed counts (exit 2).
 #
 #   cmake -DANDURIL_CASE=<anduril_case binary> -DWORK_DIR=<dir> -P cli_json_bombs.cmake
 
@@ -13,11 +16,12 @@ file(WRITE "${WORK_DIR}/bomb_signature.json" "${signature}")
 file(WRITE "${WORK_DIR}/bomb_checkpoint.json" "${open}1${close}")
 
 # Runs the command in ARGN; `status` is an exit code, or a signal's name.
-# Expects exit status 1 and stderr matching `pattern`.
-function(expect_error what pattern)
+# Expects exit status `expected_status` and stderr matching `pattern`.
+function(expect_error what expected_status pattern)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE status OUTPUT_QUIET ERROR_VARIABLE err)
-  if(NOT status STREQUAL "1")
-    message(FATAL_ERROR "${what}: expected exit status 1, got '${status}': ${err}")
+  if(NOT status STREQUAL "${expected_status}")
+    message(FATAL_ERROR
+            "${what}: expected exit status ${expected_status}, got '${status}': ${err}")
   endif()
   if(NOT err MATCHES "${pattern}")
     message(FATAL_ERROR "${what}: stderr does not match '${pattern}': ${err}")
@@ -26,9 +30,9 @@ function(expect_error what pattern)
 endfunction()
 
 set(nesting "nesting deeper than [0-9]+ levels at offset [0-9]+")
-expect_error("replay --signature" "${nesting}" "${ANDURIL_CASE}" replay zk-2247
+expect_error("replay --signature" 1 "${nesting}" "${ANDURIL_CASE}" replay zk-2247
              "--signature=${WORK_DIR}/bomb_signature.json")
-expect_error("run --resume" "${nesting}" "${ANDURIL_CASE}" run zk-2247
+expect_error("run --resume" 1 "${nesting}" "${ANDURIL_CASE}" run zk-2247
              "--checkpoint=${WORK_DIR}/bomb_checkpoint.json" --resume)
 
 # A one-round hd-4233 search leaves its checkpoint (and exits 1: not
@@ -41,7 +45,41 @@ if(NOT EXISTS "${foreign}")
   message(FATAL_ERROR "hd-4233 wrote no checkpoint to ${foreign}")
 endif()
 set(mismatch "cannot resume: checkpoint was written for a different program")
-expect_error("run --resume (another case's checkpoint)" "${mismatch}" "${ANDURIL_CASE}" run
+expect_error("run --resume (another case's checkpoint)" 1 "${mismatch}" "${ANDURIL_CASE}" run
              zk-2247 "--checkpoint=${foreign}" --resume)
-expect_error("chain --resume (another case's checkpoint)" "${mismatch}" "${ANDURIL_CASE}" chain
-             zk-2247 "--checkpoint=${foreign}" --resume)
+expect_error("chain --resume (another case's checkpoint)" 1 "${mismatch}" "${ANDURIL_CASE}"
+             chain zk-2247 "--checkpoint=${foreign}" --resume)
+
+# zk-2247's own two-round checkpoint with its first observable priority set
+# to 2^63-1: the parser must refuse it before the ranking arithmetic sees it.
+set(hostile "${WORK_DIR}/zk2247_hostile_checkpoint.json")
+file(REMOVE "${hostile}")
+execute_process(COMMAND "${ANDURIL_CASE}" run zk-2247 full 2 "--checkpoint=${hostile}"
+                OUTPUT_QUIET ERROR_QUIET)
+file(READ "${hostile}" checkpoint)
+string(REGEX REPLACE "(\"observable_priorities\": \\[[^0-9-]*)[0-9-]+" "\\19223372036854775807"
+       tampered "${checkpoint}")
+if(tampered STREQUAL checkpoint)
+  message(FATAL_ERROR "found no observable priority to tamper with in ${hostile}")
+endif()
+file(WRITE "${hostile}" "${tampered}")
+expect_error("run --resume (out-of-range priority)" 1 "\"observable_priorities\" holds"
+             "${ANDURIL_CASE}" run zk-2247 "--checkpoint=${hostile}" --resume)
+
+# Checkpoints the search cannot write, and a strategy that cannot checkpoint.
+set(missing "${WORK_DIR}/no_such_dir/ck.json")
+set(unwritable "cannot write checkpoint file ${missing} after round 1")
+expect_error("run --checkpoint (missing directory)" 1 "${unwritable}" "${ANDURIL_CASE}" run
+             hd-4233 full 50 "--checkpoint=${missing}")
+expect_error("chain --checkpoint (missing directory)" 1 "${unwritable}" "${ANDURIL_CASE}" chain
+             casc-retry-1 4 50 "--checkpoint=${missing}")
+expect_error("run fate --checkpoint" 1 "fate strategy cannot save its search state"
+             "${ANDURIL_CASE}" run zk-2247 fate 50 "--checkpoint=${WORK_DIR}/fate_ck.json")
+
+# Usage errors.
+expect_error("run (unknown strategy)" 2 "unknown strategy 'bogus'" "${ANDURIL_CASE}" run
+             zk-2247 bogus)
+expect_error("chain (chain length 0)" 2 "max_chain_length must be a whole number >= 1, got '0'"
+             "${ANDURIL_CASE}" chain casc-retry-1 0)
+expect_error("run (non-numeric max_rounds)" 2 "max_rounds must be a whole number >= 1, got 'abc'"
+             "${ANDURIL_CASE}" run zk-2247 full abc)

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "src/explorer/explorer.h"
+#include "src/explorer/priority_engine.h"
 #include "src/explorer/strategies/strategy_util.h"
 #include "src/interp/log_entry.h"
 #include "src/interp/simulator.h"
@@ -280,19 +281,25 @@ TEST_F(ExplorerTest, FeedbackStateDeprioritizesPresentObservables) {
   Build();
   ExplorerOptions options;
   ExplorerContext context(spec_, options);
+  ASSERT_FALSE(context.observables().empty());
   FeedbackState feedback;
   feedback.Initialize(context);
-  for (size_t k = 0; k < context.observables().size(); ++k) {
-    EXPECT_EQ(feedback.priority(k), 0);
-  }
-  std::vector<std::string> present{context.observables()[0].key};
-  feedback.Digest(present, /*adjustment=*/1);
-  EXPECT_EQ(feedback.priority(0), 1);
+  PriorityEngine engine(context, {});
+  EXPECT_EQ(engine.priorities(), std::vector<int64_t>(context.observables().size(), 0));
+
+  // One move per present relevant key; unknown keys contribute nothing.
+  std::vector<std::pair<size_t, int64_t>> deltas;
+  feedback.Digest({context.observables()[0].key, "not an observable"}, /*adjustment=*/1,
+                  &deltas);
+  EXPECT_EQ(deltas, (std::vector<std::pair<size_t, int64_t>>{{0, 1}}));
+  engine.ApplyDeltas(deltas);
+  deltas.clear();
+  feedback.Digest({context.observables()[0].key}, /*adjustment=*/5, &deltas);
+  engine.ApplyDeltas(deltas);
+  EXPECT_EQ(engine.priorities()[0], 6);
   for (size_t k = 1; k < context.observables().size(); ++k) {
-    EXPECT_EQ(feedback.priority(k), 0);
+    EXPECT_EQ(engine.priorities()[k], 0);
   }
-  feedback.Digest(present, /*adjustment=*/5);
-  EXPECT_EQ(feedback.priority(0), 6);
 }
 
 TEST_F(ExplorerTest, TemporalDistanceMinOverPositions) {

@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -58,13 +57,6 @@ constexpr const char* kGoldenHeader =
     "# thread end states, node vars, crashed nodes, network stats, partition\n"
     "# transitions and fault accounting (decision_nanos excluded).\n"
     "# Refresh after an intentional semantics change: scripts/update_trace_golden.sh\n";
-
-std::string GoldenPath() { return std::string(ANDURIL_GOLDEN_DIR) + "/" + kGoldenFile; }
-
-bool UpdateGoldens() {
-  const char* env = std::getenv("ANDURIL_UPDATE_GOLDENS");
-  return env != nullptr && std::string(env) == "1";
-}
 
 // One point of the per-case grid.
 struct RunPoint {
@@ -238,17 +230,6 @@ std::vector<std::string> CurrentRunLines() {
   return lines;
 }
 
-std::vector<std::string> ParseGolden(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream in(text);
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty() && line[0] != '#') {
-      lines.push_back(line);
-    }
-  }
-  return lines;
-}
-
 std::vector<std::string> Tokens(const std::string& line) {
   std::vector<std::string> tokens;
   std::istringstream in(line);
@@ -281,18 +262,19 @@ TEST(InterpEquivalence, RunsMatchCommittedDigests) {
   const std::vector<std::string> actual = CurrentRunLines();
   EXPECT_EQ(actual.size(), 33u * 6u) << "the grid is 33 cases x 6 runs";
   if (UpdateGoldens()) {
-    ASSERT_FALSE(HasFailure()) << "not writing " << GoldenPath();
+    ASSERT_FALSE(HasFailure()) << "not writing " << GoldenPath(kGoldenFile);
     std::string text = kGoldenHeader;
     for (const std::string& line : actual) {
       text += line + "\n";
     }
-    ASSERT_TRUE(WriteFileAtomic(GoldenPath(), text)) << "cannot write " << GoldenPath();
+    ASSERT_TRUE(WriteFileAtomic(GoldenPath(kGoldenFile), text))
+        << "cannot write " << GoldenPath(kGoldenFile);
     return;
   }
   std::string text;
-  ASSERT_TRUE(ReadFileToString(GoldenPath(), &text))
-      << GoldenPath() << " missing; run scripts/update_trace_golden.sh";
-  const std::vector<std::string> expected = ParseGolden(text);
+  ASSERT_TRUE(ReadFileToString(GoldenPath(kGoldenFile), &text))
+      << GoldenPath(kGoldenFile) << " missing; run scripts/update_trace_golden.sh";
+  const std::vector<std::string> expected = GoldenDataLines(text);
 
   int differing = 0;
   std::string first;
@@ -310,7 +292,8 @@ TEST(InterpEquivalence, RunsMatchCommittedDigests) {
     }
   }
   EXPECT_EQ(differing, 0) << differing << " of " << expected.size()
-                          << " runs differ from " << GoldenPath() << "; first: " << first
+                          << " runs differ from " << GoldenPath(kGoldenFile)
+                          << "; first: " << first
                           << "\nif the change is intentional, run scripts/update_trace_golden.sh";
 }
 

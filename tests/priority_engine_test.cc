@@ -1,22 +1,41 @@
-// Differential harness for the incremental priority engine.
+// Pinned search trajectories of the feedback strategies, plus the priority
+// engine's own invariants.
 //
-// The contract under test: ExplorerOptions::full_rerank — the per-round
-// recompute-everything reference implementation of stage-1 ranking — and the
-// default incremental engine are byte-identical. Over every registered
-// failure case, at 1/2/8 worker threads, both paths must emit the same
-// ReproductionScript text and seed, the same round count, and the same
-// per-round (F_i, k*) ordering (compared via the rank-audit hash the
-// strategy pushes per round; a mismatch reports the first diverging round).
+// tests/golden/search_runs.txt holds one line per (strategy, case, base-seed
+// offset): the five feedback strategies (full, full-order, full-sum,
+// multiply, site-feedback) over the 31 registered non-storm cases at base-seed
+// offsets 0 and 7919, plus full on the two storm cases. Cascades are capped at
+// 40 rounds (single-fault search never reproduces them), everything else at
+// 300. Each line has readable fields (reproduced, rounds, exhausted, script
+// seed and text) and FNV-1a digests of:
+//
+//   windows  every NextWindow result, in order;
+//   records  every RoundRecord's window size, tracked rank, injected
+//            candidate, present-observable count, outcome and success;
+//   audits   the per-round rank-audit hashes (RankAuditHash) the strategy
+//            pushes;
+//   state    the strategy's final StrategyCheckpoint.
+//
+// The lines were first written while stage-1 ranking still had a second,
+// from-scratch implementation (a full per-round re-rank behind an explorer
+// option). The generator ran full on both and refused to write unless every
+// line agreed, and the ablations' lines are that re-rank's own output. After
+// an intentional change to a trajectory, refresh the file with
+// scripts/update_trace_golden.sh.
 //
 // Plus: a randomized dirty-set fuzz (incremental ApplyDeltas against a
-// from-scratch Reset on every round) and the storm-scale candidate-space
-// floor.
+// from-scratch Reset on every round), the engine's stitch-boost and exhaustion
+// unit checks, and the storm-scale candidate-space floor.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,116 +45,292 @@
 #include "src/explorer/priority_engine.h"
 #include "src/explorer/strategy.h"
 #include "src/systems/common.h"
+#include "src/util/file.h"
+#include "src/util/hash.h"
 #include "tests/test_util.h"
 
 namespace anduril::explorer {
 namespace {
 
-// --- differential search harness -------------------------------------------------
+// --- pinned search trajectories ----------------------------------------------------
 
-struct AuditedSearch {
-  ExploreResult result;
-  std::vector<uint64_t> audit;  // one stage-1 rank hash per round
+constexpr const char* kGoldenFile = "search_runs.txt";
+
+constexpr const char* kGoldenHeader =
+    "# Feedback-strategy search trajectories, written by tests/priority_engine_test.cc.\n"
+    "# <strategy> <case> +<base-seed offset> reproduced= rounds= exhausted= seed=\n"
+    "#   windows= records= audits= state= script=\n"
+    "# windows: FNV-1a over every NextWindow result; records: over every round's\n"
+    "# window size, tracked rank, injected candidate, present count, outcome and\n"
+    "# success; audits: over the per-round rank-audit hashes; state: over the final\n"
+    "# StrategyCheckpoint. Refresh after an intentional change:\n"
+    "# scripts/update_trace_golden.sh\n";
+
+constexpr const char* kFeedbackStrategies[] = {"full", "full-order", "full-sum", "multiply",
+                                               "site-feedback"};
+constexpr uint64_t kSeedOffsets[] = {0, 7919};
+constexpr int kCascadeRoundCap = 40;
+constexpr int kRoundCap = 300;
+
+void MixCandidate(Fnv1aHasher* hasher, const interp::InjectionCandidate& candidate) {
+  hasher->MixInt(candidate.site);
+  hasher->MixInt(candidate.occurrence);
+  hasher->MixInt(candidate.type);
+  hasher->MixInt(static_cast<int64_t>(candidate.kind));
+}
+
+// Forwards every call to the strategy under test and digests each window it
+// hands the explorer.
+class RecordingStrategy : public InjectionStrategy {
+ public:
+  explicit RecordingStrategy(std::unique_ptr<InjectionStrategy> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  void Initialize(const ExplorerContext& context) override { inner_->Initialize(context); }
+  std::vector<interp::InjectionCandidate> NextWindow() override {
+    std::vector<interp::InjectionCandidate> window = inner_->NextWindow();
+    windows_.MixInt(static_cast<int64_t>(window.size()));
+    for (const interp::InjectionCandidate& candidate : window) {
+      MixCandidate(&windows_, candidate);
+    }
+    return window;
+  }
+  void OnRound(const RoundOutcome& outcome) override { inner_->OnRound(outcome); }
+  bool Exhausted() const override { return inner_->Exhausted(); }
+  bool WantsLogFeedback() const override { return inner_->WantsLogFeedback(); }
+  void SeedStitchedSites(const std::vector<ir::FaultSiteId>& sites) override {
+    inner_->SeedStitchedSites(sites);
+  }
+  int RankOfSite(ir::FaultSiteId site) const override { return inner_->RankOfSite(site); }
+  void SetRankAuditSink(std::vector<uint64_t>* sink) override { inner_->SetRankAuditSink(sink); }
+  bool SaveState(StrategyCheckpoint* out) const override { return inner_->SaveState(out); }
+  bool RestoreState(const StrategyCheckpoint& state) override {
+    return inner_->RestoreState(state);
+  }
+
+  uint64_t windows_hash() const { return windows_.hash(); }
+
+ private:
+  std::unique_ptr<InjectionStrategy> inner_;
+  Fnv1aHasher windows_;
 };
 
-AuditedSearch RunAudited(const systems::BuiltCase& built, ExplorerOptions options,
-                         bool full_rerank) {
-  options.full_rerank = full_rerank;
+uint64_t DigestRecords(const std::vector<RoundRecord>& records) {
+  Fnv1aHasher hasher;
+  for (const RoundRecord& record : records) {
+    hasher.MixInt(record.window_size);
+    hasher.MixInt(record.tracked_rank);
+    hasher.MixInt(record.injected);
+    if (record.injected) {
+      MixCandidate(&hasher, record.candidate);
+    }
+    hasher.MixInt(record.present_observables);
+    hasher.MixInt(static_cast<int64_t>(record.outcome));
+    hasher.MixInt(record.success);
+    hasher.MixSeparator();
+  }
+  return hasher.hash();
+}
+
+uint64_t DigestAudits(const std::vector<uint64_t>& audits) {
+  Fnv1aHasher hasher;
+  hasher.MixInt(static_cast<int64_t>(audits.size()));
+  for (uint64_t audit : audits) {
+    hasher.MixInt(static_cast<int64_t>(audit));
+  }
+  return hasher.hash();
+}
+
+uint64_t DigestState(const StrategyCheckpoint& state) {
+  Fnv1aHasher hasher;
+  hasher.MixInt(state.window_size);
+  hasher.MixInt(state.exhausted);
+  hasher.MixInt(static_cast<int64_t>(state.observable_priorities.size()));
+  for (int64_t priority : state.observable_priorities) {
+    hasher.MixInt(priority);
+  }
+  hasher.MixInt(static_cast<int64_t>(state.tried.size()));
+  for (const interp::InjectionCandidate& candidate : state.tried) {
+    MixCandidate(&hasher, candidate);
+  }
+  hasher.MixInt(static_cast<int64_t>(state.demotions.size()));
+  for (const StrategyCheckpoint::Demotion& demotion : state.demotions) {
+    MixCandidate(&hasher, demotion.candidate);
+    hasher.MixInt(demotion.count);
+  }
+  return hasher.hash();
+}
+
+std::string Hex(uint64_t value) {
+  char text[17];
+  std::snprintf(text, sizeof(text), "%016" PRIx64, value);
+  return text;
+}
+
+// One point of the grid, searched with `threads` workers.
+std::string SearchLine(const std::string& strategy_name, const systems::FailureCase& failure_case,
+                       uint64_t offset, int threads) {
+  systems::BuiltCase built = systems::BuildCase(failure_case, /*verify=*/false);
+  // No host wall-clock watchdog: a slow (e.g. sanitized) build must not turn
+  // a run into a retried or budget-exceeded round.
+  built.cluster.wall_budget_ms = 0;
+  built.spec.base_seed += offset;
+  ExplorerOptions options = OptionsForCase(failure_case, threads);
+  options.max_rounds = failure_case.root_chain.empty() ? kRoundCap : kCascadeRoundCap;
+  options.track_site = built.ground_truth.site;
+
   Explorer explorer(built.spec, options);
-  std::unique_ptr<InjectionStrategy> strategy = MakeFullFeedbackStrategy();
-  AuditedSearch out;
-  strategy->SetRankAuditSink(&out.audit);
-  out.result = explorer.Explore(strategy.get());
-  return out;
+  std::unique_ptr<InjectionStrategy> inner = MakeStrategy(strategy_name);
+  EXPECT_NE(inner, nullptr) << strategy_name;
+  RecordingStrategy strategy(std::move(inner));
+  std::vector<uint64_t> audits;
+  strategy.SetRankAuditSink(&audits);
+  ExploreResult result = explorer.Explore(&strategy);
+  StrategyCheckpoint state;
+  EXPECT_TRUE(strategy.SaveState(&state)) << strategy_name;
+
+  const bool has_script = result.script.has_value();
+  std::ostringstream line;
+  line << strategy_name << ' ' << failure_case.id << " +" << offset
+       << " reproduced=" << result.reproduced << " rounds=" << result.rounds
+       << " exhausted=" << strategy.Exhausted()
+       << " seed=" << (has_script ? std::to_string(result.script->seed) : "-")
+       << " windows=" << Hex(strategy.windows_hash())
+       << " records=" << Hex(DigestRecords(result.records))
+       << " audits=" << Hex(DigestAudits(audits)) << " state=" << Hex(DigestState(state))
+       << " script="
+       << (has_script ? "\"" + result.script->ToText(*built.program) + "\"" : "-");
+  return line.str();
 }
 
-// Runs `built` under both ranking paths and asserts they are
-// indistinguishable: same reproduction outcome, byte-identical script, same
-// seed, same round counts, and the same per-round stage-1 ordering.
-void ExpectEnginesIndistinguishable(const systems::BuiltCase& built,
-                                    const ExplorerOptions& options) {
-  AuditedSearch incremental = RunAudited(built, options, /*full_rerank=*/false);
-  AuditedSearch full = RunAudited(built, options, /*full_rerank=*/true);
-
-  // Per-round ordering first: if the searches diverge, the earliest diverging
-  // ranking is the actionable datum, not the downstream script difference.
-  size_t shared = std::min(incremental.audit.size(), full.audit.size());
-  for (size_t round = 0; round < shared; ++round) {
-    ASSERT_EQ(incremental.audit[round], full.audit[round])
-        << "stage-1 rankings first diverge at round " << round + 1 << " of "
-        << shared << " (incremental hash " << incremental.audit[round]
-        << ", full-rerank hash " << full.audit[round] << ")";
+std::vector<const systems::FailureCase*> NonStormCases() {
+  std::vector<const systems::FailureCase*> cases;
+  for (const std::vector<systems::FailureCase>* registry :
+       {&systems::AllCases(), &systems::CrashStallCases(), &systems::NetworkCases(),
+        &systems::CascadeCases()}) {
+    for (const systems::FailureCase& failure_case : *registry) {
+      cases.push_back(&failure_case);
+    }
   }
-  EXPECT_EQ(incremental.audit.size(), full.audit.size());
-
-  EXPECT_EQ(incremental.result.reproduced, full.result.reproduced);
-  EXPECT_EQ(incremental.result.rounds, full.result.rounds);
-  EXPECT_EQ(incremental.result.experiment.total_rounds(),
-            full.result.experiment.total_rounds());
-  ASSERT_EQ(incremental.result.script.has_value(), full.result.script.has_value());
-  if (incremental.result.script.has_value()) {
-    EXPECT_EQ(incremental.result.script->ToText(*built.spec.program),
-              full.result.script->ToText(*built.spec.program));
-    EXPECT_EQ(incremental.result.script->seed, full.result.script->seed);
-  }
+  return cases;
 }
 
-void SweepRegistry(const std::vector<systems::FailureCase>& registry,
-                   std::initializer_list<int> thread_counts, int max_rounds = 0) {
-  for (const systems::FailureCase& failure_case : registry) {
-    systems::BuiltCase built = systems::BuildCase(failure_case);
-    for (int threads : thread_counts) {
-      SCOPED_TRACE(failure_case.id + " @" + std::to_string(threads) + " threads");
-      ExplorerOptions options = systems::OptionsForCase(failure_case, threads);
-      if (max_rounds > 0) {
-        options.max_rounds = max_rounds;
+// The grid's lines for `strategies` (in file order) at `threads` workers. The
+// ablations stay off the storm cases: order-temporal distance is quadratic in
+// a site's instance count, and the storm sites have thousands.
+std::vector<std::string> CurrentLines(const std::vector<std::string>& strategies, int threads) {
+  std::vector<std::string> lines;
+  for (const std::string& strategy : strategies) {
+    std::vector<const systems::FailureCase*> cases = NonStormCases();
+    if (strategy == "full") {
+      for (const systems::FailureCase& storm : systems::StormCases()) {
+        cases.push_back(&storm);
       }
-      ExpectEnginesIndistinguishable(built, options);
+    }
+    for (const systems::FailureCase* failure_case : cases) {
+      for (uint64_t offset : kSeedOffsets) {
+        lines.push_back(SearchLine(strategy, *failure_case, offset, threads));
+      }
     }
   }
+  return lines;
 }
 
-TEST(PriorityEngineDifferentialTest, Table5RegistryAllThreadCounts) {
-  SweepRegistry(systems::AllCases(), {1, 2, 8});
-}
-
-TEST(PriorityEngineDifferentialTest, CrashStallRegistryAllThreadCounts) {
-  SweepRegistry(systems::CrashStallCases(), {1, 2, 8});
-}
-
-TEST(PriorityEngineDifferentialTest, NetworkRegistryAllThreadCounts) {
-  SweepRegistry(systems::NetworkCases(), {1, 2, 8});
-}
-
-TEST(PriorityEngineDifferentialTest, CascadeRegistryAllThreadCounts) {
-  // Cascading cases need chain mode to reproduce; the single-fault search
-  // never succeeds on them, which makes them the non-reproducing half of the
-  // contract: both paths must walk the identical 40-round trajectory and
-  // agree that it fails.
-  SweepRegistry(systems::CascadeCases(), {1, 2, 8}, /*max_rounds=*/40);
-}
-
-TEST(PriorityEngineDifferentialTest, StormCassandraAllThreadCounts) {
-  SweepRegistry({*systems::FindCase("ca-storm-1")}, {1, 2, 8});
-}
-
-TEST(PriorityEngineDifferentialTest, StormZooKeeperAllThreadCounts) {
-  SweepRegistry({*systems::FindCase("zk-storm-1")}, {1, 2, 8});
-}
-
-TEST(PriorityEngineDifferentialTest, SeedSweep) {
-  // The equivalence is per-seed, not just at each case's stock explore_seed:
-  // re-run representative cases (one per root-fault family, plus a storm)
-  // under swept base seeds.
-  for (const char* id : {"zk-2247", "hd-4233", "zk-net-1", "ca-storm-1"}) {
-    const systems::FailureCase* failure_case = systems::FindCase(id);
-    ASSERT_NE(failure_case, nullptr);
-    systems::BuiltCase built = systems::BuildCase(*failure_case);
-    for (uint64_t seed : {7ull, 1234ull}) {
-      SCOPED_TRACE(std::string(id) + " seed=" + std::to_string(seed));
-      built.spec.base_seed = seed;
-      ExpectEnginesIndistinguishable(built, systems::OptionsForCase(*failure_case, 1));
+// A line's fields as (name, value): "strategy", "case" and "seed offset",
+// then every key=value pair (a quoted value runs to its closing quote).
+std::vector<std::pair<std::string, std::string>> Fields(const std::string& line) {
+  std::vector<std::pair<std::string, std::string>> fields;
+  std::istringstream in(line);
+  for (const char* name : {"strategy", "case", "seed offset"}) {
+    std::string token;
+    in >> token;
+    fields.emplace_back(name, token);
+  }
+  for (std::string token; in >> token;) {
+    if (token.find("=\"") != std::string::npos) {
+      for (std::string rest; token.back() != '"' && in >> rest;) {
+        token += " " + rest;
+      }
     }
+    const size_t eq = token.find('=');
+    fields.emplace_back(token.substr(0, eq),
+                        eq == std::string::npos ? std::string() : token.substr(eq + 1));
+  }
+  return fields;
+}
+
+// "<strategy> <case> +<offset>: field '<name>' differs", plus both lines.
+std::string DescribeDifference(const std::string& expected, const std::string& actual) {
+  const auto want = Fields(expected);
+  const auto got = Fields(actual);
+  std::string field;
+  for (size_t i = 0; i < std::max(want.size(), got.size()); ++i) {
+    if (i >= want.size() || i >= got.size() || want[i] != got[i]) {
+      field = i < want.size() ? want[i].first : got[i].first;
+      break;
+    }
+  }
+  return want[0].second + " " + want[1].second + " " + want[2].second + ": field '" + field +
+         "' differs\n  expected: " + expected + "\n  actual:   " + actual;
+}
+
+// Compares `actual` with `expected` line by line; reports the count of
+// differing lines and the first difference.
+void ExpectLinesMatch(const std::vector<std::string>& expected,
+                      const std::vector<std::string>& actual, const std::string& what) {
+  int differing = 0;
+  std::string first;
+  for (size_t i = 0; i < std::max(expected.size(), actual.size()); ++i) {
+    const std::string want = i < expected.size() ? expected[i] : "- - - (no line)";
+    const std::string got = i < actual.size() ? actual[i] : "- - - (no line)";
+    if (want != got && differing++ == 0) {
+      first = DescribeDifference(want, got);
+    }
+  }
+  EXPECT_EQ(differing, 0) << differing << " of " << expected.size() << " " << what
+                          << " differ from " << GoldenPath(kGoldenFile) << "; first: " << first
+                          << "\nif the change is intentional, run scripts/update_trace_golden.sh";
+}
+
+std::vector<std::string> GoldenLines() {
+  std::string text;
+  EXPECT_TRUE(ReadFileToString(GoldenPath(kGoldenFile), &text))
+      << GoldenPath(kGoldenFile) << " missing; run scripts/update_trace_golden.sh";
+  return GoldenDataLines(text);
+}
+
+TEST(SearchTrajectoryGolden, FeedbackStrategiesMatchCommittedTrajectories) {
+  const std::vector<std::string> strategies(std::begin(kFeedbackStrategies),
+                                            std::end(kFeedbackStrategies));
+  const std::vector<std::string> actual = CurrentLines(strategies, 1);
+  EXPECT_EQ(actual.size(), 5u * 31u * 2u + 2u * 2u)
+      << "the grid is 5 strategies x 31 cases x 2 seeds, plus full on 2 storms x 2 seeds";
+  if (UpdateGoldens()) {
+    ASSERT_FALSE(HasFailure()) << "not writing " << GoldenPath(kGoldenFile);
+    std::string text = kGoldenHeader;
+    for (const std::string& line : actual) {
+      text += line + "\n";
+    }
+    ASSERT_TRUE(WriteFileAtomic(GoldenPath(kGoldenFile), text))
+        << "cannot write " << GoldenPath(kGoldenFile);
+    return;
+  }
+  ExpectLinesMatch(GoldenLines(), actual, "search lines");
+}
+
+// The determinism contract at the trajectory level: full's lines do not
+// depend on the worker count.
+TEST(SearchTrajectoryGolden, FullFeedbackMatchesAtTwoAndEightThreads) {
+  std::vector<std::string> expected;
+  for (const std::string& line : GoldenLines()) {
+    if (line.rfind("full ", 0) == 0) {
+      expected.push_back(line);
+    }
+  }
+  for (int threads : {2, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ExpectLinesMatch(expected, CurrentLines({"full"}, threads), "full lines");
   }
 }
 

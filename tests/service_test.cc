@@ -374,6 +374,23 @@ TEST(RunSliceTest, MismatchedCheckpointReportsError) {
   fs::remove(writer.metrics_path);
 }
 
+// A checkpoint the slice cannot write fails the slice, not its worker.
+TEST(RunSliceTest, UnwritableCheckpointReportsError) {
+  ContextCache cache;
+  for (bool chain : {false, true}) {
+    WorkUnit unit;
+    unit.case_id = chain ? "casc-retry-1" : "hd-4233";
+    unit.chain = chain;
+    unit.slice_rounds = 4;
+    unit.round_budget = 2000;
+    unit.checkpoint_path = explorer::TempPath("no_such_dir/service_slice.ckpt");
+    const WorkResult result = RunSlice(&cache, unit, nullptr);
+    EXPECT_EQ(result.status, SliceStatus::kError) << "chain=" << chain;
+    EXPECT_NE(result.error.find("cannot write checkpoint file"), std::string::npos)
+        << result.error;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Service end-to-end: in-process (workers=0) and sharded
 

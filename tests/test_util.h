@@ -7,13 +7,17 @@
 //  - explorer: free helpers for tests that search a registered failure case
 //    end to end — candidate-space options derived from the case's root fault
 //    kind, a one-call search runner, and temp-file paths.
+//  - golden files: where tests/golden/ lives, whether to rewrite it, and the
+//    data lines of a line-oriented golden.
 
 #ifndef ANDURIL_TESTS_TEST_UTIL_H_
 #define ANDURIL_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +28,34 @@
 #include "src/ir/builder.h"
 #include "src/systems/common.h"
 #include "src/systems/harness.h"
+
+namespace anduril {
+
+// Tests compare against the files under tests/golden/ (ANDURIL_GOLDEN_DIR,
+// set by tests/CMakeLists.txt) and rewrite them in place when run with
+// ANDURIL_UPDATE_GOLDENS=1 (scripts/update_trace_golden.sh).
+inline std::string GoldenPath(const std::string& name) {
+  return std::string(ANDURIL_GOLDEN_DIR) + "/" + name;
+}
+
+inline bool UpdateGoldens() {
+  const char* env = std::getenv("ANDURIL_UPDATE_GOLDENS");
+  return env != nullptr && std::string(env) == "1";
+}
+
+// The data lines of a line-oriented golden: blank and '#' lines dropped.
+inline std::vector<std::string> GoldenDataLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') {
+      lines.push_back(line);
+    }
+  }
+  return lines;
+}
+
+}  // namespace anduril
 
 namespace anduril::interp {
 

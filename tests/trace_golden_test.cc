@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -28,15 +27,6 @@ namespace anduril::explorer {
 namespace {
 
 constexpr const char* kCaseId = "zk-2247";
-
-std::string GoldenPath(const std::string& name) {
-  return std::string(ANDURIL_GOLDEN_DIR) + "/" + name;
-}
-
-bool UpdateGoldens() {
-  const char* env = std::getenv("ANDURIL_UPDATE_GOLDENS");
-  return env != nullptr && std::string(env) == "1";
-}
 
 std::string ReadFileOrEmpty(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

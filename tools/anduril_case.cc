@@ -33,12 +33,16 @@
 //       --graph-out path (the same flag anduril_lint accepts).
 //
 // Exit codes for run/chain: 0 reproduced, 1 capped out or a setup error
-// (e.g. "cannot resume: ..." for a checkpoint that does not match the
-// search), 2 usage, 3 interrupted. SIGTERM/SIGINT drain cooperatively: the
-// search stops at the next round boundary, after the active checkpoint (if
-// any) was flushed, so `--resume` continues exactly where the signal landed.
+// ("cannot resume: ..." for a checkpoint that does not match the search, a
+// checkpoint that cannot be written, a strategy that cannot checkpoint), 2
+// usage (an unknown strategy, a count that is not a whole number >= 1), 3
+// interrupted. SIGTERM/SIGINT drain cooperatively: the search stops at the
+// next round boundary, after the active checkpoint (if any) was flushed, so
+// `--resume` continues exactly where the signal landed.
 
 #include <atomic>
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -117,6 +121,20 @@ int List() {
                 failure_case.title.c_str(), failure_case.root_chain.size());
   }
   return 0;
+}
+
+// Parses a positional count: a whole number >= 1. Prints what is wrong and
+// returns false for anything else.
+bool ParseCount(const std::string& text, const char* what, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || value < 1 || value > INT_MAX) {
+    std::fprintf(stderr, "%s must be a whole number >= 1, got '%s'\n", what, text.c_str());
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
 }
 
 const systems::FailureCase* Lookup(const std::string& id) {
@@ -249,6 +267,11 @@ int RunCase(const std::string& id, const std::string& strategy_name, int max_rou
   if (failure_case == nullptr) {
     return 1;
   }
+  auto strategy = explorer::MakeStrategy(strategy_name);
+  if (strategy == nullptr) {
+    std::fprintf(stderr, "unknown strategy '%s'\n", strategy_name.c_str());
+    return 2;
+  }
   systems::BuiltCase built = systems::BuildCase(*failure_case);
   explorer::ExplorerOptions options = systems::OptionsForCase(*failure_case);
   options.max_rounds = max_rounds;
@@ -257,7 +280,6 @@ int RunCase(const std::string& id, const std::string& strategy_name, int max_rou
   SearchSinks sinks{trace_path, metrics_path};
   sinks.Attach(&options);
   explorer::Explorer ex(built.spec, options);
-  auto strategy = explorer::MakeStrategy(strategy_name);
 
   explorer::CheckpointConfig checkpoint;
   explorer::SearchCheckpoint resumed;
@@ -268,7 +290,7 @@ int RunCase(const std::string& id, const std::string& strategy_name, int max_rou
 
   explorer::ExploreResult result = ex.Explore(strategy.get(), checkpoint);
   if (!result.error.empty()) {
-    std::fprintf(stderr, "cannot resume: %s\n", result.error.c_str());
+    std::fprintf(stderr, "%s\n", result.error.c_str());
     return 1;
   }
   if (resume) {
@@ -344,7 +366,7 @@ int ChainCase(const std::string& id, int max_chain_length, int max_rounds,
   explorer::ChainExplorer ex(built.spec, options);
   explorer::ChainResult result = ex.Explore(max_chain_length, checkpoint);
   if (!result.error.empty()) {
-    std::fprintf(stderr, "cannot resume: %s\n", result.error.c_str());
+    std::fprintf(stderr, "%s\n", result.error.c_str());
     return 1;
   }
   if (resume) {
@@ -542,17 +564,24 @@ int Main(int argc, char** argv) {
   if (command == "info") {
     return Info(id);
   }
+  int max_rounds = 1500;
+  if ((command == "run" || command == "chain") && args.size() > 3 &&
+      !ParseCount(args[3], "max_rounds", &max_rounds)) {
+    return 2;
+  }
   if (command == "run") {
     InstallDrainHandlers();
-    return RunCase(id, args.size() > 2 ? args[2] : "full",
-                   args.size() > 3 ? std::atoi(args[3].c_str()) : 1500, checkpoint_path,
-                   resume, trace_path, metrics_path);
+    return RunCase(id, args.size() > 2 ? args[2] : "full", max_rounds, checkpoint_path, resume,
+                   trace_path, metrics_path);
   }
   if (command == "chain") {
+    int max_chain_length = 4;
+    if (args.size() > 2 && !ParseCount(args[2], "max_chain_length", &max_chain_length)) {
+      return 2;
+    }
     InstallDrainHandlers();
-    return ChainCase(id, args.size() > 2 ? std::atoi(args[2].c_str()) : 4,
-                     args.size() > 3 ? std::atoi(args[3].c_str()) : 1500, checkpoint_path,
-                     resume, signature_out, trace_path, metrics_path);
+    return ChainCase(id, max_chain_length, max_rounds, checkpoint_path, resume, signature_out,
+                     trace_path, metrics_path);
   }
   if (command == "replay" && !signature_path.empty()) {
     return ReplayFromSignature(id, signature_path);
