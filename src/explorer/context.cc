@@ -1,5 +1,6 @@
 #include "src/explorer/context.h"
 
+#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -23,14 +24,21 @@ ExplorerContext::ExplorerContext(const ExperimentSpec& spec, const ExplorerOptio
   flat_program_ = std::make_unique<const ir::FlatProgram>(program);
 
   // Step 1: run the workload fault-free to obtain the normal log and the
-  // fault-instance distribution.
+  // fault-instance distribution, capturing the snapshots search runs fork
+  // from.
+  baseline_cluster_ = spec.cluster;
+  baseline_pinned_ = spec.pinned_faults;
   interp::FaultRuntime runtime(&program);
   runtime.SetPinned(spec.pinned_faults);  // multi-fault mode: part of the workload
   interp::Simulator simulator(&program, spec.cluster, spec.base_seed, &runtime,
                               flat_program_.get());
+  simulator.set_capture(&snapshots_);
   interp::RunResult normal = simulator.Run();
   normal_trace_ = std::move(normal.trace);
   normal_log_ = interp::DigestLog(normal.log);
+  if (!snapshots_.empty()) {
+    baseline_log_ = std::move(normal.log);
+  }
 
   // Step 2: per-thread diff -> relevant observables (§5.1).
   logdiff::LogComparison comparison = logdiff::CompareLogs(normal_log_, failure_log_);
@@ -210,6 +218,50 @@ ExplorerContext::ExplorerContext(const ExperimentSpec& spec, const ExplorerOptio
                                 static_cast<int64_t>(pruned_candidates_));
     }
   }
+  // The builder's sinks and cancel flag served the build only. A shared
+  // context outlives that search, and may outlive the sinks themselves.
+  options_.tracer = nullptr;
+  options_.metrics = nullptr;
+  options_.cancel = nullptr;
+}
+
+const interp::RunSnapshot* ExplorerContext::ForkPoint(
+    const ExperimentSpec& spec, const std::vector<interp::InjectionCandidate>& window) const {
+  if (snapshots_.empty() || spec.program != flat_program_->program() ||
+      spec.cluster != baseline_cluster_) {
+    return nullptr;
+  }
+  // The instances this run arms that the fault-free run did not: its window,
+  // and the pinned faults of one side only (pins on both sides fired, or not,
+  // in both prefixes alike).
+  std::vector<const interp::InjectionCandidate*> armed;
+  armed.reserve(window.size());
+  for (const interp::InjectionCandidate& candidate : window) {
+    armed.push_back(&candidate);
+  }
+  auto add_unshared = [&armed](const std::vector<interp::InjectionCandidate>& from,
+                               const std::vector<interp::InjectionCandidate>& other) {
+    for (const interp::InjectionCandidate& pinned : from) {
+      if (std::find(other.begin(), other.end(), pinned) == other.end()) {
+        armed.push_back(&pinned);
+      }
+    }
+  };
+  add_unshared(spec.pinned_faults, baseline_pinned_);
+  add_unshared(baseline_pinned_, spec.pinned_faults);
+  auto before_all = [&armed](const interp::RunSnapshot& snapshot) {
+    const std::vector<int64_t>& counts = snapshot.occurrences();
+    for (const interp::InjectionCandidate* candidate : armed) {
+      const size_t site = static_cast<size_t>(candidate->site);
+      if (site < counts.size() && counts[site] >= candidate->occurrence) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // Counts only grow, so the qualifying snapshots form a prefix of the list.
+  auto first_late = std::partition_point(snapshots_.begin(), snapshots_.end(), before_all);
+  return first_late == snapshots_.begin() ? nullptr : &*(first_late - 1);
 }
 
 std::vector<uint8_t> ExplorerContext::ObservablesIn(const logdiff::ParsedLog& log) const {

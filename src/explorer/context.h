@@ -5,6 +5,13 @@
 // observables, the static causal graph, the per-(candidate, observable)
 // spatial distances L_{i,k}, and the fault-instance distribution mapped onto
 // the failure-log timeline for temporal distances T_{i,j,k}.
+//
+// The fault-free run also captures snapshots of its seed-free prefix
+// (interp::RunSnapshot): a search run forks from the latest one that lies
+// before every instance it arms (ForkPoint) and simulates only the rest.
+// Runs at every seed share that prefix, because nothing in it drew from the
+// seed; a run whose prefix does draw (any cross-node send) captures nothing,
+// and neither does one shorter than Simulator::kCaptureMinSteps.
 
 #ifndef ANDURIL_SRC_EXPLORER_CONTEXT_H_
 #define ANDURIL_SRC_EXPLORER_CONTEXT_H_
@@ -18,6 +25,7 @@
 #include "src/analysis/causal_graph.h"
 #include "src/explorer/experiment.h"
 #include "src/interp/fault_runtime.h"
+#include "src/interp/simulator.h"
 #include "src/ir/flatten.h"
 #include "src/logdiff/compare.h"
 #include "src/logdiff/parser.h"
@@ -70,6 +78,9 @@ class ExplorerContext {
   ExplorerContext(const ExperimentSpec& spec, const ExplorerOptions& options);
 
   const ExperimentSpec& spec() const { return *spec_; }
+  // The options the context was built with, minus the observability sinks
+  // and the cancel flag: those belong to whichever search runs, not to the
+  // one that built a shared context, so they read null here.
   const ExplorerOptions& options() const { return options_; }
   const ir::Program& program() const { return *spec_->program; }
 
@@ -121,6 +132,21 @@ class ExplorerContext {
   // by every run of every round and thread of the exploration.
   const ir::FlatProgram* flat_program() const { return flat_program_.get(); }
 
+  // Snapshots of the fault-free run's seed-free prefix, in step order, and
+  // that run's log, which holds their log prefixes. Empty when the run drew
+  // from the seed before Simulator::kCaptureMinSteps.
+  const std::vector<interp::RunSnapshot>& snapshots() const { return snapshots_; }
+  const std::vector<interp::LogEntry>& baseline_log() const { return baseline_log_; }
+
+  // The snapshot a run of `spec` arming `window` may start from: the latest
+  // one at which, for every window candidate and every pinned fault that is
+  // in spec's pinned set or the fault-free run's but not both, the site's
+  // occurrence count is still below the candidate's occurrence. Null when
+  // none qualifies, or when `spec` runs another program or cluster than the
+  // one the fault-free run simulated.
+  const interp::RunSnapshot* ForkPoint(
+      const ExperimentSpec& spec, const std::vector<interp::InjectionCandidate>& window) const;
+
   double init_seconds() const { return init_seconds_; }
 
  private:
@@ -140,6 +166,12 @@ class ExplorerContext {
   size_t pruned_candidates_ = 0;
   std::vector<interp::FaultInstanceEvent> normal_trace_;
   std::unique_ptr<const ir::FlatProgram> flat_program_;
+  // What the fault-free run simulated, for ForkPoint: spec_ may be mutated
+  // after construction (the iterative explorer pins faults into it).
+  const interp::ClusterSpec* baseline_cluster_ = nullptr;
+  std::vector<interp::InjectionCandidate> baseline_pinned_;
+  std::vector<interp::RunSnapshot> snapshots_;
+  std::vector<interp::LogEntry> baseline_log_;
   std::vector<InstanceEstimate> empty_;
   double init_seconds_ = 0;
 };

@@ -59,10 +59,13 @@ interp::RunScratch& LocalScratch() {
 
 // Simulates one plan item and, when `feedback` is set, digests its log into
 // per-observable flags right here on the simulating thread. Search runs
-// record no fault-instance trace: nothing in the round loop reads it.
-RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat,
+// record no fault-instance trace: nothing in the round loop reads it. A run
+// starts from the context's latest fault-free snapshot before every instance
+// it arms, when there is one, and simulates only the rest of the run.
+RepRun ExecuteOne(const ExperimentSpec& spec, const ExplorerContext& context,
+                  const ir::FlatProgram* flat,
                   const std::vector<interp::InjectionCandidate>& window, uint64_t seed,
-                  const ExplorerContext* feedback, obs::MetricsRegistry* metrics) {
+                  bool feedback, obs::MetricsRegistry* metrics) {
   RepRun rep;
   rep.seed = seed;
   interp::RunScratch& scratch = LocalScratch();
@@ -76,14 +79,15 @@ RepRun ExecuteOne(const ExperimentSpec& spec, const ir::FlatProgram* flat,
   interp::Simulator simulator(spec.program, spec.cluster, seed, runtime.get(), flat,
                               &scratch);
   simulator.set_metrics(metrics);
+  simulator.set_start(context.ForkPoint(spec, window), &context.baseline_log());
   rep.run = simulator.Run();
   rep.success = spec.oracle(*spec.program, rep.run) && rep.run.injected.has_value();
-  if (feedback != nullptr) {
+  if (feedback) {
     // Reused across this thread's runs: steady-state digests overwrite its
     // strings in place instead of allocating a line's worth per entry.
     thread_local logdiff::ParsedLog digest;
     interp::DigestLog(rep.run.log, &digest);
-    rep.present = feedback->ObservablesIn(digest);
+    rep.present = context.ObservablesIn(digest);
   }
   return rep;
 }
@@ -127,18 +131,19 @@ RoundPlan PlanRound(const ExperimentSpec& spec, const ExplorerOptions& options, 
 // unsuccessful round everything executed anyway). Parallel mode runs every
 // item and lets the caller select by plan order, which yields the same
 // selection.
-std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ir::FlatProgram* flat,
-                                const RoundPlan& plan, ThreadPool* pool,
-                                const ExplorerContext* feedback,
+std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ExplorerContext& context,
+                                const ir::FlatProgram* flat, const RoundPlan& plan,
+                                ThreadPool* pool, bool feedback,
                                 obs::MetricsRegistry* metrics) {
   std::vector<RepRun> executed;
   if (pool != nullptr && plan.items.size() > 1) {
     std::vector<std::future<RepRun>> futures;
     futures.reserve(plan.items.size());
     for (const auto& [window, seed] : plan.items) {
-      futures.push_back(pool->Submit([&spec, flat, &window, seed = seed, feedback, metrics]() {
-        return ExecuteOne(spec, flat, window, seed, feedback, metrics);
-      }));
+      futures.push_back(
+          pool->Submit([&spec, &context, flat, &window, seed = seed, feedback, metrics]() {
+            return ExecuteOne(spec, context, flat, window, seed, feedback, metrics);
+          }));
     }
     executed.reserve(futures.size());
     for (std::future<RepRun>& future : futures) {
@@ -146,7 +151,7 @@ std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ir::FlatProgra
     }
   } else {
     for (const auto& [window, seed] : plan.items) {
-      executed.push_back(ExecuteOne(spec, flat, window, seed, feedback, metrics));
+      executed.push_back(ExecuteOne(spec, context, flat, window, seed, feedback, metrics));
       if (executed.back().success) {
         break;
       }
@@ -303,6 +308,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
   // round sits at +i*kItemStride on track i+1.
   const int64_t phase_base = static_cast<int64_t>(options_.trace_phase) * obs::kPhaseStride;
 
+  strategy->set_metrics(metrics);
   strategy->Initialize(*context_);
   // A strategy without serializable state cannot checkpoint: refuse before
   // round 1 instead of failing after it.
@@ -397,6 +403,9 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       run_args.push_back(obs::ArgBool("injected", rep.run.injected.has_value()));
       run_args.push_back(obs::ArgInt("requests", rep.run.injection_requests));
       run_args.push_back(obs::ArgInt("end_time_ms", rep.run.end_time_ms));
+      if (rep.run.forked_at_step > 0) {
+        run_args.push_back(obs::ArgInt("forked_at_step", rep.run.forked_at_step));
+      }
       int64_t run_dur = std::clamp<int64_t>(rep.run.end_time_ms, 1, obs::kItemStride - 1);
       tracer->Span("explore", "run", item_ts, run_dur, track, std::move(run_args));
     }
@@ -454,8 +463,9 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     if (flat->program() != spec_->program) {
       flat = nullptr;
     }
-    const ExplorerContext* feedback = strategy->WantsLogFeedback() ? context_.get() : nullptr;
-    std::vector<RepRun> executed = ExecutePlan(*spec_, flat, plan, pool, feedback, metrics);
+    const bool feedback = strategy->WantsLogFeedback();
+    std::vector<RepRun> executed =
+        ExecutePlan(*spec_, *context_, flat, plan, pool, feedback, metrics);
     // Transient-failure retry: when the watchdog wall budget killed a run
     // the round's feedback is an artifact of host load, not of the fault.
     // Back off (bounded exponential + jitter) and re-execute the identical
@@ -470,7 +480,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
                             obs::kRoundStride - obs::kItemStride + record.retries,
                         0, {obs::ArgInt("attempt", record.retries)});
       }
-      executed = ExecutePlan(*spec_, flat, plan, pool, feedback, metrics);
+      executed = ExecutePlan(*spec_, *context_, flat, plan, pool, feedback, metrics);
     }
     retry_backoff.Reset();
     record.run_seconds = run_timer.ElapsedSeconds();
@@ -486,6 +496,16 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       }
     }
     const interp::RunResult& run = selected->run;
+    // Through the first success only: the serial engine stops there.
+    for (const RepRun& rep : executed) {
+      ++record.runs;
+      record.forked_runs += rep.run.forked_at_step > 0 ? 1 : 0;
+      record.steps += rep.run.steps;
+      record.skipped_steps += rep.run.forked_at_step;
+      if (rep.success) {
+        break;
+      }
+    }
 
     record.outcome = run.outcome;
     record.partition_events = run.partition_events;

@@ -46,6 +46,14 @@ struct RoundRecord {
   // Partition sever/heal transitions of the round's selected run (empty
   // unless a partition fault fired).
   std::vector<interp::PartitionTransition> partition_events;
+  // Fork accounting over the round's runs through the selected one, in plan
+  // order (so the same at any thread count): runs, runs forked from a
+  // snapshot of the fault-free run, their interpreter steps, and the steps
+  // the forks restored instead of simulating.
+  int runs = 0;
+  int forked_runs = 0;
+  int64_t steps = 0;
+  int64_t skipped_steps = 0;
 };
 
 // A deterministic recipe for re-triggering the failure (§3 step 4.a).

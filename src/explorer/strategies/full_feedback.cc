@@ -50,9 +50,10 @@ constexpr int kHangDemotionsBeforeRetirement = 2;
 
 class FeedbackStrategyBase : public InjectionStrategy {
  public:
+  void set_metrics(obs::MetricsRegistry* metrics) override { metrics_ = metrics; }
+
   void Initialize(const ExplorerContext& context) override {
     context_ = &context;
-    metrics_ = context.options().metrics;
     feedback_.Initialize(context);
     window_size_ = context.options().initial_window;
     // SeedStitchedSites (chain mode) runs before Initialize, so the engine

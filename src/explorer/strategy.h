@@ -72,6 +72,11 @@ class InjectionStrategy {
   // Binds precomputed context. Called once before the first round.
   virtual void Initialize(const ExplorerContext& context) = 0;
 
+  // The metrics sink of the search that runs this strategy ("strategy.*"
+  // counters); the Explorer attaches its own before Initialize. Null (the
+  // default) counts nothing. Strategies without counters ignore it.
+  virtual void set_metrics(obs::MetricsRegistry* /*metrics*/) {}
+
   // The candidate window for the next round. An empty window with
   // Exhausted() == true ends the search.
   virtual std::vector<interp::InjectionCandidate> NextWindow() = 0;

@@ -66,6 +66,7 @@ void FaultRuntime::BeginRun() {
   injected_.reset();
   preempted_window_.clear();
   injection_requests_ = 0;
+  skipped_requests_ = 0;
   decision_nanos_ = 0;
   pinned_fired_ = 0;
 }

@@ -124,6 +124,7 @@ class FaultRuntime {
   // Enables/disables instance tracing (tracing is cheap but the trace can be
   // large; baselines that do not need it can turn it off).
   void set_tracing(bool enabled) { tracing_ = enabled; }
+  bool tracing() const { return tracing_; }
 
   // Called by the interpreter right before an external call executes, with
   // the statement's transient parameters pre-decoded by the flattener.
@@ -165,6 +166,30 @@ class FaultRuntime {
   // keeping the window configuration.
   void BeginRun();
 
+  // What a run snapshot keeps of this runtime: the per-site occurrence
+  // counters, the request count and the pinned firings so far. A snapshot
+  // is only taken before any window candidate fires, so the injection and
+  // the pre-empted list are empty by construction; the trace is not kept
+  // (a tracing run never forks, see Simulator::set_start).
+  struct Progress {
+    std::vector<int64_t> occurrences;
+    int64_t injection_requests = 0;
+    int64_t pinned_fired = 0;
+  };
+  Progress SaveProgress() const {
+    return Progress{occurrences_, injection_requests_, pinned_fired_};
+  }
+  // After BeginRun: continues from `progress`, as a run forked from a
+  // snapshot does. Decision sampling then lines up with a from-scratch run
+  // (the stride is a function of the request count), and decision_nanos()
+  // extrapolates the suffix's samples over the skipped requests.
+  void RestoreProgress(const Progress& progress) {
+    occurrences_ = progress.occurrences;
+    injection_requests_ = progress.injection_requests;
+    skipped_requests_ = progress.injection_requests;
+    pinned_fired_ = progress.pinned_fired;
+  }
+
   // --- Post-run accessors ----------------------------------------------------
   // The trace storage is resident — it survives BeginRun so no run pays for
   // re-growing or re-initializing it — and trace() copies out the live
@@ -196,7 +221,18 @@ class FaultRuntime {
   // reuse on it).
   const ir::Program& program() const { return *program_; }
   // Cumulative time spent inside injection decisions, for Table 4 latency.
-  int64_t decision_nanos() const { return decision_nanos_; }
+  // A forked run times only its suffix and scales that up to every request
+  // of the run, so decision_nanos() / injection_requests() stays a
+  // per-request estimate.
+  int64_t decision_nanos() const {
+    const int64_t simulated = injection_requests_ - skipped_requests_;
+    if (skipped_requests_ == 0 || simulated <= 0) {
+      return decision_nanos_;
+    }
+    return static_cast<int64_t>(static_cast<double>(decision_nanos_) *
+                                static_cast<double>(injection_requests_) /
+                                static_cast<double>(simulated));
+  }
   // Window candidates whose (site, occurrence) was claimed by a pinned fault
   // this run. The pinned fault fires (once — never a double injection); the
   // pre-empted window candidate is reported here so the search can retire it
@@ -318,6 +354,8 @@ class FaultRuntime {
   std::optional<InjectionCandidate> injected_;
   std::vector<InjectionCandidate> preempted_window_;
   int64_t injection_requests_ = 0;
+  // Requests a forked run restored instead of executing (RestoreProgress).
+  int64_t skipped_requests_ = 0;
   int64_t decision_nanos_ = 0;
   int64_t pinned_fired_ = 0;
 };

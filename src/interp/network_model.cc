@@ -12,6 +12,7 @@ int64_t NetworkModel::DelayFor(ir::FaultSiteId site, int64_t occurrence, int64_t
   if (fixed_ms > 0) {
     return fixed_ms;
   }
+  seed_drawn_ = true;
   // Pure function of (seed, site, occurrence): the same instance delays by
   // the same amount in every run at this seed.
   uint64_t state = seed_ ^ (static_cast<uint64_t>(site) * 0x9e3779b97f4a7c15ull) ^

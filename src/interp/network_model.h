@@ -14,7 +14,8 @@
 // a pure function of (run seed, site, occurrence); partitions heal lazily at
 // the first query past their deadline, and the recorded heal event carries
 // the deadline itself, so two runs at the same seed produce identical
-// transition lists.
+// transition lists. The seed is read only by a seed-derived delay, so a run
+// prefix without one is the same at every seed (seed_drawn()).
 
 #ifndef ANDURIL_SRC_INTERP_NETWORK_MODEL_H_
 #define ANDURIL_SRC_INTERP_NETWORK_MODEL_H_
@@ -92,6 +93,17 @@ class NetworkModel {
   // Sever/heal transitions in chronological order (call after the run ends).
   std::vector<PartitionEvent> TakeEvents();
 
+  // True once a seed-derived delay was drawn this run.
+  bool seed_drawn() const { return seed_drawn_; }
+
+  // Continues from `saved`'s state, as a run forked from a snapshot does:
+  // everything but the seed, which stays this run's own.
+  void RestoreFrom(const NetworkModel& saved) {
+    const uint64_t seed = seed_;
+    *this = saved;
+    seed_ = seed;
+  }
+
   // Folds this run's delivery statistics into the registry under "net.*".
   // Every stat is emitted (zeros included) so the key set is stable across
   // runs and scenarios.
@@ -110,6 +122,7 @@ class NetworkModel {
   void HealExpired(int64_t now);
 
   uint64_t seed_ = 0;
+  bool seed_drawn_ = false;
   NetworkStats stats_;
   std::vector<Partition> partitions_;
   std::unordered_set<int32_t> crashed_;

@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/interp/fault_runtime.h"
@@ -39,6 +40,19 @@ enum class RunOutcome : uint8_t { kCompleted, kCrashed, kHung, kBudgetExceeded,
                                   kPartitionedStuck };
 
 const char* RunOutcomeName(RunOutcome outcome);
+
+struct RunResult;
+
+// FNV-1a digest of everything a run observably produces: outcome and budget
+// flags, end time, the formatted log, the fault-instance trace, thread end
+// states, final node variables, crashed nodes, network accounting,
+// partition transitions and the fault runtime's accounting. Left out:
+// decision_nanos (host wall clock, sampled) and the step and fork counts.
+// tests/golden/interp_runs.txt pins it for every registered scenario. With
+// `fields` set, it also receives one digest per field, named, so two runs
+// can be compared field by field.
+uint64_t DigestRun(const RunResult& run,
+                   std::vector<std::pair<std::string, uint64_t>>* fields = nullptr);
 
 // A partition sever/heal transition with node names resolved, for human
 // output (PartitionEvent in network_model.h is the index-based raw form).
@@ -83,6 +97,10 @@ struct RunResult {
   std::vector<PartitionTransition> partition_events;
   int64_t injection_requests = 0;
   int64_t decision_nanos = 0;
+  // Interpreter steps the run took, and how many of them a run forked from
+  // a snapshot restored instead of executing (0 for a from-scratch run).
+  int64_t steps = 0;
+  int64_t forked_at_step = 0;
   // Pinned-fault firings (iterative multi-fault mode; 0 in single-fault
   // searches). Mirrors FaultRuntime::pinned_fired for metrics consistency
   // checks.

@@ -61,7 +61,7 @@ Simulator::Simulator(const ir::Program* program, const ClusterSpec* spec, uint64
                      FaultRuntime* fault_runtime, const ir::FlatProgram* flat,
                      RunScratch* scratch)
     : program_(program), spec_(spec), fault_runtime_(fault_runtime), flat_(flat),
-      scratch_(scratch), rng_(seed), network_(seed) {
+      scratch_(scratch), seed_(seed), rng_(seed), network_(seed) {
   ANDURIL_CHECK(program_->finalized()) << "program must be finalized before execution";
   if (flat_ != nullptr) {
     ANDURIL_CHECK(flat_->program() == program_)
@@ -180,14 +180,8 @@ Simulator::Thread* Simulator::GetThread(int32_t node, const std::string& name) {
   if (it != thread_index_.end()) {
     return threads_[static_cast<size_t>(it->second)].get();
   }
-  std::unique_ptr<Thread> thread;
-  if (scratch_ != nullptr && !scratch_->impl_->thread_pool.empty()) {
-    thread = std::move(scratch_->impl_->thread_pool.back());
-    scratch_->impl_->thread_pool.pop_back();
-    ResetThread(thread.get());
-  } else {
-    thread = std::make_unique<Thread>();
-  }
+  std::unique_ptr<Thread> thread = NewThread();
+  ResetThread(thread.get());
   thread->id = static_cast<int32_t>(threads_.size());
   thread->node = node;
   thread->name = name;
@@ -203,6 +197,15 @@ Simulator::Thread* Simulator::GetThread(int32_t node, const std::string& name) {
   thread_index_[key] = thread->id;
   threads_.push_back(std::move(thread));
   return threads_.back().get();
+}
+
+std::unique_ptr<Simulator::Thread> Simulator::NewThread() {
+  if (scratch_ == nullptr || scratch_->impl_->thread_pool.empty()) {
+    return std::make_unique<Thread>();
+  }
+  std::unique_ptr<Thread> thread = std::move(scratch_->impl_->thread_pool.back());
+  scratch_->impl_->thread_pool.pop_back();
+  return thread;
 }
 
 int64_t& Simulator::EnvRef(int32_t node, ir::VarId var) {
@@ -1015,6 +1018,131 @@ void Simulator::CrashNode(int32_t node) {
   }
 }
 
+void Simulator::PushInitialTasks() {
+  for (const InitialTask& task : spec_->tasks) {
+    Thread* thread = GetThread(NodeIndex(task.node), task.thread);
+    Event event;
+    event.time = task.start_ms;
+    event.kind = Event::Kind::kDeliver;
+    event.thread = thread->id;
+    event.task = Task{task.method, task.payload, -1};
+    PushEvent(event);
+  }
+}
+
+void Simulator::Restore(const RunSnapshot& snapshot) {
+  // Copy-assignment into the borrowed scratch containers keeps their
+  // capacity, as a from-scratch run's in-place growth does.
+  for (const Thread& saved : snapshot.threads_) {
+    std::unique_ptr<Thread> thread = NewThread();
+    *thread = saved;
+    threads_.push_back(std::move(thread));
+  }
+  thread_index_ = snapshot.thread_index_;
+  flat_threads_ = snapshot.flat_threads_;
+  env_ = snapshot.env_;
+  waiters_ = snapshot.waiters_;
+  futures_ = snapshot.futures_;
+  events_ = snapshot.events_;
+  event_heap_ = snapshot.event_heap_;
+  free_event_slots_ = snapshot.free_event_slots_;
+  event_seq_ = snapshot.event_seq_;
+  now_ = snapshot.now_;
+  steps_ = snapshot.steps_;
+  events_processed_ = snapshot.events_processed_;
+  stall_fired_ = snapshot.stall_fired_;
+  crashed_node_indices_ = snapshot.crashed_node_indices_;
+  network_.RestoreFrom(snapshot.network_);
+  fault_runtime_->RestoreProgress(snapshot.fault_);
+  // The log prefix, overwritten into recycled shells where there are some.
+  for (size_t i = 0; i < snapshot.log_len_; ++i) {
+    NextLogEntry() = (*start_log_)[i];
+  }
+  forked_at_step_ = snapshot.steps_;
+}
+
+bool Simulator::EventStride() {
+  if (capture_ != nullptr) {
+    MaybeCapture();
+  }
+  return WallBudgetExceeded();
+}
+
+void Simulator::MaybeCapture() {
+  // Past the first draw from the seed the state depends on it: stop for good.
+  if (!(rng_ == Rng(seed_)) || network_.seed_drawn()) {
+    capture_ = nullptr;
+    return;
+  }
+  if (steps_ < kCaptureMinSteps || events_processed_ < next_capture_) {
+    return;
+  }
+  if (capture_->size() == kMaxSnapshots) {
+    // Full: keep every other snapshot and double the stride, so the kept
+    // ones (and the ones to come) stay evenly spaced.
+    size_t kept = 1;
+    for (size_t i = 2; i < capture_->size(); i += 2) {
+      (*capture_)[kept++] = std::move((*capture_)[i]);
+    }
+    capture_->resize(kept);
+    capture_stride_ *= 2;
+  }
+  RunSnapshot& snapshot = capture_->emplace_back();
+  snapshot.threads_.reserve(threads_.size());
+  for (const auto& thread : threads_) {
+    snapshot.threads_.push_back(*thread);
+  }
+  snapshot.thread_index_ = thread_index_;
+  snapshot.flat_threads_ = flat_threads_;
+  snapshot.env_ = env_;
+  snapshot.waiters_ = waiters_;
+  snapshot.futures_ = futures_;
+  snapshot.events_ = events_;
+  snapshot.event_heap_ = event_heap_;
+  snapshot.free_event_slots_ = free_event_slots_;
+  snapshot.event_seq_ = event_seq_;
+  snapshot.now_ = now_;
+  snapshot.steps_ = steps_;
+  snapshot.events_processed_ = events_processed_ - 1;
+  snapshot.log_len_ = log_len_;
+  snapshot.stall_fired_ = stall_fired_;
+  snapshot.crashed_node_indices_ = crashed_node_indices_;
+  snapshot.network_ = network_;
+  snapshot.fault_ = fault_runtime_->SaveProgress();
+  next_capture_ = events_processed_ + capture_stride_;
+}
+
+size_t RunSnapshot::bytes() const {
+  size_t total = sizeof(RunSnapshot);
+  for (const Simulator::Thread& thread : threads_) {
+    total += sizeof(thread) + thread.name.capacity() +
+             thread.queue.size() * sizeof(Simulator::Task) +
+             thread.fstack.capacity() * sizeof(Simulator::FlatFrame) +
+             thread.loop_iters.capacity() * sizeof(int64_t) +
+             thread.caughts.capacity() * sizeof(Simulator::ExcValue) +
+             thread.wait_vars.capacity() * sizeof(ir::VarId);
+  }
+  for (const auto& [key, id] : thread_index_) {
+    total += sizeof(key) + key.capacity() + sizeof(id);
+  }
+  total += flat_threads_.capacity() * sizeof(int32_t);
+  for (const std::vector<int64_t>& vars : env_) {
+    total += sizeof(vars) + vars.capacity() * sizeof(int64_t);
+  }
+  for (const auto& [key, list] : waiters_) {
+    total += sizeof(key) + sizeof(list) + list.capacity() * sizeof(int32_t);
+  }
+  for (const Simulator::FutureState& future : futures_) {
+    total += sizeof(future) + future.waiters.capacity() * sizeof(int32_t);
+  }
+  total += events_.capacity() * sizeof(Simulator::Event) +
+           event_heap_.capacity() * sizeof(Simulator::EventRef) +
+           free_event_slots_.capacity() * sizeof(int32_t) +
+           crashed_node_indices_.capacity() * sizeof(int32_t) +
+           fault_.occurrences.capacity() * sizeof(int64_t);
+  return total;
+}
+
 bool Simulator::WallBudgetExceeded() {
   if (!wall_limited_ || hit_wall_budget_) {
     return hit_wall_budget_;
@@ -1028,6 +1156,8 @@ bool Simulator::WallBudgetExceeded() {
 RunResult Simulator::Run() {
   ANDURIL_CHECK(!ran_) << "Simulator::Run may be called once";
   ran_ = true;
+  ANDURIL_CHECK(capture_ == nullptr || start_ == nullptr)
+      << "a forked run cannot capture snapshots";
   PrepareFlatRun();
   fault_runtime_->BeginRun();
   wall_limited_ = spec_->wall_budget_ms > 0;
@@ -1036,25 +1166,24 @@ RunResult Simulator::Run() {
         std::chrono::steady_clock::now() + std::chrono::milliseconds(spec_->wall_budget_ms);
   }
 
-  for (const InitialTask& task : spec_->tasks) {
-    Thread* thread = GetThread(NodeIndex(task.node), task.thread);
-    Event event;
-    event.time = task.start_ms;
-    event.kind = Event::Kind::kDeliver;
-    event.thread = thread->id;
-    event.task = Task{task.method, task.payload, -1};
-    PushEvent(event);
+  if (start_ != nullptr && !fault_runtime_->tracing()) {
+    Restore(*start_);
+  } else {
+    PushInitialTasks();
   }
 
+  // The loop top is the event boundary snapshots are taken at: the next
+  // event is still on the heap and counted (a snapshot stores the count
+  // before it), and no thread is mid-step.
   while (!event_heap_.empty() && !hit_step_limit_ && !hit_wall_budget_) {
-    Event event = PopEvent();
-    if (event.time > spec_->time_limit_ms) {
+    if (event_heap_.front().time > spec_->time_limit_ms) {
       hit_time_limit_ = true;
       break;
     }
-    if ((++events_processed_ & 255) == 0 && WallBudgetExceeded()) {
+    if ((++events_processed_ & 255) == 0 && EventStride()) {
       break;
     }
+    Event event = PopEvent();
     now_ = event.time;
     switch (event.kind) {
       case Event::Kind::kDeliver: {
@@ -1103,6 +1232,8 @@ RunResult Simulator::Run() {
   result.hit_wall_budget = hit_wall_budget_;
   result.injection_requests = fault_runtime_->injection_requests();
   result.decision_nanos = fault_runtime_->decision_nanos();
+  result.steps = steps_;
+  result.forked_at_step = forked_at_step_;
   result.pinned_fired = fault_runtime_->pinned_fired();
   result.injected = fault_runtime_->injected();
   result.preempted_window = fault_runtime_->preempted_window();

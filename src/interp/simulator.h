@@ -19,6 +19,24 @@
 // runs of every registered scenario by tests/golden/interp_runs.txt, which
 // interp_equivalence_test checks.
 //
+// Snapshots and forks: a run can record snapshots of its own state
+// (set_capture), and a later run can start from one instead of from step 0
+// (set_start). A snapshot is the whole run state at an event boundary — the
+// top of Run()'s event loop, where no thread is mid-step — minus the log,
+// of which it records only the length: the capturing run's log holds every
+// snapshot's prefix. Capture is limited to the *seed-free* prefix of a run,
+// the part before its first draw from the seed (the send-latency jitter or
+// a seed-derived network delay), and a run at any seed whose armed
+// (site, occurrence) instances all lie past a snapshot executes exactly
+// that prefix. So a fork reseeds from its own seed and produces a RunResult
+// equal, field for field, to the from-scratch run's (decision_nanos, host
+// wall clock, is extrapolated; see FaultRuntime::decision_nanos). Capture
+// rides on the event loop's every-256-events watchdog check, starts past
+// kCaptureMinSteps and keeps at most kMaxSnapshots, thinning to every other
+// snapshot (and doubling the stride) when full. Choosing a snapshot is the
+// caller's job (ExplorerContext::ForkPoint): the simulator trusts that the
+// run's armed instances lie past it.
+//
 // Thread compatibility: a Simulator only *reads* the Program, ClusterSpec,
 // and FlatProgram it is given (all held by const pointer; none has lazy
 // caches or other hidden mutation) and keeps all run state in its own
@@ -53,6 +71,7 @@ class MetricsRegistry;
 
 namespace anduril::interp {
 
+class RunSnapshot;
 class Simulator;
 
 // Reusable per-run buffer pool. A worker thread keeps one RunScratch alive
@@ -100,12 +119,35 @@ class Simulator {
   // entirely — a single pointer test per run.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
+  // Records snapshots of this run's seed-free prefix into `sink`, in step
+  // order (see the header comment). Only for a run that starts at step 0.
+  void set_capture(std::vector<RunSnapshot>* sink) { capture_ = sink; }
+
+  // Starts Run() from `snapshot` instead of step 0. `log` is the capturing
+  // run's log, whose first snapshot->log_len() entries become this run's
+  // log prefix; both must outlive Run(). The caller guarantees that every
+  // (site, occurrence) this run arms (window and pinned faults) lies past
+  // the snapshot, apart from pinned faults the capturing run armed too. A
+  // tracing runtime ignores the snapshot and starts from step 0: snapshots
+  // do not carry the fault-instance trace.
+  void set_start(const RunSnapshot* snapshot, const std::vector<LogEntry>* log) {
+    start_ = snapshot;
+    start_log_ = log;
+  }
+
   // Executes the run to completion and returns the result. Call once.
   RunResult Run();
+
+  // Capture bounds (see the header comment): no snapshot before this many
+  // interpreter steps — a short run has little to skip — and at most this
+  // many per run.
+  static constexpr int64_t kCaptureMinSteps = 10'000;
+  static constexpr size_t kMaxSnapshots = 64;
 
  private:
   friend class RunScratch;
   friend struct RunScratch::Impl;
+  friend class RunSnapshot;
 
   // --- Runtime exception values ---------------------------------------------
   struct ExcValue {
@@ -215,10 +257,20 @@ class Simulator {
   Thread* FlatThread(int32_t node, int32_t name_id);
   void EmitLogFlat(Thread* thread, const FlatFrame& frame, const ir::FlatOp& op);
   void PrepareFlatRun();
+  // Run()'s two starting states: the initial task deliveries at step 0, or
+  // a copy of start_.
+  void PushInitialTasks();
+  void Restore(const RunSnapshot& snapshot);
+  // The every-256-events check of the event loop: takes a snapshot when
+  // capturing, then polls the watchdog. True = stop the run.
+  bool EventStride();
+  void MaybeCapture();
 
   // --- Helpers ----------------------------------------------------------------
   int32_t NodeIndex(const std::string& name) const;
   Thread* GetThread(int32_t node, const std::string& name);
+  // A thread object from the scratch pool (contents stale) or a fresh one.
+  std::unique_ptr<Thread> NewThread();
   int64_t& EnvRef(int32_t node, ir::VarId var);
   int64_t EvalExprAt(int32_t node, int64_t payload, const ir::Expr& expr) const;
   bool EvalCondAt(int32_t node, const ir::Cond& cond) const;
@@ -262,6 +314,7 @@ class Simulator {
   const ir::FlatProgram* flat_ = nullptr;
   std::unique_ptr<ir::FlatProgram> owned_flat_;
   RunScratch* scratch_ = nullptr;
+  uint64_t seed_ = 0;
   Rng rng_;
   NetworkModel network_;
 
@@ -313,6 +366,64 @@ class Simulator {
   uint64_t events_processed_ = 0;
   bool ran_ = false;
   obs::MetricsRegistry* metrics_ = nullptr;
+
+  // Capture state (set_capture): the sink (null once the prefix stops being
+  // seed-free), the event count of the next snapshot and the stride between
+  // snapshots, in events.
+  std::vector<RunSnapshot>* capture_ = nullptr;
+  uint64_t next_capture_ = 0;
+  uint64_t capture_stride_ = 256;
+  // Fork state (set_start) and the step the run was restored at.
+  const RunSnapshot* start_ = nullptr;
+  const std::vector<LogEntry>* start_log_ = nullptr;
+  int64_t forked_at_step_ = 0;
+};
+
+// The state of a run at an event boundary of its seed-free prefix (see
+// Simulator's header comment): every thread (frames, loop and caught slots,
+// task queue, block state, epoch), the event store, heap and sequence
+// counter, node variables, futures, condition waiters, the thread tables,
+// the clocks and counters, crashed nodes, the network model and the fault
+// runtime's progress. The log is kept once, by the capturing run, and the
+// send-target table is not kept at all: every run derives it from the
+// cluster spec. Immutable once captured, so several threads may fork from
+// one snapshot at a time.
+// Exception cause chains are shared with the capturing run: they are
+// created whole by make_shared and never mutated.
+class RunSnapshot {
+ public:
+  // Interpreter steps executed before the snapshot.
+  int64_t steps() const { return steps_; }
+  // Log entries emitted before the snapshot.
+  size_t log_len() const { return log_len_; }
+  // Per-site fault occurrence counts at the snapshot (index = FaultSiteId).
+  const std::vector<int64_t>& occurrences() const { return fault_.occurrences; }
+  // Approximate heap footprint, for reporting.
+  size_t bytes() const;
+
+ private:
+  friend class Simulator;
+
+  std::vector<Simulator::Thread> threads_;
+  std::unordered_map<std::string, int32_t> thread_index_;
+  std::vector<int32_t> flat_threads_;
+  std::vector<std::vector<int64_t>> env_;
+  std::unordered_map<int64_t, std::vector<int32_t>> waiters_;
+  std::vector<Simulator::FutureState> futures_;
+  std::vector<Simulator::Event> events_;
+  std::vector<Simulator::EventRef> event_heap_;
+  std::vector<int32_t> free_event_slots_;
+  uint64_t event_seq_ = 0;
+  int64_t now_ = 0;
+  int64_t steps_ = 0;
+  // One less than the capturing run's count: the snapshot sits before the
+  // count of the event at the heap's top, which the fork counts again.
+  uint64_t events_processed_ = 0;
+  size_t log_len_ = 0;
+  bool stall_fired_ = false;
+  std::vector<int32_t> crashed_node_indices_;
+  NetworkModel network_{0};
+  FaultRuntime::Progress fault_;
 };
 
 }  // namespace anduril::interp

@@ -48,6 +48,10 @@ using SteadyClock = std::chrono::steady_clock;
 // kFailed, so it cannot wedge the queue.
 constexpr int kMaxCaseCrashes = 3;
 
+// How long a queue that is done waits for its idle workers to exit on
+// SIGTERM before it SIGKILLs them.
+constexpr std::chrono::milliseconds kShutdownGrace{2000};
+
 struct WorkerSlot {
   int index = 0;
   pid_t pid = -1;
@@ -238,6 +242,13 @@ class Daemon {
   // ---- Sharded mode --------------------------------------------------------
 
   void RunSharded() {
+    // A queue with nothing left to dispatch (a rerun of a finished one)
+    // needs no workers.
+    StarveOut();
+    if (manifest_.AllTerminal()) {
+      Journal();
+      return;
+    }
     slots_.resize(options_.workers);
     backoffs_.reserve(options_.workers);
     for (int i = 0; i < options_.workers; ++i) {
@@ -283,17 +294,33 @@ class Daemon {
     // The worker gets the daemon's pid on its command line: deriving it via
     // getppid() after exec races this daemon dying first (see worker.h).
     const std::string daemon_pid = std::to_string(getpid());
+    // The drain signals stay blocked across fork(): a SIGTERM landing in the
+    // child before exec would otherwise run this daemon's drain handler there
+    // and be lost with the flag it sets, leaving the exec'd worker deaf to
+    // the shutdown it was sent. The child restores the default handlers and
+    // then unblocks, so a signal held since the fork ends it, and the exec'd
+    // worker (which inherits the mask) starts with the signals deliverable.
+    sigset_t drain_signals;
+    sigemptyset(&drain_signals);
+    sigaddset(&drain_signals, SIGTERM);
+    sigaddset(&drain_signals, SIGINT);
+    sigset_t previous_mask;
+    sigprocmask(SIG_BLOCK, &drain_signals, &previous_mask);
     const pid_t pid = fork();
-    if (pid < 0) {
-      Fail("fork failed for worker " + std::to_string(slot.index));
-      return;
-    }
     if (pid == 0) {
+      signal(SIGTERM, SIG_DFL);
+      signal(SIGINT, SIG_DFL);
+      sigprocmask(SIG_UNBLOCK, &drain_signals, nullptr);
       execl(options_.serve_binary.c_str(), options_.serve_binary.c_str(), "worker",
             slot.dir.c_str(), daemon_pid.c_str(), static_cast<char*>(nullptr));
       std::fprintf(stderr, "worker %d: cannot exec %s\n", slot.index,
                    options_.serve_binary.c_str());
       _exit(127);
+    }
+    sigprocmask(SIG_SETMASK, &previous_mask, nullptr);
+    if (pid < 0) {
+      Fail("fork failed for worker " + std::to_string(slot.index));
+      return;
     }
     slot.pid = pid;
     slot.case_index = -1;
@@ -432,14 +459,20 @@ class Daemon {
   void Drain() {
     Log("draining: %zu cases pending, waiting for in-flight slices\n",
         static_cast<size_t>(manifest_.CountState(CaseState::kPending)));
+    StopWorkers(std::chrono::milliseconds(std::max(options_.heartbeat_timeout_ms, 2000)));
+    Journal();
+    report_.interrupted = true;
+  }
+
+  // SIGTERMs every worker and reaps them, collecting results that land
+  // meanwhile, until all have exited or `grace` ran out; SIGKILLs the rest.
+  void StopWorkers(std::chrono::milliseconds grace) {
     for (WorkerSlot& slot : slots_) {
       if (slot.pid > 0) {
         kill(slot.pid, SIGTERM);
       }
     }
-    const auto deadline =
-        SteadyClock::now() +
-        std::chrono::milliseconds(std::max(options_.heartbeat_timeout_ms, 2000));
+    const auto deadline = SteadyClock::now() + grace;
     while (SteadyClock::now() < deadline) {
       bool any_alive = false;
       for (WorkerSlot& slot : slots_) {
@@ -469,23 +502,10 @@ class Daemon {
         slot.pid = -1;
       }
     }
-    Journal();
-    report_.interrupted = true;
   }
 
   void Shutdown() {
-    for (WorkerSlot& slot : slots_) {
-      if (slot.pid > 0) {
-        kill(slot.pid, SIGTERM);
-      }
-    }
-    for (WorkerSlot& slot : slots_) {
-      if (slot.pid > 0) {
-        int status = 0;
-        waitpid(slot.pid, &status, 0);
-        slot.pid = -1;
-      }
-    }
+    StopWorkers(kShutdownGrace);
     Journal();
   }
 

@@ -61,6 +61,10 @@ class Rng {
   // Uniform double in [0, 1).
   double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
+  // Equal state: the same stream from here on. Rng(seed) == rng tells
+  // whether `rng` has drawn anything since it was seeded.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 
 #include "src/explorer/explorer.h"
 #include "src/explorer/priority_engine.h"
@@ -8,6 +9,9 @@
 #include "src/interp/log_entry.h"
 #include "src/interp/simulator.h"
 #include "src/ir/builder.h"
+#include "src/obs/metrics.h"
+#include "src/systems/common.h"
+#include "src/systems/harness.h"
 
 namespace anduril::explorer {
 namespace {
@@ -382,6 +386,58 @@ TEST_F(ExplorerTest, InjectedInstanceIsNotRetried) {
   auto second = strategy->NextWindow();
   ASSERT_EQ(second.size(), 1u);
   EXPECT_FALSE(first[0] == second[0]);
+}
+
+// A context shared across searches hands none of its builder's sinks to the
+// searches that reuse it: the strategy counts into the registry of the
+// Explorer that runs it. Two heap registries, so neither can alias the
+// other at a reused stack address.
+TEST(SharedContextMetricsTest, StrategyCountsIntoTheSearchingExplorersRegistry) {
+  const systems::FailureCase* failure_case = systems::FindCase("zk-2247");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  auto builder_metrics = std::make_unique<obs::MetricsRegistry>();
+  auto search_metrics = std::make_unique<obs::MetricsRegistry>();
+  ExplorerOptions builder_options = systems::OptionsForCase(*failure_case);
+  builder_options.metrics = builder_metrics.get();
+  ExplorerOptions search_options = systems::OptionsForCase(*failure_case);
+  search_options.metrics = search_metrics.get();
+
+  Explorer builder(built.spec, builder_options);
+  EXPECT_EQ(builder.context().options().metrics, nullptr);
+  EXPECT_EQ(builder.context().options().tracer, nullptr);
+  EXPECT_EQ(builder.context().options().cancel, nullptr);
+  Explorer searcher(built.spec, search_options, builder.shared_context());
+  auto strategy = MakeFullFeedbackStrategy();
+  const ExploreResult result = searcher.Explore(strategy.get());
+  ASSERT_TRUE(result.reproduced);
+  ASSERT_GT(result.rounds, 1);
+
+  auto strategy_counters = [](const obs::MetricsRegistry& metrics) {
+    int64_t total = 0;
+    for (const auto& [name, value] : metrics.Snapshot().counters) {
+      if (name.rfind("strategy.", 0) == 0) {
+        total += value;
+      }
+    }
+    return total;
+  };
+  EXPECT_EQ(search_metrics->counter("strategy.retired"), result.rounds - 1);
+  EXPECT_EQ(search_metrics->gauge("strategy.window_size"),
+            systems::OptionsForCase(*failure_case).initial_window);
+  EXPECT_EQ(strategy_counters(*builder_metrics), 0);
+  EXPECT_EQ(builder_metrics->gauge("strategy.window_size"), 0);
+
+  // The builder's registry gone, a later search over the shared context
+  // still counts into its own.
+  builder_metrics.reset();
+  auto later_metrics = std::make_unique<obs::MetricsRegistry>();
+  search_options.metrics = later_metrics.get();
+  Explorer later(built.spec, search_options, searcher.shared_context());
+  auto later_strategy = MakeFullFeedbackStrategy();
+  const ExploreResult again = later.Explore(later_strategy.get());
+  EXPECT_EQ(again.rounds, result.rounds);
+  EXPECT_EQ(strategy_counters(*later_metrics), strategy_counters(*search_metrics));
 }
 
 }  // namespace

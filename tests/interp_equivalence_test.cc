@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -40,7 +39,6 @@
 #include "src/obs/metrics.h"
 #include "src/systems/common.h"
 #include "src/util/file.h"
-#include "src/util/hash.h"
 #include "tests/test_util.h"
 
 namespace anduril {
@@ -88,92 +86,9 @@ Run Execute(const systems::BuiltCase& built, const RunPoint& point,
   return run;
 }
 
-void MixCandidate(Fnv1aHasher* hasher, const interp::InjectionCandidate& candidate) {
-  hasher->MixInt(candidate.site);
-  hasher->MixInt(candidate.occurrence);
-  hasher->MixInt(candidate.type);
-  hasher->MixInt(static_cast<int64_t>(candidate.kind));
-}
-
-uint64_t DigestRun(const interp::RunResult& run) {
-  Fnv1aHasher hasher;
-  hasher.MixInt(static_cast<int64_t>(run.outcome));
-  hasher.MixInt(run.end_time_ms);
-  hasher.MixInt(run.hit_time_limit);
-  hasher.MixInt(run.hit_step_limit);
-  hasher.MixInt(run.hit_wall_budget);
-  hasher.MixStr(interp::FormatLogFile(run.log));
-
-  hasher.MixInt(static_cast<int64_t>(run.trace.size()));
-  for (const interp::FaultInstanceEvent& event : run.trace) {
-    hasher.MixInt(event.site);
-    hasher.MixInt(event.occurrence);
-    hasher.MixInt(event.log_clock);
-    hasher.MixInt(event.time_ms);
-    hasher.MixInt(event.thread_id);
-  }
-
-  hasher.MixInt(static_cast<int64_t>(run.threads.size()));
-  for (const interp::ThreadSummary& thread : run.threads) {
-    hasher.MixStr(thread.node);
-    hasher.MixStr(thread.name);
-    hasher.MixInt(static_cast<int64_t>(thread.state));
-    hasher.MixInt(thread.blocked_at.method);
-    hasher.MixInt(thread.blocked_at.stmt);
-    hasher.MixInt(thread.current_method);
-    hasher.MixInt(thread.death_exception);
-  }
-
-  // The node-variable maps are unordered; digest them sorted.
-  std::map<std::string, std::map<ir::VarId, int64_t>> vars;
-  for (const auto& [node, values] : run.node_vars) {
-    vars[node].insert(values.begin(), values.end());
-  }
-  for (const auto& [node, values] : vars) {
-    hasher.MixStr(node);
-    for (const auto& [var, value] : values) {
-      hasher.MixInt(var);
-      hasher.MixInt(value);
-    }
-    hasher.MixSeparator();
-  }
-  hasher.MixSeparator();
-
-  for (const std::string& node : run.crashed_nodes) {
-    hasher.MixStr(node);
-  }
-  hasher.MixSeparator();
-
-  const interp::NetworkStats& net = run.network;
-  for (int64_t count : {net.messages_sent, net.dropped_by_fault, net.dropped_by_partition,
-                        net.dropped_to_crashed, net.delayed, net.duplicated,
-                        net.partitions_severed, net.partitions_healed}) {
-    hasher.MixInt(count);
-  }
-  hasher.MixInt(static_cast<int64_t>(run.partition_events.size()));
-  for (const interp::PartitionTransition& transition : run.partition_events) {
-    hasher.MixInt(transition.time_ms);
-    hasher.MixStr(transition.node_a);
-    hasher.MixStr(transition.node_b);
-    hasher.MixInt(transition.sever);
-  }
-
-  hasher.MixInt(run.injection_requests);
-  hasher.MixInt(run.pinned_fired);
-  hasher.MixInt(run.injected.has_value());
-  if (run.injected.has_value()) {
-    MixCandidate(&hasher, *run.injected);
-  }
-  hasher.MixInt(static_cast<int64_t>(run.preempted_window.size()));
-  for (const interp::InjectionCandidate& candidate : run.preempted_window) {
-    MixCandidate(&hasher, candidate);
-  }
-  return hasher.hash();
-}
-
 std::string RunLine(const std::string& case_id, const RunPoint& point, const Run& run) {
   char digest[17];
-  std::snprintf(digest, sizeof(digest), "%016" PRIx64, DigestRun(run.result));
+  std::snprintf(digest, sizeof(digest), "%016" PRIx64, interp::DigestRun(run.result));
   std::ostringstream line;
   line << case_id << ' ' << point.label << " seed=" << point.seed
        << " outcome=" << interp::RunOutcomeName(run.result.outcome) << " steps=" << run.steps

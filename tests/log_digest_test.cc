@@ -276,6 +276,7 @@ class RecordingStrategy : public explorer::InjectionStrategy {
     context = &bound;
     inner_->Initialize(bound);
   }
+  void set_metrics(obs::MetricsRegistry* metrics) override { inner_->set_metrics(metrics); }
   std::vector<InjectionCandidate> NextWindow() override {
     windows.push_back(inner_->NextWindow());
     return windows.back();

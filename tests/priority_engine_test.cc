@@ -88,6 +88,7 @@ class RecordingStrategy : public InjectionStrategy {
 
   std::string name() const override { return inner_->name(); }
   void Initialize(const ExplorerContext& context) override { inner_->Initialize(context); }
+  void set_metrics(obs::MetricsRegistry* metrics) override { inner_->set_metrics(metrics); }
   std::vector<interp::InjectionCandidate> NextWindow() override {
     std::vector<interp::InjectionCandidate> window = inner_->NextWindow();
     windows_.MixInt(static_cast<int64_t>(window.size()));

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -545,10 +546,16 @@ TEST(ServiceTest, WorkerKilledMidRoundConvergesToBaseline) {
             ReadFileOrDie(MergedMetricsPath(dir)));
 }
 
+// What RunServeCli returns for a daemon still running at its deadline.
+constexpr int kServeTimedOut = -2000;
+
 // Spawns `anduril_serve run <dir> <flags...>` and returns its exit code
 // (negative signal number if it died to a signal). When `kill_after_ms` is
-// positive the child gets SIGKILL after that delay.
-int RunServeCli(const std::vector<std::string>& args, int kill_after_ms = 0) {
+// positive the child gets SIGKILL after that delay. When `timeout_ms` is
+// positive a daemon still running after it is SIGKILLed and the call
+// returns kServeTimedOut.
+int RunServeCli(const std::vector<std::string>& args, int kill_after_ms = 0,
+                int timeout_ms = 0) {
   std::vector<std::string> argv_storage = {ANDURIL_SERVE_BIN};
   argv_storage.insert(argv_storage.end(), args.begin(), args.end());
   std::vector<char*> argv;
@@ -571,7 +578,20 @@ int RunServeCli(const std::vector<std::string>& args, int kill_after_ms = 0) {
     kill(pid, SIGKILL);
   }
   int status = 0;
-  waitpid(pid, &status, 0);
+  if (timeout_ms > 0) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    while (waitpid(pid, &status, WNOHANG) != pid) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        kill(pid, SIGKILL);
+        waitpid(pid, &status, 0);
+        return kServeTimedOut;
+      }
+      usleep(2000);
+    }
+  } else {
+    waitpid(pid, &status, 0);
+  }
   if (WIFEXITED(status)) {
     return WEXITSTATUS(status);
   }
@@ -641,6 +661,22 @@ TEST(ServiceCrashTest, DaemonSigkilledResumesByteIdentically) {
   EXPECT_EQ(Outcomes(baseline_manifest), Outcomes(resumed_manifest));
   EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(baseline_dir)),
             ReadFileOrDie(MergedMetricsPath(dir)));
+}
+
+// Rerunning a queue that is already done has nothing to dispatch: the
+// daemon must journal and exit 0 at once, every time, with the merged
+// metrics unchanged. (A daemon that spawned workers only to shut them down
+// could lose a worker's SIGTERM between fork and exec and wait on it
+// forever.)
+TEST(ServiceCrashTest, RerunOfCompletedQueueExitsPromptly) {
+  const std::string dir = FreshStateDir("service_rerun_done");
+  ASSERT_EQ(RunServeCli(CliArgs(dir)), 0);
+  const std::string merged = ReadFileOrDie(MergedMetricsPath(dir));
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    ASSERT_EQ(RunServeCli(CliArgs(dir), /*kill_after_ms=*/0, /*timeout_ms=*/5000), 0)
+        << "rerun " << attempt;
+  }
+  EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(dir)), merged);
 }
 
 }  // namespace

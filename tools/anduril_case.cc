@@ -326,6 +326,19 @@ int RunCase(const std::string& id, const std::string& strategy_name, int max_rou
       experiment.completed_rounds, experiment.crashed_rounds, experiment.hung_rounds,
       experiment.partitioned_stuck_rounds, experiment.budget_exceeded_rounds,
       experiment.transient_retries);
+  int runs = 0;
+  int forked_runs = 0;
+  int64_t steps = 0;
+  int64_t skipped_steps = 0;
+  for (const explorer::RoundRecord& record : result.records) {
+    runs += record.runs;
+    forked_runs += record.forked_runs;
+    steps += record.steps;
+    skipped_steps += record.skipped_steps;
+  }
+  std::printf("forked %d of %d runs, skipped %.1f%% of steps\n", forked_runs, runs,
+              steps > 0 ? 100.0 * static_cast<double>(skipped_steps) / static_cast<double>(steps)
+                        : 0.0);
   if (result.interrupted) {
     std::printf("interrupted after round %d%s\n", result.rounds,
                 checkpoint_path.empty() ? "" : " (checkpoint flushed; rerun with --resume)");
