@@ -3,10 +3,15 @@
 // versus sharded across N supervised worker processes. Reports wall-clock
 // and cases/minute per configuration and emits BENCH_service.json.
 //
+// The default 200-round slice runs every case in one slice, so those rows
+// measure spawn and per-case cost only. The 4-round rows cut the same queue
+// into short slices, so each one pays the daemon/worker handoff (and, on a
+// worker, a context rebuild whenever a case lands on a cold cache).
+//
 // Speedup is hardware-bound the same way bench_parallel_speedup's is, with
 // two extra sources of overhead unique to the service: fork/exec of worker
-// processes and the file-based work-unit IPC (one cmd/result pair plus a
-// checkpoint write per slice). hardware_concurrency is recorded so the
+// processes and the work-unit IPC (one cmd/result file pair and two doorbell
+// bytes plus a checkpoint write per slice). hardware_concurrency is recorded so the
 // ratios are interpretable wherever the bench ran.
 //
 // The hard gates are correctness, not speed: every case must reproduce in
@@ -19,6 +24,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -34,6 +40,7 @@ namespace fs = std::filesystem;
 
 struct Measurement {
   int workers = 0;  // 0 = in-process serial
+  int slice_rounds = 0;
   double seconds = 0;
   double cases_per_minute = 0;
   int reproduced = 0;
@@ -68,8 +75,8 @@ int Main() {
   std::printf("Reproduction-service throughput (full %zu-case queue, "
               "hardware_concurrency=%u)\n\n",
               FullRegistryQueue().size(), hardware);
-  PrintRow({"workers", "seconds", "cases/min", "slices", "respawns", "vs serial"},
-           {8, 9, 10, 7, 9, 10});
+  PrintRow({"workers", "slice", "seconds", "cases/min", "slices", "respawns", "vs serial"},
+           {8, 6, 9, 10, 7, 9, 10});
 
   const std::string root = fs::temp_directory_path().string() + "/anduril_bench_service";
   fs::remove_all(root);
@@ -80,12 +87,20 @@ int Main() {
   bool deterministic = true;
   const int case_count = static_cast<int>(FullRegistryQueue().size());
 
-  for (const int workers : {0, 2, 4, 8}) {
+  // Serial first at each width: the sharded rows compare against it.
+  const int kDefaultSlice = service::ServeOptions().slice_rounds;
+  const std::pair<int, int> configs[] = {
+      {0, kDefaultSlice}, {2, kDefaultSlice}, {4, kDefaultSlice}, {8, kDefaultSlice},
+      {0, 4},             {4, 4},
+  };
+  for (const auto& [workers, slice_rounds] : configs) {
     service::ServeOptions options;
-    options.state_dir = root + "/w" + std::to_string(workers);
+    options.state_dir =
+        root + "/w" + std::to_string(workers) + "-s" + std::to_string(slice_rounds);
     fs::create_directories(options.state_dir);
     options.seed_cases = FullRegistryQueue();
     options.workers = workers;
+    options.slice_rounds = slice_rounds;
     options.serve_binary = ANDURIL_SERVE_BIN;
     options.verbose = false;
 
@@ -93,6 +108,7 @@ int Main() {
     const service::ServeReport report = service::RunService(options);
     Measurement m;
     m.workers = workers;
+    m.slice_rounds = slice_rounds;
     m.seconds = timer.ElapsedSeconds();
     m.cases_per_minute = m.seconds > 0 ? case_count / (m.seconds / 60.0) : 0;
     m.reproduced = report.manifest.CountState(service::CaseState::kReproduced);
@@ -102,24 +118,26 @@ int Main() {
     ANDURIL_CHECK(!report.error);
     ANDURIL_CHECK(!report.interrupted);
     ANDURIL_CHECK(m.reproduced == case_count);
-    if (workers == 0) {
+    if (serial_outcomes.empty()) {
       serial_outcomes = Outcomes(report.manifest);
-      serial_seconds = m.seconds;
     } else if (Outcomes(report.manifest) != serial_outcomes) {
       deterministic = false;
     }
+    if (workers == 0) {
+      serial_seconds = m.seconds;
+    }
 
     const double speedup = m.seconds > 0 ? serial_seconds / m.seconds : 0;
-    PrintRow({workers == 0 ? "serial" : std::to_string(workers),
+    PrintRow({workers == 0 ? "serial" : std::to_string(workers), std::to_string(slice_rounds),
               StrFormat("%.3f", m.seconds), StrFormat("%.1f", m.cases_per_minute),
               std::to_string(m.slices), std::to_string(m.respawns),
               StrFormat("%.2fx", speedup)},
-             {8, 9, 10, 7, 9, 10});
+             {8, 6, 9, 10, 7, 9, 10});
     std::fflush(stdout);
     measurements.push_back(m);
   }
 
-  std::printf("\nDeterminism across worker counts: %s\n",
+  std::printf("\nDeterminism across worker counts and slice widths: %s\n",
               deterministic ? "OK" : "BROKEN");
   ANDURIL_CHECK(deterministic);
 
@@ -133,11 +151,11 @@ int Main() {
   for (size_t i = 0; i < measurements.size(); ++i) {
     const Measurement& m = measurements[i];
     std::fprintf(json,
-                 "    {\"workers\": %d, \"seconds\": %.6f, "
+                 "    {\"workers\": %d, \"slice_rounds\": %d, \"seconds\": %.6f, "
                  "\"cases_per_minute\": %.3f, \"reproduced\": %d, "
                  "\"slices\": %d, \"respawns\": %d}%s\n",
-                 m.workers, m.seconds, m.cases_per_minute, m.reproduced, m.slices,
-                 m.respawns, i + 1 < measurements.size() ? "," : "");
+                 m.workers, m.slice_rounds, m.seconds, m.cases_per_minute, m.reproduced,
+                 m.slices, m.respawns, i + 1 < measurements.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -1,6 +1,10 @@
 #include "src/service/daemon.h"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -9,9 +13,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <filesystem>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -52,15 +54,55 @@ constexpr int kMaxCaseCrashes = 3;
 // SIGTERM before it SIGKILLs them.
 constexpr std::chrono::milliseconds kShutdownGrace{2000};
 
+// Upper bound on one wait for doorbells. Its only job is to notice a drain
+// signal that lands just before the wait (or on another thread), which does
+// not interrupt it; every other wake-up has its own event or deadline.
+constexpr std::chrono::milliseconds kDrainCheckInterval{50};
+
 struct WorkerSlot {
   int index = 0;
   pid_t pid = -1;
+  int channel = -1;  // daemon's end of the doorbell socketpair while pid > 0
   std::string dir;
   int case_index = -1;  // -1 = idle
   fs::file_time_type dispatch_time{};
+  // Cases dispatched to the current worker process. Its ContextCache never
+  // evicts, so this is exactly what that cache holds.
+  std::vector<bool> warm;
   bool awaiting_respawn = false;
   SteadyClock::time_point respawn_at{};
 };
+
+// Time left until `deadline`, rounded up to whole milliseconds, never
+// negative.
+std::chrono::milliseconds Until(SteadyClock::time_point deadline) {
+  return std::max(std::chrono::milliseconds(0),
+                  std::chrono::ceil<std::chrono::milliseconds>(deadline - SteadyClock::now()));
+}
+
+// Waits on the channels of `slots` until one is readable or `timeout` ran
+// out; returns the slots whose channel is ready (doorbell or hang-up).
+std::vector<WorkerSlot*> PollChannels(std::vector<WorkerSlot>& slots,
+                                      std::chrono::milliseconds timeout) {
+  std::vector<pollfd> channels;
+  std::vector<WorkerSlot*> owners;
+  for (WorkerSlot& slot : slots) {
+    if (slot.channel >= 0) {
+      channels.push_back({slot.channel, POLLIN, 0});
+      owners.push_back(&slot);
+    }
+  }
+  std::vector<WorkerSlot*> ready;
+  // EINTR (a drain signal) returns no slots, so the caller re-checks.
+  if (poll(channels.data(), channels.size(), static_cast<int>(timeout.count())) > 0) {
+    for (size_t i = 0; i < channels.size(); ++i) {
+      if (channels[i].revents != 0) {
+        ready.push_back(owners[i]);
+      }
+    }
+  }
+  return ready;
+}
 
 class Daemon {
  public:
@@ -107,6 +149,11 @@ class Daemon {
   }
 
   bool Init() {
+    if (options_.slice_rounds < 1) {
+      Fail("slice_rounds must be at least 1 (got " + std::to_string(options_.slice_rounds) +
+           ")");
+      return false;
+    }
     std::error_code ec;
     fs::create_directories(options_.state_dir, ec);
     const std::string manifest_path = ManifestPath(options_.state_dir);
@@ -274,26 +321,54 @@ class Daemon {
         return;
       }
       for (WorkerSlot& slot : slots_) {
-        Reap(slot);
-        Collect(slot);
-        Heartbeat(slot);
         Respawn(slot);
-        if (report_.error || manifest_.AllTerminal()) {
-          break;
-        }
-        if (slot.pid > 0 && slot.case_index < 0) {
+        if (slot.pid > 0 && slot.case_index < 0 && !report_.error) {
           Dispatch(slot);
         }
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(options_.poll_ms));
+      if (report_.error || manifest_.AllTerminal()) {
+        break;
+      }
+      Wait();
     }
     Shutdown();
   }
 
+  // Blocks until a doorbell, a hang-up, a heartbeat deadline or a respawn
+  // time (or kDrainCheckInterval), then handles what is due.
+  void Wait() {
+    std::chrono::milliseconds timeout = kDrainCheckInterval;
+    for (WorkerSlot& slot : slots_) {
+      timeout = std::min(timeout, Heartbeat(slot));
+      if (slot.awaiting_respawn) {
+        timeout = std::min(timeout, Until(slot.respawn_at));
+      }
+    }
+    for (WorkerSlot* slot : PollChannels(slots_, timeout)) {
+      if (DrainDoorbells(slot->channel)) {
+        Collect(*slot);
+      } else {
+        // Hang-up: the worker exited, since its descriptors close at exit.
+        int status = 0;
+        waitpid(slot->pid, &status, 0);
+        HandleDeath(*slot, status);
+      }
+      if (report_.error) {
+        return;
+      }
+    }
+  }
+
   void Spawn(WorkerSlot& slot) {
-    // The worker gets the daemon's pid on its command line: deriving it via
-    // getppid() after exec races this daemon dying first (see worker.h).
-    const std::string daemon_pid = std::to_string(getpid());
+    // The worker gets the daemon's pid on its command line: it stamps the
+    // commands this daemon writes (see worker.h).
+    const pid_t daemon = getpid();
+    const std::string daemon_pid = std::to_string(daemon);
+    int ends[2];
+    if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0) {
+      Fail("cannot create the doorbell channel for worker " + std::to_string(slot.index));
+      return;
+    }
     // The drain signals stay blocked across fork(): a SIGTERM landing in the
     // child before exec would otherwise run this daemon's drain handler there
     // and be lost with the flag it sets, leaving the exec'd worker deaf to
@@ -311,6 +386,24 @@ class Daemon {
       signal(SIGTERM, SIG_DFL);
       signal(SIGINT, SIG_DFL);
       sigprocmask(SIG_UNBLOCK, &drain_signals, nullptr);
+      // A worker that outlived this daemon mid-slice would keep writing its
+      // case's checkpoint beside a successor daemon's worker, and the two
+      // would clobber each other's temp file. So the kernel kills it when
+      // this daemon dies (checked after the call: it may be dead already).
+      // The signal fires when the spawning thread exits; RunService stops
+      // every worker before it returns.
+      if (prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 || getppid() != daemon) {
+        _exit(127);
+      }
+      // The worker finds its end at a fixed descriptor: reprobench's worker
+      // entry point builds WorkerOptions from its command line alone, so no
+      // argument, option or environment variable can carry it.
+      const bool placed = ends[1] == kWorkerChannelFd
+                              ? fcntl(ends[1], F_SETFD, 0) == 0
+                              : dup2(ends[1], kWorkerChannelFd) == kWorkerChannelFd;
+      if (!placed) {
+        _exit(127);
+      }
       execl(options_.serve_binary.c_str(), options_.serve_binary.c_str(), "worker",
             slot.dir.c_str(), daemon_pid.c_str(), static_cast<char*>(nullptr));
       std::fprintf(stderr, "worker %d: cannot exec %s\n", slot.index,
@@ -318,13 +411,24 @@ class Daemon {
       _exit(127);
     }
     sigprocmask(SIG_SETMASK, &previous_mask, nullptr);
+    close(ends[1]);
     if (pid < 0) {
+      close(ends[0]);
       Fail("fork failed for worker " + std::to_string(slot.index));
       return;
     }
     slot.pid = pid;
+    slot.channel = ends[0];
     slot.case_index = -1;
+    slot.warm.assign(manifest_.cases.size(), false);
     slot.awaiting_respawn = false;
+  }
+
+  // Forgets the slot's worker once it has been reaped.
+  static void Release(WorkerSlot& slot) {
+    close(slot.channel);
+    slot.channel = -1;
+    slot.pid = -1;
   }
 
   void Dispatch(WorkerSlot& slot) {
@@ -335,7 +439,7 @@ class Daemon {
         busy[other.case_index] = true;
       }
     }
-    const int index = PickNextCase(manifest_, busy);
+    const int index = PickNextCase(manifest_, busy, slot.warm);
     if (index < 0) {
       return;
     }
@@ -345,7 +449,9 @@ class Daemon {
       return;
     }
     slot.case_index = index;
+    slot.warm[index] = true;
     slot.dispatch_time = fs::file_time_type::clock::now();
+    RingDoorbell(slot.channel);
   }
 
   void Collect(WorkerSlot& slot) {
@@ -375,7 +481,7 @@ class Daemon {
     ApplyResult(case_index, result);
   }
 
-  // A worker that died mid-slice: requeue its case (with crash accounting)
+  // A reaped worker: requeue a case it died running (with crash accounting)
   // and schedule a respawn under backoff.
   void HandleDeath(WorkerSlot& slot, int status) {
     const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -397,7 +503,7 @@ class Daemon {
       Journal();
       slot.case_index = -1;
     }
-    slot.pid = -1;
+    Release(slot);
     slot.awaiting_respawn = true;
     const int64_t delay_ms = backoffs_[slot.index].NextDelayMs();
     slot.respawn_at = SteadyClock::now() + std::chrono::milliseconds(delay_ms);
@@ -406,21 +512,12 @@ class Daemon {
         static_cast<long long>(delay_ms));
   }
 
-  void Reap(WorkerSlot& slot) {
-    if (slot.pid <= 0) {
-      return;
-    }
-    int status = 0;
-    if (waitpid(slot.pid, &status, WNOHANG) == slot.pid) {
-      HandleDeath(slot, status);
-    }
-  }
-
   // Heartbeat: a busy worker proves liveness by advancing its case's
   // checkpoint file. No progress within the timeout → SIGKILL + requeue.
-  void Heartbeat(WorkerSlot& slot) {
+  // Returns how long the slot may stay silent from now on.
+  std::chrono::milliseconds Heartbeat(WorkerSlot& slot) {
     if (slot.pid <= 0 || slot.case_index < 0 || options_.heartbeat_timeout_ms <= 0) {
-      return;
+      return std::chrono::milliseconds::max();
     }
     fs::file_time_type progress = slot.dispatch_time;
     std::error_code ec;
@@ -433,7 +530,7 @@ class Daemon {
     const auto stalled = std::chrono::duration_cast<std::chrono::milliseconds>(
         fs::file_time_type::clock::now() - progress);
     if (stalled.count() < options_.heartbeat_timeout_ms) {
-      return;
+      return std::chrono::milliseconds(options_.heartbeat_timeout_ms) - stalled;
     }
     Log("[worker %d] no heartbeat for %lldms on %s — killing\n", slot.index,
         static_cast<long long>(stalled.count()),
@@ -442,6 +539,7 @@ class Daemon {
     int status = 0;
     waitpid(slot.pid, &status, 0);
     HandleDeath(slot, status);
+    return std::chrono::milliseconds::max();
   }
 
   void Respawn(WorkerSlot& slot) {
@@ -464,42 +562,42 @@ class Daemon {
     report_.interrupted = true;
   }
 
-  // SIGTERMs every worker and reaps them, collecting results that land
-  // meanwhile, until all have exited or `grace` ran out; SIGKILLs the rest.
+  // SIGTERMs every worker and waits for their hang-ups, collecting results
+  // that land meanwhile, until all have exited or `grace` ran out; SIGKILLs
+  // the rest.
   void StopWorkers(std::chrono::milliseconds grace) {
     for (WorkerSlot& slot : slots_) {
       if (slot.pid > 0) {
         kill(slot.pid, SIGTERM);
+        // Wakes a worker that checked its drain flag just before the signal
+        // landed and then blocked on the channel.
+        RingDoorbell(slot.channel);
       }
     }
-    const auto deadline = SteadyClock::now() + grace;
-    while (SteadyClock::now() < deadline) {
-      bool any_alive = false;
-      for (WorkerSlot& slot : slots_) {
-        if (slot.pid <= 0) {
+    const SteadyClock::time_point deadline = SteadyClock::now() + grace;
+    auto any_alive = [this] {
+      return std::any_of(slots_.begin(), slots_.end(),
+                         [](const WorkerSlot& slot) { return slot.pid > 0; });
+    };
+    while (any_alive() && SteadyClock::now() < deadline) {
+      for (WorkerSlot* slot : PollChannels(slots_, Until(deadline))) {
+        if (DrainDoorbells(slot->channel)) {
+          Collect(*slot);
           continue;
         }
-        Collect(slot);
         int status = 0;
-        if (waitpid(slot.pid, &status, WNOHANG) == slot.pid) {
-          Collect(slot);  // result written between the poll and the exit
-          slot.pid = -1;
-          slot.case_index = -1;
-        } else {
-          any_alive = true;
-        }
+        waitpid(slot->pid, &status, 0);
+        Collect(*slot);  // result written just before the exit
+        Release(*slot);
+        slot->case_index = -1;
       }
-      if (!any_alive) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(options_.poll_ms));
     }
     for (WorkerSlot& slot : slots_) {
       if (slot.pid > 0) {
         kill(slot.pid, SIGKILL);
         int status = 0;
         waitpid(slot.pid, &status, 0);
-        slot.pid = -1;
+        Release(slot);
       }
     }
   }

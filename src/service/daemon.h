@@ -9,13 +9,20 @@
 //    checkpoint files, whose byte-identical-resume invariant makes the
 //    final scripts and metrics of an interrupted+resumed queue identical
 //    to an uninterrupted run — at any worker count.
-//  - Workers: forked `anduril_serve worker` processes supervised by
-//    waitpid and a heartbeat (the case checkpoint's mtime must advance
-//    within heartbeat_timeout_ms). A dead or wedged worker is SIGKILLed,
-//    its case requeued, and the slot respawned under bounded exponential
-//    backoff. A case that kills its worker three times in a row is demoted
-//    to kFailed — it cannot wedge the queue.
-//  - Scheduling: fair share with starve-out (see scheduler.h).
+//  - Workers: forked `anduril_serve worker` processes, each with a doorbell
+//    socketpair (work.h). The daemon blocks in poll() on every live channel:
+//    a byte means "collect this slot's result", a hang-up means the worker
+//    exited, and it is reaped with waitpid. The wait's timeout is the
+//    nearest heartbeat deadline (the case checkpoint's mtime must advance
+//    within heartbeat_timeout_ms) or respawn time, bounded by a short fixed
+//    interval that only serves to notice a drain signal. A dead or wedged
+//    worker is SIGKILLed, its case requeued, and the slot respawned under
+//    bounded exponential backoff. A case that kills its worker three times
+//    in a row is demoted to kFailed — it cannot wedge the queue. Workers
+//    die with the daemon (PR_SET_PDEATHSIG), so none outlives it to race a
+//    successor for a case's checkpoint.
+//  - Scheduling: fair share with starve-out, ties toward a case the idle
+//    worker has already run (see scheduler.h).
 //  - Degradation: the cancel flag (SIGTERM) drains in-flight slices at
 //    round boundaries — checkpoints flushed, manifest saved — and the next
 //    `anduril_serve run` picks up exactly where the drain stopped.
@@ -40,11 +47,11 @@ struct ServeOptions {
   std::string state_dir;
   // Queue to create when no manifest exists yet; ignored on resume.
   std::vector<QueueCase> seed_cases;
+  // Rounds per slice; RunService rejects a width below 1.
   int slice_rounds = 200;
   // Worker processes. 0 = run every slice in-process (serial mode: no
   // supervision layer, same queue/journal semantics — the bench baseline).
   int workers = 2;
-  int poll_ms = 2;
   int heartbeat_timeout_ms = 20000;
   // Test hooks (0 = off): see header comment.
   int crash_after_slices = 0;

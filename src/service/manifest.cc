@@ -1,5 +1,8 @@
 #include "src/service/manifest.h"
 
+#include <cstdint>
+#include <limits>
+
 #include "src/util/file.h"
 #include "src/util/hash.h"
 #include "src/util/json.h"
@@ -112,9 +115,14 @@ bool ParseManifest(const std::string& text, QueueManifest* out, std::string* err
     return false;
   }
   QueueManifest manifest;
-  manifest.slice_rounds = static_cast<int>(root.Find("slice_rounds") != nullptr
-                                               ? root.Find("slice_rounds")->as_int()
-                                               : 0);
+  const JsonValue* slice_rounds = root.Find("slice_rounds");
+  const int64_t width = slice_rounds != nullptr ? slice_rounds->as_int() : 0;
+  if (width < 1 || width > std::numeric_limits<int>::max()) {
+    *error = "manifest: \"slice_rounds\" must be a whole number of rounds from 1 to " +
+             std::to_string(std::numeric_limits<int>::max());
+    return false;
+  }
+  manifest.slice_rounds = static_cast<int>(width);
   const JsonValue* cases = root.Find("cases");
   if (cases == nullptr || cases->type() != JsonValue::Type::kArray) {
     *error = "manifest: missing \"cases\" array";

@@ -3,8 +3,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -33,6 +35,14 @@ std::string ChainToText(const ir::Program& program, const explorer::FaultChain& 
     text += line;
   }
   return text;
+}
+
+// done + more, saturated to the int range: a slice width near INT_MAX
+// means "no slice cap", not a negative one.
+int RoundsAfter(int done, int more) {
+  const int64_t sum = static_cast<int64_t>(done) + more;
+  return static_cast<int>(std::clamp<int64_t>(sum, std::numeric_limits<int>::min(),
+                                              std::numeric_limits<int>::max()));
 }
 
 WorkResult Error(const std::string& case_id, std::string message) {
@@ -74,13 +84,15 @@ WorkResult RunSlice(ContextCache* cache, const WorkUnit& unit,
                    : unit.chain
                        ? resumed.chain.rounds_before_phase + resumed.rounds_completed
                        : resumed.rounds_completed;
-  int cap = unit.round_budget > 0 ? std::min(unit.round_budget, done + unit.slice_rounds)
-                                  : done + unit.slice_rounds;
+  int cap = RoundsAfter(done, unit.slice_rounds);
+  if (unit.round_budget > 0) {
+    cap = std::min(cap, unit.round_budget);
+  }
   // Crash emulation: run a truncated slice, leave the checkpoint exactly as
   // a mid-slice SIGKILL would, and die without reporting.
   const bool emulate_crash = unit.emulate_crash_after_rounds > 0;
   if (emulate_crash) {
-    cap = std::min(cap, done + unit.emulate_crash_after_rounds);
+    cap = std::min(cap, RoundsAfter(done, unit.emulate_crash_after_rounds));
   }
   if (cap <= done) {
     return Error(unit.case_id, "slice has no round budget (done=" + std::to_string(done) +

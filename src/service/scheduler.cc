@@ -15,8 +15,10 @@ std::vector<int> ApplyStarveOut(QueueManifest* manifest) {
   return demoted;
 }
 
-int PickNextCase(const QueueManifest& manifest, const std::vector<bool>& busy) {
+int PickNextCase(const QueueManifest& manifest, const std::vector<bool>& busy,
+                 const std::vector<bool>& warm) {
   int best = -1;
+  bool best_warm = false;
   for (size_t i = 0; i < manifest.cases.size(); ++i) {
     const QueueCase& entry = manifest.cases[i];
     if (entry.state != CaseState::kPending) {
@@ -25,8 +27,11 @@ int PickNextCase(const QueueManifest& manifest, const std::vector<bool>& busy) {
     if (i < busy.size() && busy[i]) {
       continue;
     }
-    if (best == -1 || entry.rounds_done < manifest.cases[best].rounds_done) {
+    const bool is_warm = i < warm.size() && warm[i];
+    if (best == -1 || entry.rounds_done < manifest.cases[best].rounds_done ||
+        (entry.rounds_done == manifest.cases[best].rounds_done && is_warm && !best_warm)) {
       best = static_cast<int>(i);
+      best_warm = is_warm;
     }
   }
   return best;

@@ -1,5 +1,9 @@
 #include "src/service/work.h"
 
+#include <sys/socket.h>
+
+#include <cerrno>
+
 #include "src/util/json.h"
 
 namespace anduril::service {
@@ -130,6 +134,29 @@ bool ParseWorkResult(const std::string& text, WorkResult* out, std::string* erro
   result.error = RequireString(root, "error");
   *out = std::move(result);
   return true;
+}
+
+void RingDoorbell(int fd) {
+  // A full buffer already holds unread bytes, so a send that would block
+  // adds nothing.
+  const char byte = 1;
+  while (send(fd, &byte, 1, MSG_NOSIGNAL | MSG_DONTWAIT) < 0 && errno == EINTR) {
+  }
+}
+
+bool DrainDoorbells(int fd) {
+  char bytes[64];
+  while (true) {
+    const ssize_t got = recv(fd, bytes, sizeof(bytes), MSG_DONTWAIT);
+    if (got > 0) {
+      continue;
+    }
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    // EOF, or ECONNRESET when the peer exited with bytes it never read.
+    return got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
 }
 
 }  // namespace anduril::service

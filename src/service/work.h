@@ -1,11 +1,15 @@
 // Work-unit handoff between the daemon and its worker processes.
 //
-// IPC is deliberately file-based and crash-shaped like everything else in
-// the service: the daemon atomically writes "<worker_dir>/cmd.json"; the
-// worker consumes it, runs one slice of one case, and atomically writes
-// "<worker_dir>/result-<pid>.json". Either side dying at any point leaves
-// only whole files behind, and a stale result from a previous daemon
-// incarnation is recognized (and discarded) by its daemon_pid.
+// IPC is files plus a doorbell, and crash-shaped like everything else in the
+// service. The files carry all the data: the daemon atomically writes
+// "<worker_dir>/cmd.json"; the worker consumes it, runs one slice of one
+// case, and atomically writes "<worker_dir>/result-<pid>.json". Either side
+// dying at any point leaves only whole files behind, and a stale result from
+// a previous daemon incarnation is recognized (and discarded) by its
+// daemon_pid. The doorbell is an AF_UNIX socketpair per worker: after each
+// file write the writer sends one byte, which means only "look at the
+// spool", so neither side sleeps between polls. Its other job is liveness:
+// a process's end closes when it exits, so the peer sees a hang-up.
 //
 // A work unit does not carry absolute round positions. The worker derives
 // "where the search is" from the case's checkpoint file — the durable,
@@ -64,6 +68,18 @@ struct WorkResult {
 
 // Worker exit code for an emulated mid-slice crash (test hook).
 inline constexpr int kWorkerEmulatedCrashExit = 42;
+
+// The descriptor at which a worker finds its end of the doorbell channel.
+// It is fixed because the worker's command line and options cannot carry it.
+inline constexpr int kWorkerChannelFd = 3;
+
+// Sends one doorbell byte. A dead peer yields EPIPE (not SIGPIPE), which is
+// ignored: its hang-up reaches the other side's wait on its own.
+void RingDoorbell(int fd);
+
+// Consumes every doorbell byte already pending on `fd`, without blocking.
+// Returns false when the peer has hung up.
+bool DrainDoorbells(int fd);
 
 std::string SerializeWorkUnit(const WorkUnit& unit);
 bool ParseWorkUnit(const std::string& text, WorkUnit* out, std::string* error);

@@ -1,12 +1,12 @@
 #include "src/service/worker.h"
 
+#include <poll.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <thread>
 
 #include "src/service/context_cache.h"
 #include "src/service/runner.h"
@@ -16,6 +16,14 @@
 namespace anduril::service {
 
 int RunWorkerLoop(const WorkerOptions& options) {
+  struct stat channel;
+  if (fstat(kWorkerChannelFd, &channel) != 0 || !S_ISSOCK(channel.st_mode)) {
+    std::fprintf(stderr,
+                 "anduril_serve worker: no daemon channel on descriptor %d; workers are "
+                 "started by `anduril_serve run`\n",
+                 kWorkerChannelFd);
+    return 2;
+  }
   const std::string cmd_path = options.work_dir + "/cmd.json";
   const std::string result_path =
       options.work_dir + "/result-" + std::to_string(getpid()) + ".json";
@@ -24,24 +32,21 @@ int RunWorkerLoop(const WorkerOptions& options) {
   ContextCache cache;
 
   while (true) {
-    if (getppid() != parent) {
-      // Daemon died; a successor owns this spool now.
-      return 0;
-    }
-    if (!std::filesystem::exists(cmd_path)) {
+    std::string text;
+    if (!ReadFileToString(cmd_path, &text)) {
+      // No command pending: block until the daemon rings or hangs up.
       if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
         return 0;
       }
       if (!std::filesystem::exists(options.work_dir)) {
         return 0;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(options.poll_ms));
-      continue;
-    }
-
-    std::string text;
-    if (!ReadFileToString(cmd_path, &text)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(options.poll_ms));
+      pollfd wait = {kWorkerChannelFd, POLLIN, 0};
+      // EINTR (a drain signal) loops back to the drain flag.
+      if (poll(&wait, 1, -1) > 0 && !DrainDoorbells(kWorkerChannelFd)) {
+        // Hang-up: the daemon died; a successor owns this spool now.
+        return 0;
+      }
       continue;
     }
     WorkUnit unit;
@@ -50,7 +55,7 @@ int RunWorkerLoop(const WorkerOptions& options) {
     const bool parsed = ParseWorkUnit(text, &unit, &error);
     if (parsed && unit.daemon_pid != static_cast<int64_t>(parent)) {
       // A successor daemon's command: this worker is an orphan that has not
-      // noticed the reparenting yet. Leave the file for the rightful worker.
+      // seen its daemon's hang-up yet. Leave the file for the rightful worker.
       return 0;
     }
     std::filesystem::remove(cmd_path);
@@ -66,6 +71,7 @@ int RunWorkerLoop(const WorkerOptions& options) {
       std::fprintf(stderr, "worker %d: cannot write %s\n", getpid(), result_path.c_str());
       return 1;
     }
+    RingDoorbell(kWorkerChannelFd);
   }
 }
 

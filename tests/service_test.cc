@@ -9,16 +9,20 @@
 // arrives via the ANDURIL_SERVE_BIN compile definition. Everything else runs
 // the service in-process through RunService.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -165,6 +169,17 @@ TEST(ManifestTest, RejectsGarbageAndWrongVersion) {
   EXPECT_FALSE(ParseManifest("{\"anduril_queue\": 999, \"cases\": []}", &parsed, &error));
 }
 
+TEST(ManifestTest, RejectsSliceWidthBelowOne) {
+  for (const int width : {0, -4}) {
+    QueueManifest manifest = SampleManifest();
+    manifest.slice_rounds = width;
+    QueueManifest parsed;
+    std::string error;
+    EXPECT_FALSE(ParseManifest(SerializeManifest(manifest), &parsed, &error)) << width;
+    EXPECT_NE(error.find("slice_rounds"), std::string::npos) << error;
+  }
+}
+
 TEST(ManifestTest, CountsAndTerminality) {
   QueueManifest manifest = SampleManifest();
   EXPECT_FALSE(manifest.AllTerminal());
@@ -199,6 +214,47 @@ TEST(SchedulerTest, PicksLeastRoundsWithLowestIndexTie) {
   EXPECT_EQ(PickNextCase(manifest, busy), 0);
   busy[0] = true;
   EXPECT_EQ(PickNextCase(manifest, busy), -1);
+}
+
+TEST(SchedulerTest, WarmCaseWinsATie) {
+  QueueManifest manifest;
+  for (const char* id : {"a", "b", "c", "d"}) {
+    manifest.cases.push_back(MakeCase(id, 100));
+  }
+  manifest.cases[0].rounds_done = 8;
+  manifest.cases[1].rounds_done = 4;
+  manifest.cases[2].rounds_done = 4;
+  manifest.cases[3].rounds_done = 4;
+  const std::vector<bool> busy(4, false);
+  // b, c and d tie on rounds; the worker already ran c and d, so the lower
+  // of those wins over b.
+  EXPECT_EQ(PickNextCase(manifest, busy, {false, false, true, true}), 2);
+  EXPECT_EQ(PickNextCase(manifest, busy, {true, false, false, true}), 3);
+  // A warm case that is busy elsewhere does not count.
+  EXPECT_EQ(PickNextCase(manifest, {false, false, true, false}, {false, false, true, false}),
+            1);
+}
+
+TEST(SchedulerTest, WarmCaseNeverBeatsACaseBehind) {
+  QueueManifest manifest;
+  manifest.cases.push_back(MakeCase("warm-ahead", 100));
+  manifest.cases.push_back(MakeCase("cold-behind", 100));
+  manifest.cases[0].rounds_done = 5;
+  manifest.cases[1].rounds_done = 4;
+  EXPECT_EQ(PickNextCase(manifest, std::vector<bool>(2, false), {true, false}), 1);
+}
+
+TEST(SchedulerTest, EmptyWarmKeepsFairSharePick) {
+  QueueManifest manifest;
+  for (const char* id : {"a", "b", "c"}) {
+    manifest.cases.push_back(MakeCase(id, 100));
+  }
+  manifest.cases[0].rounds_done = 3;
+  manifest.cases[1].rounds_done = 1;
+  manifest.cases[2].rounds_done = 1;
+  const std::vector<bool> busy(3, false);
+  EXPECT_EQ(PickNextCase(manifest, busy, {}), 1);
+  EXPECT_EQ(PickNextCase(manifest, busy, std::vector<bool>(3, false)), 1);
 }
 
 TEST(SchedulerTest, SkipsTerminalCases) {
@@ -375,6 +431,31 @@ TEST(RunSliceTest, MismatchedCheckpointReportsError) {
   fs::remove(writer.metrics_path);
 }
 
+// A slice width near INT_MAX means "no slice cap": resuming a started case
+// must not overflow done + width into a negative cap.
+TEST(RunSliceTest, HugeSliceWidthRunsToCompletion) {
+  ContextCache cache;
+  WorkUnit unit;
+  unit.case_id = "zk-2247";
+  unit.slice_rounds = 2;
+  unit.round_budget = 2000;
+  unit.checkpoint_path = explorer::TempPath("service_slice_huge.ckpt");
+  unit.metrics_path = explorer::TempPath("service_slice_huge.metrics");
+  fs::remove(unit.checkpoint_path);
+  ASSERT_EQ(RunSlice(&cache, unit, nullptr).status, SliceStatus::kSliceDone);
+  for (const int budget : {2000, 0}) {
+    WorkUnit wide = unit;
+    wide.slice_rounds = INT_MAX;
+    wide.round_budget = budget;
+    const WorkResult result = RunSlice(&cache, wide, nullptr);
+    EXPECT_EQ(result.status, SliceStatus::kReproduced) << "budget " << budget << ": "
+                                                       << result.error;
+    EXPECT_EQ(result.rounds_done, 5);
+  }
+  fs::remove(unit.checkpoint_path);
+  fs::remove(unit.metrics_path);
+}
+
 // A checkpoint the slice cannot write fails the slice, not its worker.
 TEST(RunSliceTest, UnwritableCheckpointReportsError) {
   ContextCache cache;
@@ -470,6 +551,16 @@ TEST(ServiceTest, ShardedMatchesSerialAtOneAndEightWorkers) {
   }
 }
 
+TEST(ServiceTest, RejectsSliceWidthBelowOneBeforeJournaling) {
+  const std::string dir = FreshStateDir("service_zero_width");
+  ServeOptions options = BaseOptions(dir, MixedSeed());
+  options.slice_rounds = 0;
+  const ServeReport report = RunService(options);
+  EXPECT_TRUE(report.error);
+  EXPECT_NE(report.error_text.find("slice_rounds"), std::string::npos) << report.error_text;
+  EXPECT_FALSE(fs::exists(ManifestPath(dir)));
+}
+
 TEST(ServiceTest, StarveOutDoesNotWedgeQueue) {
   // hd-4233 needs far more than 10 rounds; it must starve out while the
   // solvable case still reproduces — one stubborn case cannot block the
@@ -546,16 +637,88 @@ TEST(ServiceTest, WorkerKilledMidRoundConvergesToBaseline) {
             ReadFileOrDie(MergedMetricsPath(dir)));
 }
 
-// What RunServeCli returns for a daemon still running at its deadline.
+// Pids of live processes whose command line contains `needle` (zombies
+// have an empty command line and never match).
+std::vector<pid_t> ProcessesNaming(const std::string& needle) {
+  std::vector<pid_t> pids;
+  std::error_code ec;
+  for (const fs::directory_entry& entry : fs::directory_iterator("/proc", ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
+    }
+    std::string cmdline;
+    if (!ReadFileToString(entry.path().string() + "/cmdline", &cmdline)) {
+      continue;
+    }
+    std::replace(cmdline.begin(), cmdline.end(), '\0', ' ');
+    if (cmdline.find(needle) != std::string::npos) {
+      pids.push_back(static_cast<pid_t>(std::stol(name)));
+    }
+  }
+  return pids;
+}
+
+// A worker stopped (SIGSTOP) mid-slice makes no progress on its case's
+// checkpoint: the daemon must SIGKILL it on the heartbeat deadline, respawn
+// the slot, and still converge to the baseline.
+TEST(ServiceTest, StoppedWorkerIsKilledOnHeartbeatAndConverges) {
+  const std::vector<QueueCase> seed = {MakeCase("zk-crash-1", 2000),
+                                       MakeCase("hd-stall-1", 2000),
+                                       MakeCase("zk-2247", 2000),
+                                       MakeCase("casc-retry-1", 2000, /*chain=*/true)};
+  const std::string baseline_dir = FreshStateDir("service_heartbeat_baseline");
+  ServeOptions baseline_options = BaseOptions(baseline_dir, seed);
+  baseline_options.slice_rounds = 4;
+  const ServeReport baseline = RunService(baseline_options);
+  ASSERT_FALSE(baseline.error) << baseline.error_text;
+
+  const std::string dir = FreshStateDir("service_heartbeat");
+  ServeOptions options = BaseOptions(dir, seed);
+  options.slice_rounds = 4;
+  options.workers = 2;
+  options.heartbeat_timeout_ms = 300;
+  options.serve_binary = ANDURIL_SERVE_BIN;
+  // Stops worker 0 once it has taken its first command: the daemon counts the
+  // slot busy from the dispatch until a result arrives.
+  std::atomic<pid_t> stopped{0};
+  std::atomic<bool> finished{false};
+  std::thread stopper([&] {
+    const std::string cmd_path = dir + "/w0/cmd.json";
+    bool dispatched = false;
+    while (!finished) {
+      dispatched = dispatched || fs::exists(cmd_path);
+      if (dispatched && !fs::exists(cmd_path)) {
+        const std::vector<pid_t> pids = ProcessesNaming(dir + "/w0 ");
+        if (pids.size() == 1) {
+          kill(pids[0], SIGSTOP);
+          stopped = pids[0];
+        }
+        return;
+      }
+      usleep(100);
+    }
+  });
+  const ServeReport report = RunService(options);
+  finished = true;
+  stopper.join();
+  ASSERT_FALSE(report.error) << report.error_text;
+  ASSERT_GT(stopped.load(), 0) << "worker 0 was never seen running a slice";
+  // The stopped worker was SIGKILLed and reaped, not left behind.
+  EXPECT_NE(kill(stopped.load(), 0), 0);
+  EXPECT_GE(report.worker_respawns, 1);
+  EXPECT_TRUE(report.manifest.AllTerminal());
+  EXPECT_EQ(Outcomes(baseline.manifest), Outcomes(report.manifest));
+  EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(baseline_dir)),
+            ReadFileOrDie(MergedMetricsPath(dir)));
+}
+
+// What WaitServeCli returns for a process still running at its deadline.
 constexpr int kServeTimedOut = -2000;
 
-// Spawns `anduril_serve run <dir> <flags...>` and returns its exit code
-// (negative signal number if it died to a signal). When `kill_after_ms` is
-// positive the child gets SIGKILL after that delay. When `timeout_ms` is
-// positive a daemon still running after it is SIGKILLed and the call
-// returns kServeTimedOut.
-int RunServeCli(const std::vector<std::string>& args, int kill_after_ms = 0,
-                int timeout_ms = 0) {
+// Forks and execs `anduril_serve <args...>`; returns the child's pid (or a
+// negative value when fork fails).
+pid_t StartServeCli(const std::vector<std::string>& args) {
   std::vector<std::string> argv_storage = {ANDURIL_SERVE_BIN};
   argv_storage.insert(argv_storage.end(), args.begin(), args.end());
   std::vector<char*> argv;
@@ -570,13 +733,13 @@ int RunServeCli(const std::vector<std::string>& args, int kill_after_ms = 0,
     execv(ANDURIL_SERVE_BIN, argv.data());
     _exit(127);
   }
-  if (pid < 0) {
-    return -1000;
-  }
-  if (kill_after_ms > 0) {
-    usleep(static_cast<useconds_t>(kill_after_ms) * 1000);
-    kill(pid, SIGKILL);
-  }
+  return pid;
+}
+
+// Reaps `pid` and returns its exit code (negative signal number if it died to
+// a signal). When `timeout_ms` is positive a process still running after it
+// is SIGKILLed and the call returns kServeTimedOut.
+int WaitServeCli(pid_t pid, int timeout_ms = 0) {
   int status = 0;
   if (timeout_ms > 0) {
     const auto deadline =
@@ -599,6 +762,22 @@ int RunServeCli(const std::vector<std::string>& args, int kill_after_ms = 0,
     return -WTERMSIG(status);
   }
   return -1001;
+}
+
+// Spawns `anduril_serve run <dir> <flags...>` and returns its exit code as
+// WaitServeCli does. When `kill_after_ms` is positive the child gets SIGKILL
+// after that delay.
+int RunServeCli(const std::vector<std::string>& args, int kill_after_ms = 0,
+                int timeout_ms = 0) {
+  const pid_t pid = StartServeCli(args);
+  if (pid < 0) {
+    return -1000;
+  }
+  if (kill_after_ms > 0) {
+    usleep(static_cast<useconds_t>(kill_after_ms) * 1000);
+    kill(pid, SIGKILL);
+  }
+  return WaitServeCli(pid, timeout_ms);
 }
 
 constexpr const char* kCliCases = "--cases=zk-2247,ca-6415,casc-retry-1,hd-4233";
@@ -677,6 +856,99 @@ TEST(ServiceCrashTest, RerunOfCompletedQueueExitsPromptly) {
         << "rerun " << attempt;
   }
   EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(dir)), merged);
+}
+
+// A real SIGTERM while slices are in flight drains the queue (exit 3)
+// promptly, and rerunning the command finishes it byte-identically.
+TEST(ServiceCrashTest, SigtermDrainsPromptlyAndResumesByteIdentically) {
+  const std::vector<std::string> flags = {"--cases=zk-crash-1,hd-stall-1,zk-2247,casc-retry-1",
+                                          "--workers=2", "--slice-rounds=4", "--quiet"};
+  auto args = [&flags](const std::string& dir) {
+    std::vector<std::string> args = {"run", dir};
+    args.insert(args.end(), flags.begin(), flags.end());
+    return args;
+  };
+  const std::string baseline_dir = FreshStateDir("service_sigterm_baseline");
+  ASSERT_EQ(RunServeCli(args(baseline_dir)), 0);
+
+  const std::string dir = FreshStateDir("service_sigterm");
+  const pid_t pid = StartServeCli(args(dir));
+  ASSERT_GT(pid, 0);
+  // The first checkpoint means a slice is running.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!fs::exists(CaseCheckpointPath(dir, "zk-crash-1")) &&
+         std::chrono::steady_clock::now() < deadline) {
+    usleep(200);
+  }
+  kill(pid, SIGTERM);
+  ASSERT_EQ(WaitServeCli(pid, /*timeout_ms=*/5000), 3);
+  QueueManifest drained;
+  std::string error;
+  ASSERT_TRUE(LoadManifestFile(ManifestPath(dir), &drained, &error)) << error;
+  EXPECT_FALSE(drained.AllTerminal());
+
+  ASSERT_EQ(RunServeCli(args(dir)), 0);
+  QueueManifest baseline_manifest;
+  QueueManifest resumed_manifest;
+  ASSERT_TRUE(LoadManifestFile(ManifestPath(baseline_dir), &baseline_manifest, &error))
+      << error;
+  ASSERT_TRUE(LoadManifestFile(ManifestPath(dir), &resumed_manifest, &error)) << error;
+  EXPECT_EQ(Outcomes(baseline_manifest), Outcomes(resumed_manifest));
+  EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(baseline_dir)),
+            ReadFileOrDie(MergedMetricsPath(dir)));
+}
+
+// Workers do not outlive a daemon that died: none is left 2 s later.
+TEST(ServiceCrashTest, DaemonCrashLeavesNoWorkerBehind) {
+  const std::string dir = FreshStateDir("service_orphans");
+  ASSERT_EQ(RunServeCli(CliArgs(dir, {"--crash-after-slices=4"})), 42);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  std::vector<pid_t> left = ProcessesNaming(dir + "/w");
+  while (!left.empty() && std::chrono::steady_clock::now() < deadline) {
+    usleep(10000);
+    left = ProcessesNaming(dir + "/w");
+  }
+  EXPECT_TRUE(left.empty()) << left.size() << " workers outlived their daemon";
+}
+
+// A worker started by hand, without a socket at descriptor 3, exits 2 at once.
+TEST(ServiceCrashTest, WorkerWithoutChannelExitsTwo) {
+  const std::string dir = FreshStateDir("service_no_channel");
+  for (const bool closed : {true, false}) {
+    const std::string parent = std::to_string(getpid());
+    const pid_t pid = fork();
+    if (pid == 0) {
+      if (closed) {
+        close(3);
+      } else {
+        const int null_fd = open("/dev/null", O_RDONLY);
+        if (null_fd != 3) {
+          dup2(null_fd, 3);
+        }
+      }
+      execl(ANDURIL_SERVE_BIN, ANDURIL_SERVE_BIN, "worker", dir.c_str(), parent.c_str(),
+            static_cast<char*>(nullptr));
+      _exit(127);
+    }
+    ASSERT_GT(pid, 0);
+    EXPECT_EQ(WaitServeCli(pid, /*timeout_ms=*/5000), 2)
+        << (closed ? "descriptor 3 closed" : "descriptor 3 not a socket");
+  }
+}
+
+// Bad numbers, unknown flags and extra arguments are usage errors (exit 2)
+// caught before anything is journaled.
+TEST(ServiceCliTest, BadArgumentsExitTwoBeforeJournaling) {
+  for (const char* bad : {"--slice-rounds=0", "--slice-rounds=abc", "--slice-rounds=4x",
+                          "--slice-rounds=", "--slice-round=4", "--workers=-1",
+                          "--workers=99999999999", "--poll-ms=2", "extra",
+                          "--cases=zk-2247:1e3"}) {
+    const std::string dir = FreshStateDir("service_bad_cli");
+    const std::vector<std::string> args = {"run", dir, "--cases=zk-2247,hd-4233",
+                                           "--workers=0", "--quiet", bad};
+    EXPECT_EQ(RunServeCli(args, /*kill_after_ms=*/0, /*timeout_ms=*/5000), 2) << bad;
+    EXPECT_FALSE(fs::exists(ManifestPath(dir))) << bad;
+  }
 }
 
 }  // namespace

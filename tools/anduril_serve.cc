@@ -3,7 +3,7 @@
 //
 //   anduril_serve run <state_dir> [--cases=id[:budget],...] [--workers=N]
 //                     [--slice-rounds=N] [--round-budget=N] [--quiet]
-//                     [--heartbeat-timeout-ms=N] [--poll-ms=N]
+//                     [--heartbeat-timeout-ms=N]
 //                     [--crash-after-slices=N] [--worker-crash-slice=K]
 //                     [--worker-crash-rounds=R]
 //       Enqueue the cases (default: all 22 base scenarios) and run the queue
@@ -13,19 +13,23 @@
 //       a SIGKILL, or a drain — with byte-identical final scripts and
 //       metrics. Cascade cases are searched in chain mode automatically.
 //       --crash-after-slices / --worker-crash-slice are deterministic
-//       kill-emulation hooks used by the crash/resume tests.
+//       kill-emulation hooks used by the crash/resume tests. Every number is
+//       a whole decimal; --slice-rounds must be at least 1. A bad value, an
+//       unknown flag or an extra argument exits 2 before anything is queued.
 //   anduril_serve status <state_dir>
 //       Print the journaled queue state.
 //   anduril_serve worker <dir> [daemon_pid]
-//       Internal: worker-process loop (spawned by `run`).
+//       Internal: worker-process loop (spawned by `run`, which hands it a
+//       doorbell channel at descriptor 3; without one it exits 2).
 //
 // Exit codes for run: 0 every case reproduced, 1 some case starved/failed
 // (or setup error), 2 usage, 3 drained by SIGTERM/SIGINT (resumable).
 
 #include <atomic>
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -51,12 +55,25 @@ int Usage() {
       stderr,
       "usage: anduril_serve run <state_dir> [--cases=id[:budget],...] [--workers=N]\n"
       "                        [--slice-rounds=N] [--round-budget=N] [--quiet]\n"
-      "                        [--heartbeat-timeout-ms=N] [--poll-ms=N]\n"
+      "                        [--heartbeat-timeout-ms=N]\n"
       "                        [--crash-after-slices=N] [--worker-crash-slice=K]\n"
       "                        [--worker-crash-rounds=R]\n"
       "       anduril_serve status <state_dir>\n"
       "       anduril_serve worker <dir> [daemon_pid]\n");
   return 2;
+}
+
+// Parses `text` as a whole decimal number no smaller than `min`.
+template <typename Int>
+bool ParseWhole(const std::string& text, Int min, Int* out) {
+  Int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, status] = std::from_chars(text.data(), end, value);
+  if (text.empty() || status != std::errc() || stop != end || value < min) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 bool IsCascadeCase(const std::string& id) {
@@ -74,7 +91,10 @@ bool ParseCaseSpec(const std::string& spec, int default_budget, service::QueueCa
   int budget = default_budget;
   if (const size_t colon = spec.find(':'); colon != std::string::npos) {
     id = spec.substr(0, colon);
-    budget = std::atoi(spec.c_str() + colon + 1);
+    if (!ParseWhole(spec.substr(colon + 1), 0, &budget)) {
+      std::fprintf(stderr, "case '%s': the budget must be a whole number\n", spec.c_str());
+      return false;
+    }
   }
   const systems::FailureCase* failure_case = systems::FindCase(id);
   if (failure_case == nullptr) {
@@ -141,10 +161,12 @@ int StatusCommand(const std::string& state_dir) {
 }
 
 int WorkerCommand(const std::string& dir, const std::string& parent_pid) {
-  InstallDrainHandlers();
   service::WorkerOptions options;
+  if (!ParseWhole<int64_t>(parent_pid, 0, &options.parent_pid)) {
+    return Usage();
+  }
+  InstallDrainHandlers();
   options.work_dir = dir;
-  options.parent_pid = std::atoll(parent_pid.c_str());
   options.cancel = &g_cancel;
   return service::RunWorkerLoop(options);
 }
@@ -154,17 +176,36 @@ int Main(int argc, char** argv) {
   std::vector<std::string> case_specs;
   service::ServeOptions options;
   int round_budget = 2000;
+  struct IntFlag {
+    const char* name;
+    int* out;
+    int min;
+  };
+  const IntFlag int_flags[] = {
+      {"workers", &options.workers, 0},
+      {"slice-rounds", &options.slice_rounds, 1},
+      {"round-budget", &round_budget, 0},
+      {"heartbeat-timeout-ms", &options.heartbeat_timeout_ms, 0},
+      {"crash-after-slices", &options.crash_after_slices, 0},
+      {"worker-crash-slice", &options.worker_crash_slice, 0},
+      {"worker-crash-rounds", &options.worker_crash_rounds, 0},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto int_flag = [&arg](const char* name, int* out) {
-      const std::string prefix = std::string("--") + name + "=";
-      if (arg.rfind(prefix, 0) == 0) {
-        *out = std::atoi(arg.c_str() + prefix.size());
-        return true;
+    const IntFlag* int_flag = nullptr;
+    for (const IntFlag& flag : int_flags) {
+      if (arg.rfind(std::string("--") + flag.name + "=", 0) == 0) {
+        int_flag = &flag;
       }
-      return false;
-    };
-    if (arg.rfind("--cases=", 0) == 0) {
+    }
+    if (int_flag != nullptr) {
+      const std::string value = arg.substr(arg.find('=') + 1);
+      if (!ParseWhole(value, int_flag->min, int_flag->out)) {
+        std::fprintf(stderr, "--%s wants a whole number of at least %d, got '%s'\n",
+                     int_flag->name, int_flag->min, value.c_str());
+        return Usage();
+      }
+    } else if (arg.rfind("--cases=", 0) == 0) {
       std::string list = arg.substr(std::string("--cases=").size());
       size_t start = 0;
       while (start <= list.size()) {
@@ -181,15 +222,9 @@ int Main(int argc, char** argv) {
       }
     } else if (arg == "--quiet") {
       options.verbose = false;
-    } else if (int_flag("workers", &options.workers) ||
-               int_flag("slice-rounds", &options.slice_rounds) ||
-               int_flag("round-budget", &round_budget) ||
-               int_flag("heartbeat-timeout-ms", &options.heartbeat_timeout_ms) ||
-               int_flag("poll-ms", &options.poll_ms) ||
-               int_flag("crash-after-slices", &options.crash_after_slices) ||
-               int_flag("worker-crash-slice", &options.worker_crash_slice) ||
-               int_flag("worker-crash-rounds", &options.worker_crash_rounds)) {
-      // parsed into options
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
+      return Usage();
     } else {
       args.push_back(arg);
     }
@@ -198,13 +233,13 @@ int Main(int argc, char** argv) {
     return Usage();
   }
   const std::string& command = args[0];
-  if (command == "run") {
+  if (command == "run" && args.size() == 2) {
     return RunCommand(args[1], case_specs, std::move(options), round_budget);
   }
-  if (command == "status") {
+  if (command == "status" && args.size() == 2) {
     return StatusCommand(args[1]);
   }
-  if (command == "worker") {
+  if (command == "worker" && args.size() <= 3) {
     return WorkerCommand(args[1], args.size() > 2 ? args[2] : "0");
   }
   return Usage();
