@@ -1,8 +1,22 @@
 // Versioned search checkpoints: serialize the Explorer's mutable search
-// state after every round so a killed exploration can resume exactly where
-// it stopped. The invariant (enforced by tests): a search resumed from a
-// round-N checkpoint emits the byte-identical ReproductionScript — and the
-// same total round count — as the uninterrupted search at the same seed.
+// state at a round boundary so a killed exploration can resume from there.
+// The invariant (enforced by tests): a search resumed from a round-N
+// checkpoint emits the byte-identical ReproductionScript — and the same total
+// round count and final metrics — as the uninterrupted search at the same
+// seed.
+//
+// Cadence: Explorer::Explore writes the file after round 1 of a search that
+// did not resume (so an unwritable path stops it at once), after the last
+// round its call may run (ExplorerOptions::max_rounds: a slice's or a chain
+// phase's cap), at a cooperative drain before it returns, and otherwise once
+// kCheckpointInterval has passed since its last save. A SIGKILL therefore
+// loses at most kCheckpointInterval plus one round of search; the resume
+// replays the lost rounds deterministically. A success or an exhausted
+// candidate space writes nothing new. Whichever rounds get saved, the file
+// for round N is byte-identical to any other save of round N apart from the
+// experiment's two wall-clock fields. Which rounds get saved depends on wall
+// time, so nothing deterministic (metrics, trace, RoundRecord) may depend on
+// it.
 //
 // The format is JSON with a version field:
 //
@@ -75,6 +89,7 @@
 #ifndef ANDURIL_SRC_EXPLORER_CHECKPOINT_H_
 #define ANDURIL_SRC_EXPLORER_CHECKPOINT_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -86,6 +101,11 @@
 namespace anduril::explorer {
 
 inline constexpr int kCheckpointVersion = 4;
+
+// Longest a search runs between checkpoint saves, plus the round that
+// crosses it (see the cadence above). The service's heartbeat timeout must
+// exceed it: a worker's checkpoint mtime is its liveness signal.
+inline constexpr std::chrono::milliseconds kCheckpointInterval{100};
 
 // One accepted step of an ordered fault chain (ChainExplorer, iterative.h),
 // as both the search result and the v3 checkpoint's chain block record it.

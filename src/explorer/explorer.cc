@@ -421,11 +421,67 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
                  static_cast<int64_t>(rec.run_seconds * 1e9));
   };
 
+  // The checkpoint cadence (checkpoint.h): after round 1 (only a fresh search
+  // runs it), after the call's last permitted round, at a drain, and whenever
+  // kCheckpointInterval has passed since the last save. Each save holds the
+  // state at the end of the round it names, so it does not matter which
+  // rounds get one. `saved_round` is the round the file on disk holds.
+  int saved_round = first_round - 1;
+  std::optional<uint64_t> fingerprint;  // hashed at the first save
+  Stopwatch since_save;
+  auto save_checkpoint = [&](int round) {
+    if (!fingerprint.has_value()) {
+      fingerprint = ProgramFingerprint(*spec_->program);
+    }
+    SearchCheckpoint snap;
+    snap.program_fingerprint = *fingerprint;
+    snap.base_seed = spec_->base_seed;
+    snap.rounds_completed = round;
+    snap.retry_rng_draws = retry_backoff.draws();
+    snap.network_candidates = options_.network_candidates;
+    snap.partition_heal_ms = spec_->cluster->partition_heal_ms;
+    snap.network_delay_ms = spec_->cluster->network_delay_ms;
+    snap.engine_candidates = static_cast<int64_t>(context_->candidates().size());
+    snap.engine_observables = static_cast<int64_t>(context_->observables().size());
+    snap.experiment = result.experiment;
+    snap.pinned = spec_->pinned_faults;
+    ANDURIL_CHECK(strategy->SaveState(&snap.strategy));  // probed before round 1
+    if (checkpoint.chain != nullptr) {
+      snap.chain = *checkpoint.chain;
+      // Persist the live phase's injected-round summaries so a mid-chain
+      // resume can still merge them into the stitch-candidate pick even
+      // though the records themselves die with this process.
+      for (const RoundRecord& rec : result.records) {
+        if (!rec.injected) {
+          continue;
+        }
+        snap.chain.round_candidates.push_back(
+            ChainRoundCandidate{rec.candidate, rec.present_observables, rec.round});
+      }
+    }
+    if (metrics != nullptr) {
+      snap.has_metrics = true;
+      snap.metrics = metrics->Snapshot();
+    }
+    if (!SaveCheckpointFile(checkpoint.path, snap)) {
+      result.error = StrFormat("cannot write checkpoint file %s after round %d",
+                               checkpoint.path.c_str(), round);
+      return false;
+    }
+    saved_round = round;
+    since_save.Reset();
+    return true;
+  };
+
   for (int round = first_round; round <= options_.max_rounds; ++round) {
-    // Cooperative drain: stop between rounds. The previous round's checkpoint
-    // is already on disk, so a resume continues byte-identically from here.
+    // Cooperative drain: stop between rounds. The state is still exactly the
+    // end of the last round, so saving it here (when the file lags behind)
+    // lets a resume continue byte-identically from this point.
     if (options_.cancel != nullptr && options_.cancel->load(std::memory_order_relaxed)) {
       result.interrupted = true;
+      if (!checkpoint.path.empty() && saved_round < result.rounds) {
+        save_checkpoint(result.rounds);
+      }
       break;
     }
     Stopwatch decide_timer;
@@ -643,42 +699,11 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     result.records.push_back(record);
     result.rounds = round;
 
-    if (!checkpoint.path.empty()) {
-      SearchCheckpoint snap;
-      snap.program_fingerprint = ProgramFingerprint(*spec_->program);
-      snap.base_seed = spec_->base_seed;
-      snap.rounds_completed = round;
-      snap.retry_rng_draws = retry_backoff.draws();
-      snap.network_candidates = options_.network_candidates;
-      snap.partition_heal_ms = spec_->cluster->partition_heal_ms;
-      snap.network_delay_ms = spec_->cluster->network_delay_ms;
-      snap.engine_candidates = static_cast<int64_t>(context_->candidates().size());
-      snap.engine_observables = static_cast<int64_t>(context_->observables().size());
-      snap.experiment = result.experiment;
-      snap.pinned = spec_->pinned_faults;
-      ANDURIL_CHECK(strategy->SaveState(&snap.strategy));  // probed before round 1
-      if (checkpoint.chain != nullptr) {
-        snap.chain = *checkpoint.chain;
-        // Persist the live phase's injected-round summaries so a mid-chain
-        // resume can still merge them into the stitch-candidate pick even
-        // though the records themselves die with this process.
-        for (const RoundRecord& rec : result.records) {
-          if (!rec.injected) {
-            continue;
-          }
-          snap.chain.round_candidates.push_back(
-              ChainRoundCandidate{rec.candidate, rec.present_observables, rec.round});
-        }
-      }
-      if (metrics != nullptr) {
-        snap.has_metrics = true;
-        snap.metrics = metrics->Snapshot();
-      }
-      if (!SaveCheckpointFile(checkpoint.path, snap)) {
-        result.error = StrFormat("cannot write checkpoint file %s after round %d",
-                                 checkpoint.path.c_str(), round);
-        break;
-      }
+    if (!checkpoint.path.empty() &&
+        (round == 1 || round == options_.max_rounds ||
+         std::chrono::nanoseconds(since_save.ElapsedNanos()) >= kCheckpointInterval) &&
+        !save_checkpoint(round)) {
+      break;
     }
 
     // The round's results are consumed; hand one run's log/trace buffers

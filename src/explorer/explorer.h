@@ -104,9 +104,11 @@ struct ExploreResult {
 };
 
 // Checkpoint/resume wiring for a search. With a non-empty `path` the
-// explorer serializes a SearchCheckpoint there after every finished round
-// (atomically, via rename). With `resume` set it restores that state before
-// the first round and continues from rounds_completed + 1.
+// explorer serializes a SearchCheckpoint there (atomically, via rename) after
+// round 1, after its last permitted round, at a drain, and at least every
+// kCheckpointInterval in between (checkpoint.h). With `resume` set it
+// restores that state before the first round and continues from
+// rounds_completed + 1.
 struct CheckpointConfig {
   std::string path;
   const SearchCheckpoint* resume = nullptr;

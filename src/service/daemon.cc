@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/explorer/checkpoint.h"
 #include "src/obs/metrics.h"
 #include "src/service/context_cache.h"
 #include "src/service/runner.h"
@@ -154,6 +155,17 @@ class Daemon {
            ")");
       return false;
     }
+    // A busy worker's checkpoint may stay silent for the checkpoint interval
+    // plus a round, so a shorter heartbeat would kill healthy workers.
+    if (options_.heartbeat_timeout_ms > 0 &&
+        std::chrono::milliseconds(options_.heartbeat_timeout_ms) <=
+            explorer::kCheckpointInterval) {
+      Fail("heartbeat_timeout_ms must be 0 (off) or above the " +
+           std::to_string(explorer::kCheckpointInterval.count()) +
+           " ms checkpoint interval (got " + std::to_string(options_.heartbeat_timeout_ms) +
+           ")");
+      return false;
+    }
     std::error_code ec;
     fs::create_directories(options_.state_dir, ec);
     const std::string manifest_path = ManifestPath(options_.state_dir);
@@ -184,9 +196,27 @@ class Daemon {
     return true;
   }
 
+  // Writes the manifest. The daemon-kill emulation dies right after the
+  // first write that holds its Nth applied result.
   void Journal() {
     if (!SaveManifestFile(ManifestPath(options_.state_dir), manifest_)) {
       Fail("cannot journal queue to " + ManifestPath(options_.state_dir));
+      return;
+    }
+    unjournaled_ = false;
+    if (options_.crash_after_slices > 0 &&
+        report_.slices_applied >= options_.crash_after_slices) {
+      // Die the instant after a journal commit, with workers possibly
+      // mid-slice — exactly a SIGKILL between transitions.
+      _exit(kWorkerEmulatedCrashExit);
+    }
+  }
+
+  // The one commit point for applied results and starve-outs: journals the
+  // manifest when it changed since the last write.
+  void Commit() {
+    if (unjournaled_) {
+      Journal();
     }
   }
 
@@ -195,6 +225,7 @@ class Daemon {
       const QueueCase& entry = manifest_.cases[index];
       Log("[%s] starved out at %d rounds (budget %d) — demoted, queue continues\n",
           entry.id.c_str(), entry.rounds_done, entry.round_budget);
+      unjournaled_ = true;
     }
   }
 
@@ -215,7 +246,8 @@ class Daemon {
     return unit;
   }
 
-  // Returns false when the result belongs to a previous daemon incarnation.
+  // Updates the manifest in memory; the next Commit journals it. Returns
+  // false when the result belongs to a previous daemon incarnation.
   bool ApplyResult(int case_index, const WorkResult& result) {
     if (result.daemon_pid != getpid()) {
       return false;
@@ -249,14 +281,8 @@ class Daemon {
         break;
     }
     StarveOut();
-    Journal();
+    unjournaled_ = true;
     ++report_.slices_applied;
-    if (options_.crash_after_slices > 0 &&
-        report_.slices_applied >= options_.crash_after_slices) {
-      // Daemon-kill emulation: die the instant after a journal commit, with
-      // workers possibly mid-slice — exactly a SIGKILL between transitions.
-      _exit(kWorkerEmulatedCrashExit);
-    }
     return true;
   }
 
@@ -267,11 +293,10 @@ class Daemon {
     while (!report_.error && !manifest_.AllTerminal()) {
       if (Cancelled()) {
         report_.interrupted = true;
-        Journal();
-        return;
+        break;
       }
       StarveOut();
-      Journal();
+      Commit();  // the last slice's result: one journal per slice
       const int index = PickNextCase(manifest_, {});
       if (index < 0) {
         break;
@@ -281,9 +306,10 @@ class Daemon {
       ApplyResult(index, result);
       if (result.status == SliceStatus::kInterrupted) {
         report_.interrupted = true;
-        return;
+        break;
       }
     }
+    Commit();
   }
 
   // ---- Sharded mode --------------------------------------------------------
@@ -326,6 +352,11 @@ class Daemon {
           Dispatch(slot);
         }
       }
+      // Journal the results the last wait collected only after every idle
+      // worker has its next slice, so the write does not sit between one
+      // slice of a case and the next. A manifest one commit behind self-heals
+      // from the checkpoints (see RunSlice).
+      Commit();
       if (report_.error || manifest_.AllTerminal()) {
         break;
       }
@@ -557,8 +588,9 @@ class Daemon {
   void Drain() {
     Log("draining: %zu cases pending, waiting for in-flight slices\n",
         static_cast<size_t>(manifest_.CountState(CaseState::kPending)));
+    Commit();
     StopWorkers(std::chrono::milliseconds(std::max(options_.heartbeat_timeout_ms, 2000)));
-    Journal();
+    Commit();
     report_.interrupted = true;
   }
 
@@ -603,8 +635,9 @@ class Daemon {
   }
 
   void Shutdown() {
+    Commit();
     StopWorkers(kShutdownGrace);
-    Journal();
+    Commit();
   }
 
   void MergeMetrics() {
@@ -639,6 +672,7 @@ class Daemon {
   std::vector<WorkerSlot> slots_;
   std::vector<ExponentialBackoff> backoffs_;
   int dispatched_ = 0;
+  bool unjournaled_ = false;  // manifest_ changed since its last write
 };
 
 }  // namespace

@@ -4,23 +4,27 @@
 //
 // Robustness model, layer by layer:
 //  - Queue: journaled to <state_dir>/queue.json (atomic writes, FNV
-//    integrity hash) after every state transition. A restarted daemon
-//    resumes the whole queue; per-case search state resumes from the v3
-//    checkpoint files, whose byte-identical-resume invariant makes the
-//    final scripts and metrics of an interrupted+resumed queue identical
-//    to an uninterrupted run — at any worker count.
+//    integrity hash). Collected results are applied in memory and
+//    journaled once per pass of the event loop, after every idle worker has
+//    its next slice, and before a drain or shutdown; a worker death's crash
+//    count is journaled at once. A restarted daemon resumes the whole queue;
+//    per-case search state resumes from the checkpoint files, whose
+//    byte-identical-resume invariant makes the final scripts and metrics of
+//    an interrupted+resumed queue identical to an uninterrupted run — at any
+//    worker count. A manifest one commit behind self-heals from them.
 //  - Workers: forked `anduril_serve worker` processes, each with a doorbell
 //    socketpair (work.h). The daemon blocks in poll() on every live channel:
 //    a byte means "collect this slot's result", a hang-up means the worker
 //    exited, and it is reaped with waitpid. The wait's timeout is the
 //    nearest heartbeat deadline (the case checkpoint's mtime must advance
-//    within heartbeat_timeout_ms) or respawn time, bounded by a short fixed
-//    interval that only serves to notice a drain signal. A dead or wedged
-//    worker is SIGKILLed, its case requeued, and the slot respawned under
-//    bounded exponential backoff. A case that kills its worker three times
-//    in a row is demoted to kFailed — it cannot wedge the queue. Workers
-//    die with the daemon (PR_SET_PDEATHSIG), so none outlives it to race a
-//    successor for a case's checkpoint.
+//    within heartbeat_timeout_ms; a busy search saves it at least every
+//    explorer::kCheckpointInterval plus a round) or respawn time, bounded by
+//    a short fixed interval that only serves to notice a drain signal. A
+//    dead or wedged worker is SIGKILLed, its case requeued, and the slot
+//    respawned under bounded exponential backoff. A case that kills its
+//    worker three times in a row is demoted to kFailed — it cannot wedge the
+//    queue. Workers die with the daemon (PR_SET_PDEATHSIG), so none outlives
+//    it to race a successor for a case's checkpoint.
 //  - Scheduling: fair share with starve-out, ties toward a case the idle
 //    worker has already run (see scheduler.h).
 //  - Degradation: the cancel flag (SIGTERM) drains in-flight slices at
@@ -28,9 +32,9 @@
 //    `anduril_serve run` picks up exactly where the drain stopped.
 //
 // Crash emulation for tests: crash_after_slices makes the *daemon* _exit()
-// after journaling N slice results (a kill between two commits);
-// worker_crash_slice/_rounds make one dispatched slice die mid-search like
-// a SIGKILLed worker.
+// right after the first journal commit that holds N slice results (a kill
+// between two commits); worker_crash_slice/_rounds make one dispatched slice
+// die mid-search like a SIGKILLed worker.
 
 #ifndef ANDURIL_SRC_SERVICE_DAEMON_H_
 #define ANDURIL_SRC_SERVICE_DAEMON_H_
@@ -52,6 +56,8 @@ struct ServeOptions {
   // Worker processes. 0 = run every slice in-process (serial mode: no
   // supervision layer, same queue/journal semantics — the bench baseline).
   int workers = 2;
+  // 0 = off; otherwise RunService rejects a value at or below
+  // explorer::kCheckpointInterval.
   int heartbeat_timeout_ms = 20000;
   // Test hooks (0 = off): see header comment.
   int crash_after_slices = 0;

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "src/explorer/checkpoint.h"
 #include "src/explorer/explorer.h"
@@ -576,13 +580,13 @@ TEST(CheckpointResumeTest, NetworkConfigIsPersistedInCheckpoint) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointResumeTest, CheckpointWrittenAfterEveryFinishedRound) {
+TEST(CheckpointResumeTest, CappedSearchLeavesItsCapRoundCheckpoint) {
   const systems::FailureCase* failure_case = systems::FindCase("zk-2247");
   ASSERT_NE(failure_case, nullptr);
   systems::BuiltCase built = systems::BuildCase(*failure_case);
   ExplorerOptions options = OptionsForCase(*failure_case, 1);
   options.max_rounds = 2;
-  std::string path = TempPath("every_round.json");
+  std::string path = TempPath("cap_round.json");
   RunSearch(built, options, CheckpointConfig{path, nullptr});
   SearchCheckpoint snap;
   std::string error;
@@ -591,6 +595,122 @@ TEST(CheckpointResumeTest, CheckpointWrittenAfterEveryFinishedRound) {
   EXPECT_EQ(snap.program_fingerprint, ProgramFingerprint(*built.spec.program));
   EXPECT_EQ(snap.base_seed, built.spec.base_seed);
   std::remove(path.c_str());
+}
+
+// Full feedback, with `on_round` called after each round's feedback.
+class RoundHook : public InjectionStrategy {
+ public:
+  explicit RoundHook(std::function<void(int round)> on_round)
+      : inner_(MakeFullFeedbackStrategy()), on_round_(std::move(on_round)) {}
+  std::string name() const override { return inner_->name(); }
+  void Initialize(const ExplorerContext& context) override { inner_->Initialize(context); }
+  void set_metrics(obs::MetricsRegistry* metrics) override { inner_->set_metrics(metrics); }
+  std::vector<interp::InjectionCandidate> NextWindow() override { return inner_->NextWindow(); }
+  void OnRound(const RoundOutcome& outcome) override {
+    inner_->OnRound(outcome);
+    on_round_(outcome.round);
+  }
+  bool Exhausted() const override { return inner_->Exhausted(); }
+  bool WantsLogFeedback() const override { return inner_->WantsLogFeedback(); }
+  int RankOfSite(ir::FaultSiteId site) const override { return inner_->RankOfSite(site); }
+  bool SaveState(StrategyCheckpoint* out) const override { return inner_->SaveState(out); }
+  bool RestoreState(const StrategyCheckpoint& state) override {
+    return inner_->RestoreState(state);
+  }
+
+ private:
+  std::unique_ptr<InjectionStrategy> inner_;
+  std::function<void(int round)> on_round_;
+};
+
+// A drain stops the search at the next round boundary and saves the round it
+// ended on there, though the cadence skipped it: the file holds round 3, and
+// a search resumed from it matches the uninterrupted one in script, seed,
+// round count and final metrics. The flag is set from another thread, as a
+// signal handler or the service would.
+TEST(CheckpointResumeTest, DrainSavesItsLastRoundAndResumesByteIdentically) {
+  constexpr int kDrainRound = 3;
+  const systems::FailureCase* failure_case = systems::FindCase("hd-4233");
+  ASSERT_NE(failure_case, nullptr);
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    systems::BuiltCase built = systems::BuildCase(*failure_case);
+    ExplorerOptions options = OptionsForCase(*failure_case, threads);
+    obs::MetricsRegistry baseline_metrics;
+    options.metrics = &baseline_metrics;
+    const ExploreResult baseline = RunSearch(built, options);
+    ASSERT_TRUE(baseline.reproduced);
+    ASSERT_GT(baseline.rounds, kDrainRound + 1);
+
+    const std::string path = TempPath("drain_" + std::to_string(threads) + ".json");
+    std::atomic<bool> cancel{false};
+    obs::MetricsRegistry drained_metrics;
+    ExplorerOptions draining = options;
+    draining.metrics = &drained_metrics;
+    draining.cancel = &cancel;
+    RoundHook hook([&cancel](int round) {
+      if (round == kDrainRound) {
+        std::thread([&cancel] { cancel.store(true, std::memory_order_relaxed); }).join();
+      }
+    });
+    Explorer explorer(built.spec, draining);
+    const ExploreResult drained = explorer.Explore(&hook, CheckpointConfig{path, nullptr});
+    EXPECT_TRUE(drained.error.empty()) << drained.error;
+    EXPECT_TRUE(drained.interrupted);
+    EXPECT_EQ(drained.rounds, kDrainRound);
+    SearchCheckpoint snap;
+    std::string error;
+    ASSERT_TRUE(LoadCheckpointFile(path, &snap, &error)) << error;
+    EXPECT_EQ(snap.rounds_completed, kDrainRound);
+    std::remove(path.c_str());
+
+    systems::BuiltCase rebuilt = systems::BuildCase(*failure_case);
+    obs::MetricsRegistry resumed_metrics;
+    ExplorerOptions resuming = options;
+    resuming.metrics = &resumed_metrics;
+    const ExploreResult resumed = RunSearch(rebuilt, resuming, CheckpointConfig{"", &snap});
+    ASSERT_TRUE(resumed.reproduced);
+    EXPECT_EQ(resumed.script->ToText(*rebuilt.spec.program),
+              baseline.script->ToText(*built.spec.program));
+    EXPECT_EQ(resumed.script->seed, baseline.script->seed);
+    EXPECT_EQ(resumed.rounds, baseline.rounds);
+    EXPECT_EQ(obs::MetricsSnapshotToJson(resumed.metrics).Dump(),
+              obs::MetricsSnapshotToJson(baseline.metrics).Dump());
+  }
+}
+
+// A resumed search with quick rounds writes nothing before its cap: with the
+// checkpoint's directory gone after its first round, the save that fails is
+// the cap's, four rounds later. hd-4233's rounds take well under
+// kCheckpointInterval, sanitized builds included.
+TEST(CheckpointResumeTest, ResumedSliceSavesOnlyAtItsCap) {
+  const systems::FailureCase* failure_case = systems::FindCase("hd-4233");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  ExplorerOptions options = OptionsForCase(*failure_case, 1);
+  options.max_rounds = 2;
+  const std::string dir = TempPath("resumed_slice");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/checkpoint.json";
+  ASSERT_FALSE(RunSearch(built, options, CheckpointConfig{path, nullptr}).reproduced);
+  SearchCheckpoint snap;
+  std::string error;
+  ASSERT_TRUE(LoadCheckpointFile(path, &snap, &error)) << error;
+  ASSERT_EQ(snap.rounds_completed, 2);
+
+  options.max_rounds = 6;
+  RoundHook hook([&dir](int round) {
+    if (round == 3) {
+      std::filesystem::remove_all(dir);
+    }
+  });
+  Explorer explorer(built.spec, options);
+  const ExploreResult resumed = explorer.Explore(&hook, CheckpointConfig{path, &snap});
+  EXPECT_NE(resumed.error.find("cannot write checkpoint file " + path + " after round 6"),
+            std::string::npos)
+      << resumed.error;
+  EXPECT_FALSE(resumed.reproduced);
+  EXPECT_EQ(resumed.rounds, 6);
 }
 
 // --- crash/stall scenario registry ---------------------------------------------

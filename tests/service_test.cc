@@ -561,6 +561,21 @@ TEST(ServiceTest, RejectsSliceWidthBelowOneBeforeJournaling) {
   EXPECT_FALSE(fs::exists(ManifestPath(dir)));
 }
 
+// A busy worker's checkpoint may stay silent for the checkpoint interval plus
+// a round, so a nonzero heartbeat timeout at or below the interval is refused.
+TEST(ServiceTest, RejectsHeartbeatWithinCheckpointIntervalBeforeJournaling) {
+  const std::string dir = FreshStateDir("service_short_heartbeat");
+  ServeOptions options = BaseOptions(dir, MixedSeed());
+  for (const int timeout_ms : {1, 100}) {
+    options.heartbeat_timeout_ms = timeout_ms;
+    const ServeReport report = RunService(options);
+    EXPECT_TRUE(report.error) << timeout_ms;
+    EXPECT_NE(report.error_text.find("heartbeat_timeout_ms"), std::string::npos)
+        << report.error_text;
+    EXPECT_FALSE(fs::exists(ManifestPath(dir))) << timeout_ms;
+  }
+}
+
 TEST(ServiceTest, StarveOutDoesNotWedgeQueue) {
   // hd-4233 needs far more than 10 rounds; it must starve out while the
   // solvable case still reproduces — one stubborn case cannot block the
@@ -793,29 +808,38 @@ std::vector<std::string> CliArgs(const std::string& dir,
 TEST(ServiceCrashTest, DaemonKilledBetweenCommitsResumesByteIdentically) {
   const std::string baseline_dir = FreshStateDir("service_dcrash_baseline");
   ASSERT_EQ(RunServeCli(CliArgs(baseline_dir)), 0);
-
-  // The daemon _exit()s immediately after journaling its 4th slice result —
-  // a kill landing between two queue commits, with workers orphaned.
-  const std::string dir = FreshStateDir("service_dcrash");
-  ASSERT_EQ(RunServeCli(CliArgs(dir, {"--crash-after-slices=4"})), 42);
-
-  // The half-finished queue must be loadable and visibly partial.
-  QueueManifest partial;
-  std::string error;
-  ASSERT_TRUE(LoadManifestFile(ManifestPath(dir), &partial, &error)) << error;
-  EXPECT_FALSE(partial.AllTerminal());
-
-  // Rerunning the same command resumes and finishes with baseline outcomes.
-  ASSERT_EQ(RunServeCli(CliArgs(dir)), 0);
   QueueManifest baseline_manifest;
-  QueueManifest resumed_manifest;
-  ASSERT_TRUE(
-      LoadManifestFile(ManifestPath(baseline_dir), &baseline_manifest, &error))
+  std::string error;
+  ASSERT_TRUE(LoadManifestFile(ManifestPath(baseline_dir), &baseline_manifest, &error))
       << error;
-  ASSERT_TRUE(LoadManifestFile(ManifestPath(dir), &resumed_manifest, &error)) << error;
-  EXPECT_EQ(Outcomes(baseline_manifest), Outcomes(resumed_manifest));
-  EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(baseline_dir)),
-            ReadFileOrDie(MergedMetricsPath(dir)));
+
+  // The default shape, and 4 workers on 4-round slices, where one commit
+  // can carry several results.
+  const std::vector<std::vector<std::string>> shapes = {{},
+                                                        {"--workers=4", "--slice-rounds=4"}};
+  for (const std::vector<std::string>& shape : shapes) {
+    SCOPED_TRACE(shape.empty() ? "default shape" : shape[0] + " " + shape[1]);
+    // The daemon _exit()s right after the commit that journals its 4th
+    // slice result — a kill landing between two queue commits, with workers
+    // orphaned.
+    const std::string dir = FreshStateDir("service_dcrash");
+    std::vector<std::string> crash = shape;
+    crash.push_back("--crash-after-slices=4");
+    ASSERT_EQ(RunServeCli(CliArgs(dir, crash)), 42);
+
+    // The half-finished queue must be loadable and visibly partial.
+    QueueManifest partial;
+    ASSERT_TRUE(LoadManifestFile(ManifestPath(dir), &partial, &error)) << error;
+    EXPECT_FALSE(partial.AllTerminal());
+
+    // Rerunning the same command resumes and finishes with baseline outcomes.
+    ASSERT_EQ(RunServeCli(CliArgs(dir, shape)), 0);
+    QueueManifest resumed_manifest;
+    ASSERT_TRUE(LoadManifestFile(ManifestPath(dir), &resumed_manifest, &error)) << error;
+    EXPECT_EQ(Outcomes(baseline_manifest), Outcomes(resumed_manifest));
+    EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(baseline_dir)),
+              ReadFileOrDie(MergedMetricsPath(dir)));
+  }
 }
 
 TEST(ServiceCrashTest, DaemonSigkilledResumesByteIdentically) {
@@ -936,13 +960,14 @@ TEST(ServiceCrashTest, WorkerWithoutChannelExitsTwo) {
   }
 }
 
-// Bad numbers, unknown flags and extra arguments are usage errors (exit 2)
-// caught before anything is journaled.
+// Bad numbers, unknown flags, extra arguments and a heartbeat timeout within
+// the checkpoint interval are usage errors (exit 2) caught before anything is
+// journaled.
 TEST(ServiceCliTest, BadArgumentsExitTwoBeforeJournaling) {
   for (const char* bad : {"--slice-rounds=0", "--slice-rounds=abc", "--slice-rounds=4x",
                           "--slice-rounds=", "--slice-round=4", "--workers=-1",
                           "--workers=99999999999", "--poll-ms=2", "extra",
-                          "--cases=zk-2247:1e3"}) {
+                          "--cases=zk-2247:1e3", "--heartbeat-timeout-ms=100"}) {
     const std::string dir = FreshStateDir("service_bad_cli");
     const std::vector<std::string> args = {"run", dir, "--cases=zk-2247,hd-4233",
                                            "--workers=0", "--quiet", bad};

@@ -8,8 +8,11 @@
 //                    [--trace-out=<path>] [--metrics-out=<path>]
 //       Explore with a strategy (default "full") and print the per-round
 //       trace plus the reproduction script. --checkpoint serializes the
-//       search state to <path> after every round; --resume restores it from
-//       there first (and continues from the next round). --trace-out writes
+//       search state to <path> after round 1, after the last round, on a
+//       drain, and every 100 ms (explorer::kCheckpointInterval) in between,
+//       so a SIGKILL loses at most that interval plus a round; --resume
+//       restores it from there first (and continues from the next round,
+//       replaying any lost ones identically). --trace-out writes
 //       the structured search trace: Chrome trace_event JSON (load it in
 //       chrome://tracing or Perfetto), or compact JSONL when the path ends
 //       in ".jsonl". --metrics-out writes the metrics registry (counters,
@@ -85,6 +88,9 @@ int Usage() {
       "       anduril_case run <case> [strategy] [max_rounds] [--checkpoint=<path>] "
       "[--resume]\n"
       "                    [--trace-out=<path>] [--metrics-out=<path>]\n"
+      "           --checkpoint:  save the search state to <path> after round 1, the\n"
+      "                          last round and a drain, and every 100 ms between;\n"
+      "                          --resume continues from it\n"
       "           --trace-out:   write the search trace; Chrome trace_event JSON\n"
       "                          (chrome://tracing / Perfetto), or JSONL if <path>\n"
       "                          ends in \".jsonl\"\n"

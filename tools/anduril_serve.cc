@@ -14,8 +14,10 @@
 //       metrics. Cascade cases are searched in chain mode automatically.
 //       --crash-after-slices / --worker-crash-slice are deterministic
 //       kill-emulation hooks used by the crash/resume tests. Every number is
-//       a whole decimal; --slice-rounds must be at least 1. A bad value, an
-//       unknown flag or an extra argument exits 2 before anything is queued.
+//       a whole decimal; --slice-rounds must be at least 1, and a nonzero
+//       --heartbeat-timeout-ms must exceed the 100 ms checkpoint interval. A
+//       bad value, an unknown flag or an extra argument exits 2 before
+//       anything is queued.
 //   anduril_serve status <state_dir>
 //       Print the journaled queue state.
 //   anduril_serve worker <dir> [daemon_pid]
@@ -27,12 +29,14 @@
 
 #include <atomic>
 #include <charconv>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "src/explorer/checkpoint.h"
 #include "src/service/daemon.h"
 #include "src/service/manifest.h"
 #include "src/service/worker.h"
@@ -228,6 +232,16 @@ int Main(int argc, char** argv) {
     } else {
       args.push_back(arg);
     }
+  }
+  if (options.heartbeat_timeout_ms > 0 &&
+      std::chrono::milliseconds(options.heartbeat_timeout_ms) <=
+          explorer::kCheckpointInterval) {
+    std::fprintf(stderr,
+                 "--heartbeat-timeout-ms must be 0 (off) or above the %lld ms checkpoint "
+                 "interval, got %d\n",
+                 static_cast<long long>(explorer::kCheckpointInterval.count()),
+                 options.heartbeat_timeout_ms);
+    return Usage();
   }
   if (args.size() < 2) {
     return Usage();
