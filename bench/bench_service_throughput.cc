@@ -10,9 +10,10 @@
 //
 // Speedup is hardware-bound the same way bench_parallel_speedup's is, with
 // two extra sources of overhead unique to the service: fork/exec of worker
-// processes and the work-unit IPC (one cmd/result file pair and two doorbell
-// bytes plus a checkpoint write per slice). hardware_concurrency is recorded so the
-// ratios are interpretable wherever the bench ran.
+// processes and the work-unit IPC (a unit packet and a result packet on the
+// worker's socketpair per slice, plus the case's checkpoint and metrics
+// writes). hardware_concurrency is recorded so the ratios are interpretable
+// wherever the bench ran.
 //
 // The hard gates are correctness, not speed: every case must reproduce in
 // every configuration, and the per-case outcomes (script, seed, rounds) must

@@ -1,6 +1,8 @@
 #include "src/explorer/checkpoint.h"
 
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "src/explorer/priority_engine.h"
 #include "src/util/file.h"
@@ -10,6 +12,22 @@
 
 namespace anduril::explorer {
 namespace {
+
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+// Program ids are int32; kInvalidId marks "none" (a non-exception fault's type).
+constexpr int64_t kMaxId = std::numeric_limits<int32_t>::max();
+
+// ReadIntMember with the error prefixed by "checkpoint field ".
+template <typename Int>
+bool ReadField(const JsonValue& object, const char* key, int64_t min, int64_t max, Int* out,
+               std::string* error) {
+  if (ReadIntMember(object, key, min, max, out, error)) {
+    return true;
+  }
+  *error = "checkpoint field " + *error;
+  return false;
+}
 
 JsonValue CandidateToJson(const interp::InjectionCandidate& candidate) {
   JsonValue object = JsonValue::Object();
@@ -26,11 +44,11 @@ bool CandidateFromJson(const JsonValue& value, interp::InjectionCandidate* out,
     *error = "candidate is not an object";
     return false;
   }
-  out->site = static_cast<ir::FaultSiteId>(
-      value.Find("site") ? value.Find("site")->as_int(ir::kInvalidId) : ir::kInvalidId);
-  out->occurrence = value.Find("occurrence") ? value.Find("occurrence")->as_int() : 0;
-  out->type = static_cast<ir::ExceptionTypeId>(
-      value.Find("type") ? value.Find("type")->as_int(ir::kInvalidId) : ir::kInvalidId);
+  if (!ReadField(value, "site", ir::kInvalidId, kMaxId, &out->site, error) ||
+      !ReadField(value, "occurrence", 0, kMaxInt64, &out->occurrence, error) ||
+      !ReadField(value, "type", ir::kInvalidId, kMaxId, &out->type, error)) {
+    return false;
+  }
   const std::string& kind =
       value.Find("kind") ? value.Find("kind")->as_string() : std::string("exception");
   if (!interp::FaultKindFromName(kind, &out->kind)) {
@@ -206,13 +224,16 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
     *error = "checkpoint is not a JSON object";
     return false;
   }
-  const JsonValue* version = root.Find("version");
-  if (version == nullptr) {
-    *error = "checkpoint has no version field";
+  int version = -1;  // absent
+  if (!ReadField(root, "version", 0, kMaxInt, &version, error)) {
     return false;
   }
-  if (version->as_int() != kCheckpointVersion) {
-    if (version->as_int() == 2 && root.Find("chain") != nullptr) {
+  if (version != kCheckpointVersion) {
+    if (version < 0) {
+      *error = "checkpoint has no version field";
+      return false;
+    }
+    if (version == 2 && root.Find("chain") != nullptr) {
       // A pre-release chain build wrote chain state without bumping the
       // version; resuming it as v2 would silently drop the chain prefix.
       *error = StrFormat(
@@ -226,10 +247,12 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
         "unsupported checkpoint version %lld (this build reads only version %d); "
         "checkpoint files are not forward/backward compatible — delete the stale "
         "checkpoint and restart the search from round 0",
-        static_cast<long long>(version->as_int()), kCheckpointVersion);
+        static_cast<long long>(version), kCheckpointVersion);
     return false;
   }
-  out->version = static_cast<int>(version->as_int());
+  // Filled in place and handed over whole, so a failed parse leaves *out as it was.
+  SearchCheckpoint parsed;
+  parsed.version = version;
   auto read_u64 = [error](const JsonValue& object, const char* key, uint64_t* into) {
     if (ReadU64Member(object, key, into, error)) {
       return true;
@@ -237,52 +260,52 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
     *error = "checkpoint field " + *error;
     return false;
   };
-  if (!read_u64(root, "program_fingerprint", &out->program_fingerprint) ||
-      !read_u64(root, "base_seed", &out->base_seed) ||
-      !read_u64(root, "retry_rng_draws", &out->retry_rng_draws)) {
+  if (!read_u64(root, "program_fingerprint", &parsed.program_fingerprint) ||
+      !read_u64(root, "base_seed", &parsed.base_seed) ||
+      !read_u64(root, "retry_rng_draws", &parsed.retry_rng_draws) ||
+      !ReadField(root, "rounds_completed", 0, kMaxInt, &parsed.rounds_completed, error)) {
     return false;
   }
-  out->rounds_completed =
-      root.Find("rounds_completed") ? static_cast<int>(root.Find("rounds_completed")->as_int())
-                                    : 0;
 
   const JsonValue* network = root.Find("network");
   if (network == nullptr || network->type() != JsonValue::Type::kObject) {
     *error = "checkpoint has no network object (required since version 2)";
     return false;
   }
-  out->network_candidates =
+  parsed.network_candidates =
       network->Find("candidates") != nullptr && network->Find("candidates")->as_bool();
-  out->partition_heal_ms =
-      network->Find("partition_heal_ms") ? network->Find("partition_heal_ms")->as_int() : 0;
-  out->network_delay_ms =
-      network->Find("network_delay_ms") ? network->Find("network_delay_ms")->as_int() : 0;
-
-  if (const JsonValue* experiment = root.Find("experiment"); experiment != nullptr) {
-    auto get_int = [&](const char* key) {
-      const JsonValue* value = experiment->Find(key);
-      return value ? static_cast<int>(value->as_int()) : 0;
-    };
-    out->experiment.completed_rounds = get_int("completed_rounds");
-    out->experiment.crashed_rounds = get_int("crashed_rounds");
-    out->experiment.hung_rounds = get_int("hung_rounds");
-    out->experiment.budget_exceeded_rounds = get_int("budget_exceeded_rounds");
-    out->experiment.partitioned_stuck_rounds = get_int("partitioned_stuck_rounds");
-    out->experiment.transient_retries = get_int("transient_retries");
-    const JsonValue* total = experiment->Find("total_run_wall_seconds");
-    out->experiment.total_run_wall_seconds = total ? total->as_double() : 0;
-    const JsonValue* max_round = experiment->Find("max_round_wall_seconds");
-    out->experiment.max_round_wall_seconds = max_round ? max_round->as_double() : 0;
+  if (!ReadField(*network, "partition_heal_ms", 0, kMaxInt64, &parsed.partition_heal_ms, error) ||
+      !ReadField(*network, "network_delay_ms", 0, kMaxInt64, &parsed.network_delay_ms, error)) {
+    return false;
   }
 
-  out->pinned.clear();
+  if (const JsonValue* experiment = root.Find("experiment"); experiment != nullptr) {
+    ExperimentRecord& record = parsed.experiment;
+    const std::pair<const char*, int*> counts[] = {
+        {"completed_rounds", &record.completed_rounds},
+        {"crashed_rounds", &record.crashed_rounds},
+        {"hung_rounds", &record.hung_rounds},
+        {"budget_exceeded_rounds", &record.budget_exceeded_rounds},
+        {"partitioned_stuck_rounds", &record.partitioned_stuck_rounds},
+        {"transient_retries", &record.transient_retries}};
+    for (const auto& [key, into] : counts) {
+      if (!ReadField(*experiment, key, 0, kMaxInt, into, error)) {
+        return false;
+      }
+    }
+    const JsonValue* total = experiment->Find("total_run_wall_seconds");
+    parsed.experiment.total_run_wall_seconds = total ? total->as_double() : 0;
+    const JsonValue* max_round = experiment->Find("max_round_wall_seconds");
+    parsed.experiment.max_round_wall_seconds = max_round ? max_round->as_double() : 0;
+  }
+
   if (const JsonValue* pinned = root.Find("pinned"); pinned != nullptr) {
     for (const JsonValue& entry : pinned->items()) {
       interp::InjectionCandidate candidate;
       if (!CandidateFromJson(entry, &candidate, error)) {
         return false;
       }
-      out->pinned.push_back(candidate);
+      parsed.pinned.push_back(candidate);
     }
   }
 
@@ -291,21 +314,23 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
     *error = "checkpoint has no strategy object";
     return false;
   }
-  const int64_t window_size =
-      strategy->Find("window_size") ? strategy->Find("window_size")->as_int() : 0;
-  if (window_size < 1 || window_size > std::numeric_limits<int>::max()) {
-    *error = StrFormat("checkpoint field \"window_size\" is %lld; a search window holds 1 to %d "
-                       "candidates",
-                       static_cast<long long>(window_size), std::numeric_limits<int>::max());
+  parsed.strategy.window_size = 0;  // absent: refused, as a window holds at least one
+  if (!ReadField(*strategy, "window_size", 1, kMaxInt, &parsed.strategy.window_size, error)) {
     return false;
   }
-  out->strategy.window_size = static_cast<int>(window_size);
-  out->strategy.exhausted =
+  if (parsed.strategy.window_size == 0) {
+    *error = "checkpoint field \"window_size\" is missing";
+    return false;
+  }
+  parsed.strategy.exhausted =
       strategy->Find("exhausted") != nullptr && strategy->Find("exhausted")->as_bool();
-  out->strategy.observable_priorities.clear();
   if (const JsonValue* priorities = strategy->Find("observable_priorities");
       priorities != nullptr) {
     for (const JsonValue& entry : priorities->items()) {
+      if (entry.type() != JsonValue::Type::kInt) {
+        *error = "checkpoint field \"observable_priorities\" holds a non-integer";
+        return false;
+      }
       const int64_t priority = entry.as_int();
       if (priority < -kMaxObservablePriority || priority > kMaxObservablePriority) {
         *error = StrFormat(
@@ -315,20 +340,18 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
             static_cast<long long>(kMaxObservablePriority));
         return false;
       }
-      out->strategy.observable_priorities.push_back(priority);
+      parsed.strategy.observable_priorities.push_back(priority);
     }
   }
-  out->strategy.tried.clear();
   if (const JsonValue* tried = strategy->Find("tried"); tried != nullptr) {
     for (const JsonValue& entry : tried->items()) {
       interp::InjectionCandidate candidate;
       if (!CandidateFromJson(entry, &candidate, error)) {
         return false;
       }
-      out->strategy.tried.push_back(candidate);
+      parsed.strategy.tried.push_back(candidate);
     }
   }
-  out->strategy.demotions.clear();
   if (const JsonValue* demotions = strategy->Find("demotions"); demotions != nullptr) {
     for (const JsonValue& entry : demotions->items()) {
       StrategyCheckpoint::Demotion demotion;
@@ -339,11 +362,12 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
         }
         return false;
       }
-      demotion.count = entry.Find("count") ? static_cast<int>(entry.Find("count")->as_int()) : 0;
-      out->strategy.demotions.push_back(demotion);
+      if (!ReadField(entry, "count", 0, kMaxInt, &demotion.count, error)) {
+        return false;
+      }
+      parsed.strategy.demotions.push_back(demotion);
     }
   }
-  out->chain = ChainState{};
   const JsonValue* chain = root.Find("chain");
   if (chain == nullptr || chain->type() != JsonValue::Type::kObject) {
     *error = "checkpoint has no chain object (required since version 3)";
@@ -362,25 +386,31 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
       if (!read_u64(entry, "seed", &step.seed)) {
         return false;
       }
-      step.rounds = entry.Find("rounds") ? static_cast<int>(entry.Find("rounds")->as_int()) : 0;
+      if (!ReadField(entry, "rounds", 0, kMaxInt, &step.rounds, error)) {
+        return false;
+      }
       if (const JsonValue* observables = entry.Find("stitched_observables");
           observables != nullptr) {
         for (const JsonValue& key : observables->items()) {
           step.stitched_observables.push_back(key.as_string());
         }
       }
-      out->chain.steps.push_back(std::move(step));
+      parsed.chain.steps.push_back(std::move(step));
     }
   }
-  out->chain.phase =
-      chain->Find("phase") ? static_cast<int>(chain->Find("phase")->as_int()) : 0;
-  out->chain.rounds_before_phase =
-      chain->Find("rounds_before_phase")
-          ? static_cast<int>(chain->Find("rounds_before_phase")->as_int())
-          : 0;
+  if (!ReadField(*chain, "phase", 0, kMaxInt, &parsed.chain.phase, error) ||
+      !ReadField(*chain, "rounds_before_phase", 0, kMaxInt, &parsed.chain.rounds_before_phase,
+                 error)) {
+    return false;
+  }
   if (const JsonValue* stitched = chain->Find("stitched_sites"); stitched != nullptr) {
     for (const JsonValue& entry : stitched->items()) {
-      out->chain.stitched_sites.push_back(static_cast<ir::FaultSiteId>(entry.as_int()));
+      if (entry.type() != JsonValue::Type::kInt || entry.as_int() < 0 ||
+          entry.as_int() > kMaxId) {
+        *error = "checkpoint field \"stitched_sites\" holds a value that is not a site id";
+        return false;
+      }
+      parsed.chain.stitched_sites.push_back(static_cast<ir::FaultSiteId>(entry.as_int()));
     }
   }
   if (const JsonValue* summaries = chain->Find("round_candidates"); summaries != nullptr) {
@@ -393,18 +423,18 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
         }
         return false;
       }
-      summary.present_observables =
-          entry.Find("present_observables")
-              ? static_cast<int>(entry.Find("present_observables")->as_int())
-              : -1;
-      summary.round = entry.Find("round") ? static_cast<int>(entry.Find("round")->as_int()) : 0;
-      out->chain.round_candidates.push_back(summary);
+      if (!ReadField(entry, "present_observables", -1, kMaxInt, &summary.present_observables,
+                     error) ||
+          !ReadField(entry, "round", 0, kMaxInt, &summary.round, error)) {
+        return false;
+      }
+      parsed.chain.round_candidates.push_back(summary);
     }
   }
-  if (!read_u64(root, "chain_signature_hash", &out->chain_signature_hash)) {
+  if (!read_u64(root, "chain_signature_hash", &parsed.chain_signature_hash)) {
     return false;
   }
-  if (out->chain_signature_hash != ChainSignatureHash(out->chain)) {
+  if (parsed.chain_signature_hash != ChainSignatureHash(parsed.chain)) {
     *error =
         "chain signature hash mismatch: the checkpoint's chain state does not hash to "
         "its recorded chain_signature_hash — the file is corrupt or was hand-edited; "
@@ -422,19 +452,18 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
     *error = "checkpoint engine kind \"" + kind + "\" is not \"incremental\"";
     return false;
   }
-  out->engine_candidates =
-      engine->Find("candidates") ? engine->Find("candidates")->as_int() : 0;
-  out->engine_observables =
-      engine->Find("observables") ? engine->Find("observables")->as_int() : 0;
+  if (!ReadField(*engine, "candidates", 0, kMaxInt64, &parsed.engine_candidates, error) ||
+      !ReadField(*engine, "observables", 0, kMaxInt64, &parsed.engine_observables, error)) {
+    return false;
+  }
 
-  out->has_metrics = false;
-  out->metrics = obs::MetricsSnapshot{};
   if (const JsonValue* metrics = root.Find("metrics"); metrics != nullptr) {
-    if (!obs::MetricsSnapshotFromJson(*metrics, &out->metrics, error)) {
+    if (!obs::MetricsSnapshotFromJson(*metrics, &parsed.metrics, error)) {
       return false;
     }
-    out->has_metrics = true;
+    parsed.has_metrics = true;
   }
+  *out = std::move(parsed);
   error->clear();
   return true;
 }

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/explorer/checkpoint.h"
 #include "src/systems/harness.h"
 
 namespace anduril::service {
@@ -20,7 +19,6 @@ ContextCache::Entry* ContextCache::Get(const systems::FailureCase& failure_case)
   // systems::BuildCase).
   entry->built.spec.program = entry->built.program.get();
   entry->built.spec.cluster = &entry->built.cluster;
-  entry->fingerprint = explorer::ProgramFingerprint(*entry->built.program);
   entry->options = systems::OptionsForCase(failure_case);
   Entry* raw = entry.get();
   by_id_[failure_case.id] = std::move(entry);

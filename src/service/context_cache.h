@@ -8,8 +8,7 @@
 // keyed by case id — NOT by the program fingerprint, which hashes only the
 // program's *shape* (fault sites, exception types) and collides across
 // sibling cases of the same system that differ in workload, failure log,
-// and oracle. The fingerprint is still computed per entry: dispatch uses it
-// to cross-check the case's checkpoint.
+// and oracle.
 //
 // BuiltCase is self-referential (spec.program / spec.cluster point into the
 // struct), so entries live behind unique_ptr and the spec is re-pointed
@@ -26,7 +25,6 @@
 #ifndef ANDURIL_SRC_SERVICE_CONTEXT_CACHE_H_
 #define ANDURIL_SRC_SERVICE_CONTEXT_CACHE_H_
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -41,7 +39,6 @@ class ContextCache {
  public:
   struct Entry {
     systems::BuiltCase built;
-    uint64_t fingerprint = 0;
     // Canonical candidate-space options for the case (no metrics attached).
     explorer::ExplorerOptions options;
     // Built lazily by the first plain search over the entry; chain searches

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/explorer/checkpoint.h"
@@ -55,7 +56,7 @@ constexpr int kMaxCaseCrashes = 3;
 // SIGTERM before it SIGKILLs them.
 constexpr std::chrono::milliseconds kShutdownGrace{2000};
 
-// Upper bound on one wait for doorbells. Its only job is to notice a drain
+// Upper bound on one wait for packets. Its only job is to notice a drain
 // signal that lands just before the wait (or on another thread), which does
 // not interrupt it; every other wake-up has its own event or deadline.
 constexpr std::chrono::milliseconds kDrainCheckInterval{50};
@@ -63,8 +64,7 @@ constexpr std::chrono::milliseconds kDrainCheckInterval{50};
 struct WorkerSlot {
   int index = 0;
   pid_t pid = -1;
-  int channel = -1;  // daemon's end of the doorbell socketpair while pid > 0
-  std::string dir;
+  int channel = -1;  // daemon's end of the worker's socketpair while pid > 0
   int case_index = -1;  // -1 = idle
   fs::file_time_type dispatch_time{};
   // Cases dispatched to the current worker process. Its ContextCache never
@@ -82,23 +82,20 @@ std::chrono::milliseconds Until(SteadyClock::time_point deadline) {
 }
 
 // Waits on the channels of `slots` until one is readable or `timeout` ran
-// out; returns the slots whose channel is ready (doorbell or hang-up).
+// out; returns the slots whose channel is ready (a packet or a hang-up).
+// poll() skips the slots without a worker (channel -1).
 std::vector<WorkerSlot*> PollChannels(std::vector<WorkerSlot>& slots,
                                       std::chrono::milliseconds timeout) {
   std::vector<pollfd> channels;
-  std::vector<WorkerSlot*> owners;
-  for (WorkerSlot& slot : slots) {
-    if (slot.channel >= 0) {
-      channels.push_back({slot.channel, POLLIN, 0});
-      owners.push_back(&slot);
-    }
+  for (const WorkerSlot& slot : slots) {
+    channels.push_back({slot.channel, POLLIN, 0});
   }
   std::vector<WorkerSlot*> ready;
   // EINTR (a drain signal) returns no slots, so the caller re-checks.
   if (poll(channels.data(), channels.size(), static_cast<int>(timeout.count())) > 0) {
     for (size_t i = 0; i < channels.size(); ++i) {
       if (channels[i].revents != 0) {
-        ready.push_back(owners[i]);
+        ready.push_back(&slots[i]);
       }
     }
   }
@@ -237,7 +234,6 @@ class Daemon {
     unit.round_budget = entry.round_budget;
     unit.checkpoint_path = CaseCheckpointPath(options_.state_dir, entry.id);
     unit.metrics_path = CaseMetricsPath(options_.state_dir, entry.id);
-    unit.daemon_pid = getpid();
     ++dispatched_;
     if (dispatched_ == options_.worker_crash_slice) {
       unit.emulate_crash_after_rounds =
@@ -246,12 +242,8 @@ class Daemon {
     return unit;
   }
 
-  // Updates the manifest in memory; the next Commit journals it. Returns
-  // false when the result belongs to a previous daemon incarnation.
-  bool ApplyResult(int case_index, const WorkResult& result) {
-    if (result.daemon_pid != getpid()) {
-      return false;
-    }
+  // Updates the manifest in memory; the next Commit journals it.
+  void ApplyResult(int case_index, const WorkResult& result) {
     QueueCase& entry = manifest_.cases[case_index];
     entry.rounds_done = std::max(entry.rounds_done, result.rounds_done);
     ++entry.slices_done;
@@ -283,7 +275,6 @@ class Daemon {
     StarveOut();
     unjournaled_ = true;
     ++report_.slices_applied;
-    return true;
   }
 
   // ---- In-process (serial) mode -------------------------------------------
@@ -301,8 +292,8 @@ class Daemon {
       if (index < 0) {
         break;
       }
-      WorkResult result = RunSlice(&cache, UnitFor(manifest_.cases[index]), options_.cancel);
-      result.daemon_pid = getpid();
+      const WorkResult result =
+          RunSlice(&cache, UnitFor(manifest_.cases[index]), options_.cancel);
       ApplyResult(index, result);
       if (result.status == SliceStatus::kInterrupted) {
         report_.interrupted = true;
@@ -327,14 +318,6 @@ class Daemon {
     for (int i = 0; i < options_.workers; ++i) {
       WorkerSlot& slot = slots_[i];
       slot.index = i;
-      slot.dir = options_.state_dir + "/w" + std::to_string(i);
-      std::error_code ec;
-      fs::create_directories(slot.dir, ec);
-      // Clear spool left by a previous incarnation: the manifest and the
-      // checkpoints are the durable state, not in-flight commands/results.
-      for (const fs::directory_entry& stale : fs::directory_iterator(slot.dir, ec)) {
-        fs::remove_all(stale.path(), ec);
-      }
       ExponentialBackoff::Options backoff_options;
       backoff_options.max_retries = 1 << 30;  // pacing only; cases gate crashes
       backoffs_.emplace_back(backoff_options, 0xB0FFu + static_cast<uint64_t>(i));
@@ -365,7 +348,7 @@ class Daemon {
     Shutdown();
   }
 
-  // Blocks until a doorbell, a hang-up, a heartbeat deadline or a respawn
+  // Blocks until a packet, a hang-up, a heartbeat deadline or a respawn
   // time (or kDrainCheckInterval), then handles what is due.
   void Wait() {
     std::chrono::milliseconds timeout = kDrainCheckInterval;
@@ -376,13 +359,8 @@ class Daemon {
       }
     }
     for (WorkerSlot* slot : PollChannels(slots_, timeout)) {
-      if (DrainDoorbells(slot->channel)) {
-        Collect(*slot);
-      } else {
-        // Hang-up: the worker exited, since its descriptors close at exit.
-        int status = 0;
-        waitpid(slot->pid, &status, 0);
-        HandleDeath(*slot, status);
+      if (!Collect(*slot)) {
+        HandleDeath(*slot);
       }
       if (report_.error) {
         return;
@@ -391,13 +369,11 @@ class Daemon {
   }
 
   void Spawn(WorkerSlot& slot) {
-    // The worker gets the daemon's pid on its command line: it stamps the
-    // commands this daemon writes (see worker.h).
     const pid_t daemon = getpid();
     const std::string daemon_pid = std::to_string(daemon);
     int ends[2];
-    if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0) {
-      Fail("cannot create the doorbell channel for worker " + std::to_string(slot.index));
+    if (socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, ends) != 0) {
+      Fail("cannot create the channel for worker " + std::to_string(slot.index));
       return;
     }
     // The drain signals stay blocked across fork(): a SIGTERM landing in the
@@ -436,7 +412,7 @@ class Daemon {
         _exit(127);
       }
       execl(options_.serve_binary.c_str(), options_.serve_binary.c_str(), "worker",
-            slot.dir.c_str(), daemon_pid.c_str(), static_cast<char*>(nullptr));
+            options_.state_dir.c_str(), daemon_pid.c_str(), static_cast<char*>(nullptr));
       std::fprintf(stderr, "worker %d: cannot exec %s\n", slot.index,
                    options_.serve_binary.c_str());
       _exit(127);
@@ -455,11 +431,19 @@ class Daemon {
     slot.awaiting_respawn = false;
   }
 
-  // Forgets the slot's worker once it has been reaped.
-  static void Release(WorkerSlot& slot) {
+  // Kills and reaps the slot's worker (one that has exited is unaffected by
+  // the signal; one still running is wedged or sent an overlong packet),
+  // applies a result it sent before it died, and forgets it. Returns its
+  // wait status.
+  int Reap(WorkerSlot& slot) {
+    kill(slot.pid, SIGKILL);
+    int status = 0;
+    waitpid(slot.pid, &status, 0);
+    Collect(slot);
     close(slot.channel);
     slot.channel = -1;
     slot.pid = -1;
+    return status;
   }
 
   void Dispatch(WorkerSlot& slot) {
@@ -474,58 +458,48 @@ class Daemon {
     if (index < 0) {
       return;
     }
-    const WorkUnit unit = UnitFor(manifest_.cases[index]);
-    if (!WriteFileAtomic(slot.dir + "/cmd.json", SerializeWorkUnit(unit))) {
-      Fail("cannot write command for worker " + std::to_string(slot.index));
-      return;
-    }
     slot.case_index = index;
     slot.warm[index] = true;
     slot.dispatch_time = fs::file_time_type::clock::now();
-    RingDoorbell(slot.channel);
+    // A worker that died before the send hangs up instead; that requeues the
+    // case like any death mid-slice.
+    SendMessage(slot.channel, SerializeWorkUnit(UnitFor(manifest_.cases[index])));
   }
 
-  void Collect(WorkerSlot& slot) {
-    if (slot.pid <= 0 || slot.case_index < 0) {
-      return;
+  // Applies every result packet pending on the slot's channel. Returns false
+  // once the channel has hung up: the worker exited (its packets sent before
+  // the exit come first) or broke the protocol.
+  bool Collect(WorkerSlot& slot) {
+    std::string packet;
+    Received received;
+    while ((received = ReceiveMessage(slot.channel, &packet)) == Received::kMessage) {
+      if (slot.case_index < 0) {
+        continue;  // no unit outstanding: nothing to apply it to
+      }
+      WorkResult result;
+      std::string error;
+      if (!ParseWorkResult(packet, &result, &error)) {
+        Fail("worker " + std::to_string(slot.index) + ": " + error);
+        return true;
+      }
+      backoffs_[slot.index].Reset();
+      ApplyResult(std::exchange(slot.case_index, -1), result);
     }
-    const std::string result_path =
-        slot.dir + "/result-" + std::to_string(slot.pid) + ".json";
-    if (!fs::exists(result_path)) {
-      return;
-    }
-    std::string text;
-    if (!ReadFileToString(result_path, &text)) {
-      return;
-    }
-    std::error_code ec;
-    fs::remove(result_path, ec);
-    WorkResult result;
-    std::string error;
-    if (!ParseWorkResult(text, &result, &error)) {
-      Fail("worker " + std::to_string(slot.index) + ": " + error);
-      return;
-    }
-    const int case_index = slot.case_index;
-    slot.case_index = -1;
-    backoffs_[slot.index].Reset();
-    ApplyResult(case_index, result);
+    return received == Received::kEmpty;
   }
 
-  // A reaped worker: requeue a case it died running (with crash accounting)
-  // and schedule a respawn under backoff.
-  void HandleDeath(WorkerSlot& slot, int status) {
-    const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    // The worker may have finished the slice (result journaled) and died
-    // after — a completed handoff, not a crash against the case.
-    Collect(slot);
+  // Reaps a dead or wedged worker, requeues a case it died running (with
+  // crash accounting; a result it sent before dying is a completed handoff)
+  // and schedules a respawn under backoff.
+  void HandleDeath(WorkerSlot& slot) {
+    const int status = Reap(slot);
     if (slot.case_index >= 0) {
       QueueCase& entry = manifest_.cases[slot.case_index];
       ++entry.crashes;
       Log("[worker %d] died (%s %d) running %s — crash %d/%d, requeued\n", slot.index,
           WIFEXITED(status) ? "exit" : "signal",
-          WIFEXITED(status) ? code : WTERMSIG(status), entry.id.c_str(), entry.crashes,
-          kMaxCaseCrashes);
+          WIFEXITED(status) ? WEXITSTATUS(status) : WTERMSIG(status), entry.id.c_str(),
+          entry.crashes, kMaxCaseCrashes);
       if (entry.crashes >= kMaxCaseCrashes) {
         entry.state = CaseState::kFailed;
         Log("[%s] crashed its worker %d consecutive times — demoted to failed\n",
@@ -534,7 +508,6 @@ class Daemon {
       Journal();
       slot.case_index = -1;
     }
-    Release(slot);
     slot.awaiting_respawn = true;
     const int64_t delay_ms = backoffs_[slot.index].NextDelayMs();
     slot.respawn_at = SteadyClock::now() + std::chrono::milliseconds(delay_ms);
@@ -566,10 +539,7 @@ class Daemon {
     Log("[worker %d] no heartbeat for %lldms on %s — killing\n", slot.index,
         static_cast<long long>(stalled.count()),
         manifest_.cases[slot.case_index].id.c_str());
-    kill(slot.pid, SIGKILL);
-    int status = 0;
-    waitpid(slot.pid, &status, 0);
-    HandleDeath(slot, status);
+    HandleDeath(slot);
     return std::chrono::milliseconds::max();
   }
 
@@ -601,9 +571,10 @@ class Daemon {
     for (WorkerSlot& slot : slots_) {
       if (slot.pid > 0) {
         kill(slot.pid, SIGTERM);
-        // Wakes a worker that checked its drain flag just before the signal
-        // landed and then blocked on the channel.
-        RingDoorbell(slot.channel);
+        // The worker can still send its result, and then reads a hang-up:
+        // that also wakes one that checked its drain flag just before the
+        // signal landed and then blocked on the channel.
+        shutdown(slot.channel, SHUT_WR);
       }
     }
     const SteadyClock::time_point deadline = SteadyClock::now() + grace;
@@ -613,23 +584,15 @@ class Daemon {
     };
     while (any_alive() && SteadyClock::now() < deadline) {
       for (WorkerSlot* slot : PollChannels(slots_, Until(deadline))) {
-        if (DrainDoorbells(slot->channel)) {
-          Collect(*slot);
-          continue;
+        if (!Collect(*slot)) {
+          Reap(*slot);
+          slot->case_index = -1;
         }
-        int status = 0;
-        waitpid(slot->pid, &status, 0);
-        Collect(*slot);  // result written just before the exit
-        Release(*slot);
-        slot->case_index = -1;
       }
     }
     for (WorkerSlot& slot : slots_) {
       if (slot.pid > 0) {
-        kill(slot.pid, SIGKILL);
-        int status = 0;
-        waitpid(slot.pid, &status, 0);
-        Release(slot);
+        Reap(slot);
       }
     }
   }

@@ -4,32 +4,34 @@
 //
 // Robustness model, layer by layer:
 //  - Queue: journaled to <state_dir>/queue.json (atomic writes, FNV
-//    integrity hash). Collected results are applied in memory and
-//    journaled once per pass of the event loop, after every idle worker has
-//    its next slice, and before a drain or shutdown; a worker death's crash
-//    count is journaled at once. A restarted daemon resumes the whole queue;
-//    per-case search state resumes from the checkpoint files, whose
-//    byte-identical-resume invariant makes the final scripts and metrics of
-//    an interrupted+resumed queue identical to an uninterrupted run — at any
-//    worker count. A manifest one commit behind self-heals from them.
-//  - Workers: forked `anduril_serve worker` processes, each with a doorbell
-//    socketpair (work.h). The daemon blocks in poll() on every live channel:
-//    a byte means "collect this slot's result", a hang-up means the worker
-//    exited, and it is reaped with waitpid. The wait's timeout is the
-//    nearest heartbeat deadline (the case checkpoint's mtime must advance
-//    within heartbeat_timeout_ms; a busy search saves it at least every
-//    explorer::kCheckpointInterval plus a round) or respawn time, bounded by
-//    a short fixed interval that only serves to notice a drain signal. A
-//    dead or wedged worker is SIGKILLed, its case requeued, and the slot
-//    respawned under bounded exponential backoff. A case that kills its
-//    worker three times in a row is demoted to kFailed — it cannot wedge the
-//    queue. Workers die with the daemon (PR_SET_PDEATHSIG), so none outlives
-//    it to race a successor for a case's checkpoint.
+//    integrity hash) once per pass of the event loop, after every idle
+//    worker has its next slice, and before a drain or shutdown; a worker
+//    death's crash count is journaled at once. Per-case search state resumes
+//    from the checkpoint files, whose byte-identical-resume invariant makes
+//    an interrupted+resumed queue finish with the scripts and metrics of an
+//    uninterrupted run, at any worker count; a manifest one commit behind
+//    self-heals from them. The state dir holds nothing else but the cases'
+//    metrics files.
+//  - Workers: forked `anduril_serve worker` processes, each sharing one
+//    socketpair with the daemon that carries its work units and results as
+//    packets (work.h). The daemon blocks in poll() on every live channel
+//    until a result, a hang-up (the worker exited; it is reaped), the
+//    nearest heartbeat deadline (a busy search saves its checkpoint at least
+//    every explorer::kCheckpointInterval plus a round, so its mtime must
+//    advance within heartbeat_timeout_ms) or a respawn time, and at most a
+//    short interval that only serves to notice a drain signal. A dead or
+//    wedged worker is SIGKILLed, its case requeued, and the slot respawned
+//    under bounded exponential backoff; a case that kills its worker three
+//    times in a row is demoted to kFailed. Workers die with the daemon
+//    (PR_SET_PDEATHSIG), so none outlives it to race a successor for a
+//    case's checkpoint.
 //  - Scheduling: fair share with starve-out, ties toward a case the idle
 //    worker has already run (see scheduler.h).
 //  - Degradation: the cancel flag (SIGTERM) drains in-flight slices at
 //    round boundaries — checkpoints flushed, manifest saved — and the next
-//    `anduril_serve run` picks up exactly where the drain stopped.
+//    `anduril_serve run` picks up exactly where the drain stopped. Workers
+//    are stopped with a SIGTERM and a shutdown of the daemon's end of their
+//    channel, which an idle worker reads as a hang-up.
 //
 // Crash emulation for tests: crash_after_slices makes the *daemon* _exit()
 // right after the first journal commit that holds N slice results (a kill

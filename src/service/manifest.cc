@@ -104,25 +104,33 @@ bool ParseManifest(const std::string& text, QueueManifest* out, std::string* err
     *error = "manifest: " + parse_error;
     return false;
   }
-  const JsonValue* version = root.Find("anduril_queue");
-  if (version == nullptr) {
-    *error = "manifest: missing \"anduril_queue\" version field";
+  constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+  auto read_int = [error](const JsonValue& object, const char* key, int64_t min, int* out) {
+    if (ReadIntMember(object, key, min, kMaxInt, out, error)) {
+      return true;
+    }
+    *error = "manifest: " + *error;
+    return false;
+  };
+  int version = -1;  // absent
+  if (!read_int(root, "anduril_queue", 0, &version)) {
     return false;
   }
-  if (version->as_int() != kQueueFormatVersion) {
-    *error = "manifest: unsupported version " + std::to_string(version->as_int()) +
-             " (this build reads version " + std::to_string(kQueueFormatVersion) + ")";
+  if (version != kQueueFormatVersion) {
+    *error = version < 0 ? "manifest: missing \"anduril_queue\" version field"
+                         : "manifest: unsupported version " + std::to_string(version) +
+                               " (this build reads version " +
+                               std::to_string(kQueueFormatVersion) + ")";
     return false;
   }
-  QueueManifest manifest;
-  const JsonValue* slice_rounds = root.Find("slice_rounds");
-  const int64_t width = slice_rounds != nullptr ? slice_rounds->as_int() : 0;
-  if (width < 1 || width > std::numeric_limits<int>::max()) {
-    *error = "manifest: \"slice_rounds\" must be a whole number of rounds from 1 to " +
-             std::to_string(std::numeric_limits<int>::max());
+  QueueManifest manifest;  // slice_rounds stays 0 when absent, and is refused
+  if (!read_int(root, "slice_rounds", 1, &manifest.slice_rounds)) {
     return false;
   }
-  manifest.slice_rounds = static_cast<int>(width);
+  if (manifest.slice_rounds == 0) {
+    *error = "manifest: missing \"slice_rounds\"";
+    return false;
+  }
   const JsonValue* cases = root.Find("cases");
   if (cases == nullptr || cases->type() != JsonValue::Type::kArray) {
     *error = "manifest: missing \"cases\" array";
@@ -137,14 +145,12 @@ bool ParseManifest(const std::string& text, QueueManifest* out, std::string* err
     }
     entry.id = id->as_string();
     entry.chain = item.Find("chain") != nullptr && item.Find("chain")->as_bool();
-    entry.round_budget =
-        static_cast<int>(item.Find("round_budget") ? item.Find("round_budget")->as_int() : 0);
-    entry.rounds_done =
-        static_cast<int>(item.Find("rounds_done") ? item.Find("rounds_done")->as_int() : 0);
-    entry.slices_done =
-        static_cast<int>(item.Find("slices_done") ? item.Find("slices_done")->as_int() : 0);
-    entry.crashes =
-        static_cast<int>(item.Find("crashes") ? item.Find("crashes")->as_int() : 0);
+    if (!read_int(item, "round_budget", 0, &entry.round_budget) ||
+        !read_int(item, "rounds_done", 0, &entry.rounds_done) ||
+        !read_int(item, "slices_done", 0, &entry.slices_done) ||
+        !read_int(item, "crashes", 0, &entry.crashes)) {
+      return false;
+    }
     const JsonValue* state = item.Find("state");
     if (state == nullptr || !CaseStateFromName(state->as_string(), &entry.state)) {
       *error = "manifest: case " + entry.id + " has an unknown state";

@@ -155,7 +155,7 @@ WorkResult RunSlice(ContextCache* cache, const WorkUnit& unit,
 
   if (emulate_crash) {
     // The checkpoint of the last unsuccessful round is on disk; dying here
-    // without a result file is indistinguishable from SIGKILL to the daemon.
+    // without a result is indistinguishable from SIGKILL to the daemon.
     _exit(kWorkerEmulatedCrashExit);
   }
 

@@ -3,6 +3,8 @@
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <cstdint>
+#include <limits>
 
 #include "src/util/json.h"
 
@@ -15,10 +17,8 @@ std::string RequireString(const JsonValue& root, const char* key) {
                                                                        : std::string();
 }
 
-int64_t IntOr(const JsonValue& root, const char* key, int64_t fallback) {
-  const JsonValue* value = root.Find(key);
-  return value != nullptr ? value->as_int(fallback) : fallback;
-}
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr int64_t kMaxPid = std::numeric_limits<int32_t>::max();
 
 }  // namespace
 
@@ -77,13 +77,16 @@ bool ParseWorkUnit(const std::string& text, WorkUnit* out, std::string* error) {
     return false;
   }
   unit.chain = root.Find("chain") != nullptr && root.Find("chain")->as_bool();
-  unit.slice_rounds = static_cast<int>(IntOr(root, "slice_rounds", 0));
-  unit.round_budget = static_cast<int>(IntOr(root, "round_budget", 0));
+  if (!ReadIntMember(root, "slice_rounds", 0, kMaxInt, &unit.slice_rounds, error) ||
+      !ReadIntMember(root, "round_budget", 0, kMaxInt, &unit.round_budget, error) ||
+      !ReadIntMember(root, "daemon_pid", 0, kMaxPid, &unit.daemon_pid, error) ||
+      !ReadIntMember(root, "emulate_crash_after_rounds", 0, kMaxInt,
+                     &unit.emulate_crash_after_rounds, error)) {
+    *error = "work unit: " + *error;
+    return false;
+  }
   unit.checkpoint_path = RequireString(root, "checkpoint_path");
   unit.metrics_path = RequireString(root, "metrics_path");
-  unit.daemon_pid = IntOr(root, "daemon_pid", 0);
-  unit.emulate_crash_after_rounds =
-      static_cast<int>(IntOr(root, "emulate_crash_after_rounds", 0));
   *out = std::move(unit);
   return true;
 }
@@ -122,41 +125,44 @@ bool ParseWorkResult(const std::string& text, WorkResult* out, std::string* erro
     *error = "work result: missing or unknown status";
     return false;
   }
-  result.rounds_done = static_cast<int>(IntOr(root, "rounds_done", 0));
-  if (const JsonValue* script = root.Find("script"); script != nullptr) {
-    result.script = script->as_string();
-    if (!ReadU64Member(root, "script_seed", &result.script_seed, error)) {
-      *error = "work result: " + *error;
-      return false;
-    }
+  if (!ReadIntMember(root, "rounds_done", 0, kMaxInt, &result.rounds_done, error) ||
+      !ReadIntMember(root, "daemon_pid", 0, kMaxPid, &result.daemon_pid, error) ||
+      (root.Find("script") != nullptr &&
+       !ReadU64Member(root, "script_seed", &result.script_seed, error))) {
+    *error = "work result: " + *error;
+    return false;
   }
-  result.daemon_pid = IntOr(root, "daemon_pid", 0);
+  result.script = RequireString(root, "script");
   result.error = RequireString(root, "error");
   *out = std::move(result);
   return true;
 }
 
-void RingDoorbell(int fd) {
-  // A full buffer already holds unread bytes, so a send that would block
-  // adds nothing.
-  const char byte = 1;
-  while (send(fd, &byte, 1, MSG_NOSIGNAL | MSG_DONTWAIT) < 0 && errno == EINTR) {
+bool SendMessage(int fd, const std::string& message) {
+  if (message.size() > kMaxMessageBytes) {
+    return false;
   }
+  ssize_t sent;
+  while ((sent = send(fd, message.data(), message.size(), MSG_NOSIGNAL)) < 0 &&
+         errno == EINTR) {
+  }
+  return sent == static_cast<ssize_t>(message.size());
 }
 
-bool DrainDoorbells(int fd) {
-  char bytes[64];
-  while (true) {
-    const ssize_t got = recv(fd, bytes, sizeof(bytes), MSG_DONTWAIT);
-    if (got > 0) {
-      continue;
-    }
-    if (got < 0 && errno == EINTR) {
-      continue;
-    }
-    // EOF, or ECONNRESET when the peer exited with bytes it never read.
-    return got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+Received ReceiveMessage(int fd, std::string* message) {
+  // One byte of headroom: a packet that fills it is longer than the bound.
+  message->resize(kMaxMessageBytes + 1);
+  ssize_t got;
+  // ECONNRESET: the peer exited with a packet unread. The error is reported
+  // once, ahead of any packets still queued here.
+  while ((got = recv(fd, message->data(), message->size(), MSG_DONTWAIT)) < 0 &&
+         (errno == EINTR || errno == ECONNRESET)) {
   }
+  const bool empty = got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  const bool whole = got > 0 && static_cast<size_t>(got) <= kMaxMessageBytes;
+  message->resize(whole ? static_cast<size_t>(got) : 0);
+  // Otherwise EOF (0), an overlong packet, or a broken socket.
+  return whole ? Received::kMessage : empty ? Received::kEmpty : Received::kHangUp;
 }
 
 }  // namespace anduril::service

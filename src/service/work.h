@@ -1,15 +1,13 @@
 // Work-unit handoff between the daemon and its worker processes.
 //
-// IPC is files plus a doorbell, and crash-shaped like everything else in the
-// service. The files carry all the data: the daemon atomically writes
-// "<worker_dir>/cmd.json"; the worker consumes it, runs one slice of one
-// case, and atomically writes "<worker_dir>/result-<pid>.json". Either side
-// dying at any point leaves only whole files behind, and a stale result from
-// a previous daemon incarnation is recognized (and discarded) by its
-// daemon_pid. The doorbell is an AF_UNIX socketpair per worker: after each
-// file write the writer sends one byte, which means only "look at the
-// spool", so neither side sleeps between polls. Its other job is liveness:
-// a process's end closes when it exits, so the peer sees a hang-up.
+// Each worker shares one AF_UNIX SOCK_SEQPACKET socketpair with the daemon,
+// and everything between them travels on it as whole JSON packets: the
+// daemon sends a WorkUnit, the worker runs one slice of one case and sends
+// back a WorkResult. A packet arrives whole or not at all, so either side
+// dying at any point leaves nothing half-read, and a packet can only come
+// from the process at the other end of this daemon's own socket. The channel
+// also carries liveness: a process's end closes when it exits, so the peer
+// reads a hang-up once the packets sent before the exit are consumed.
 //
 // A work unit does not carry absolute round positions. The worker derives
 // "where the search is" from the case's checkpoint file — the durable,
@@ -20,6 +18,7 @@
 #ifndef ANDURIL_SRC_SERVICE_WORK_H_
 #define ANDURIL_SRC_SERVICE_WORK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -32,9 +31,7 @@ struct WorkUnit {
   int round_budget = 0;   // absolute cap on total rounds (starve-out line)
   std::string checkpoint_path;
   std::string metrics_path;
-  // Owning daemon's pid; echoed back in WorkResult so results written by
-  // orphaned workers of a dead daemon are never applied to the live queue.
-  int64_t daemon_pid = 0;
+  int64_t daemon_pid = 0;  // unread by the service; stays because reprobench sets it
   // Test-only crash emulation: checkpoint this many rounds into the slice,
   // then _exit(kWorkerEmulatedCrashExit) without reporting — exactly what a
   // SIGKILL between two rounds looks like to the daemon.
@@ -60,7 +57,7 @@ struct WorkResult {
   int rounds_done = 0;  // case-total search rounds after this slice
   std::string script;   // reproduction recipe text (kReproduced only)
   uint64_t script_seed = 0;
-  int64_t daemon_pid = 0;
+  int64_t daemon_pid = 0;  // unread by the service; stays because reprobench sets it
   std::string error;
 
   friend bool operator==(const WorkResult&, const WorkResult&) = default;
@@ -69,17 +66,28 @@ struct WorkResult {
 // Worker exit code for an emulated mid-slice crash (test hook).
 inline constexpr int kWorkerEmulatedCrashExit = 42;
 
-// The descriptor at which a worker finds its end of the doorbell channel.
-// It is fixed because the worker's command line and options cannot carry it.
+// The descriptor at which a worker finds its end of the channel. It is fixed
+// because the worker's command line and options cannot carry it.
 inline constexpr int kWorkerChannelFd = 3;
 
-// Sends one doorbell byte. A dead peer yields EPIPE (not SIGPIPE), which is
-// ignored: its hang-up reaches the other side's wait on its own.
-void RingDoorbell(int fd);
+// Longest packet either side accepts. A unit is a few hundred bytes and a
+// result's script a few lines, so a longer packet means a broken peer.
+inline constexpr size_t kMaxMessageBytes = 64 * 1024;
 
-// Consumes every doorbell byte already pending on `fd`, without blocking.
-// Returns false when the peer has hung up.
-bool DrainDoorbells(int fd);
+// Sends `message` as one packet, blocking only while the socket buffer is
+// full. Returns false when the peer has hung up (EPIPE, not SIGPIPE) or the
+// message is longer than kMaxMessageBytes.
+bool SendMessage(int fd, const std::string& message);
+
+enum class Received : uint8_t {
+  kMessage,  // *message holds the next packet
+  kEmpty,    // nothing pending
+  kHangUp,   // the peer exited or shut its side down, or sent an overlong packet
+};
+
+// Takes the next pending packet from `fd` without blocking. Packets the peer
+// sent before it exited are delivered before the hang-up.
+Received ReceiveMessage(int fd, std::string* message);
 
 std::string SerializeWorkUnit(const WorkUnit& unit);
 bool ParseWorkUnit(const std::string& text, WorkUnit* out, std::string* error);

@@ -3,7 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 
 namespace anduril {
 namespace {
@@ -201,30 +201,30 @@ struct Parser {
       *out = JsonValue::Null();
       return true;
     }
-    // Number: integer when it round-trips as int64 with no '.', 'e', 'E'.
-    size_t start = pos;
-    if (c == '-') ++pos;
-    bool is_double = false;
-    while (pos < text.size()) {
-      char d = text[pos];
-      if (std::isdigit(static_cast<unsigned char>(d))) {
-        ++pos;
-      } else if (d == '.' || d == 'e' || d == 'E' || d == '+' || d == '-') {
-        is_double = true;
-        ++pos;
-      } else {
-        break;
-      }
+    // Number: the whole token must parse, as an int64 when it has no '.',
+    // 'e' or 'E' and as a double otherwise; an error names its offset.
+    constexpr std::string_view kNumberChars = "0123456789+-.eE";
+    const size_t start = pos;
+    while (pos < text.size() && kNumberChars.find(text[pos]) != std::string_view::npos) {
+      ++pos;
     }
-    if (pos == start) {
+    const std::string_view token(text.data() + start, pos - start);
+    if (token.empty()) {
       return Fail("unexpected character");
     }
-    std::string token = text.substr(start, pos - start);
-    if (!is_double) {
-      *out = JsonValue::Int(std::strtoll(token.c_str(), nullptr, 10));
-    } else {
-      *out = JsonValue::Double(std::strtod(token.c_str(), nullptr));
+    const bool is_double = token.find_first_of(".eE") != std::string_view::npos;
+    int64_t integer = 0;
+    double real = 0;
+    const char* last = token.data() + token.size();
+    const auto [end, ec] = is_double ? std::from_chars(token.data(), last, real)
+                                     : std::from_chars(token.data(), last, integer);
+    if (ec != std::errc() || end != last) {
+      pos = start;
+      return Fail(ec == std::errc::result_out_of_range
+                      ? "number " + std::string(token) + " out of range"
+                      : "malformed number " + std::string(token));
     }
+    *out = is_double ? JsonValue::Double(real) : JsonValue::Int(integer);
     return true;
   }
 };
@@ -322,13 +322,7 @@ bool JsonValue::as_bool(bool fallback) const {
 }
 
 int64_t JsonValue::as_int(int64_t fallback) const {
-  if (type_ == Type::kInt) {
-    return int_;
-  }
-  if (type_ == Type::kDouble) {
-    return static_cast<int64_t>(double_);
-  }
-  return fallback;
+  return type_ == Type::kInt ? int_ : fallback;
 }
 
 double JsonValue::as_double(double fallback) const {
@@ -441,6 +435,22 @@ void JsonValue::DumpTo(std::string* out, int depth) const {
       return;
     }
   }
+}
+
+bool ReadIntMember(const JsonValue& object, const std::string& key, int64_t min, int64_t max,
+                   int64_t* out, std::string* error) {
+  const JsonValue* value = object.Find(key);
+  if (value != nullptr && value->type() != JsonValue::Type::kInt) {
+    *error = "\"" + key + "\" is not an integer";
+    return false;
+  }
+  if (value != nullptr && (value->as_int() < min || value->as_int() > max)) {
+    *error = "\"" + key + "\" is " + std::to_string(value->as_int()) + ", outside [" +
+             std::to_string(min) + ", " + std::to_string(max) + "]";
+    return false;
+  }
+  *out = value != nullptr ? value->as_int() : *out;
+  return true;
 }
 
 bool ReadU64Member(const JsonValue& object, const std::string& key, uint64_t* out,

@@ -44,6 +44,7 @@ class JsonValue {
   bool is_null() const { return type_ == Type::kNull; }
 
   bool as_bool(bool fallback = false) const;
+  // `fallback` unless this value is an integer; a double is not converted.
   int64_t as_int(int64_t fallback = 0) const;
   double as_double(double fallback = 0.0) const;
   const std::string& as_string() const;
@@ -76,6 +77,21 @@ class JsonValue {
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
+
+// Integer member `key` of `object`, when present, into *out: it must be a
+// JSON integer in [min, max], a range `Int` holds. An absent member leaves
+// *out as it is (the caller's default). On failure returns false and sets
+// *error to a message naming `key`.
+bool ReadIntMember(const JsonValue& object, const std::string& key, int64_t min, int64_t max,
+                   int64_t* out, std::string* error);
+template <typename Int>
+bool ReadIntMember(const JsonValue& object, const std::string& key, int64_t min, int64_t max,
+                   Int* out, std::string* error) {
+  int64_t value = *out;
+  const bool ok = ReadIntMember(object, key, min, max, &value, error);
+  *out = static_cast<Int>(value);
+  return ok;
+}
 
 // AsU64 over member `key` of `object`. On failure (member missing or not a
 // u64 string) returns false and sets *error to a message naming `key`.

@@ -223,8 +223,9 @@ TEST(CheckpointTest, RejectsUnknownRankingEngine) {
 
 // Search state no search can reach is refused by field name rather than
 // resumed: an empty or negative window (a resume would run empty rounds, or
-// overflow the doubling) and a priority large enough to overflow the
-// ranking arithmetic.
+// overflow the doubling), a priority large enough to overflow the ranking
+// arithmetic, and integers that are negative, not integers, or past their
+// type's range (they used to be cast into a different search).
 TEST(CheckpointTest, RejectsOutOfRangeSearchState) {
   SearchCheckpoint snap;
   snap.strategy.window_size = 20;
@@ -238,7 +239,17 @@ TEST(CheckpointTest, RejectsOutOfRangeSearchState) {
   for (const Case& bad : {Case{"\"window_size\": 20", "\"window_size\": 0", "window_size"},
                           Case{"\"window_size\": 20", "\"window_size\": -2147483648",
                                "window_size"},
-                          Case{"12345", "9223372036854775807", "observable_priorities"}}) {
+                          Case{"12345", "9223372036854775807", "observable_priorities"},
+                          Case{"12345", "\"12345\"", "observable_priorities"},
+                          Case{"\"rounds_completed\": 0", "\"rounds_completed\": -7",
+                               "rounds_completed"},
+                          Case{"\"rounds_completed\": 0", "\"rounds_completed\": \"2\"",
+                               "rounds_completed"},
+                          Case{"\"rounds_completed\": 0", "\"rounds_completed\": 4294967298",
+                               "rounds_completed"},
+                          Case{"\"hung_rounds\": 0", "\"hung_rounds\": 0.5", "hung_rounds"},
+                          Case{"\"partition_heal_ms\": 0", "\"partition_heal_ms\": -1",
+                               "partition_heal_ms"}}) {
     SCOPED_TRACE(bad.to);
     std::string tampered = text;
     size_t pos = tampered.find(bad.from);

@@ -2,8 +2,10 @@
 # with an error and a nonzero exit status, never die on a signal. Writes a
 # signature of 200k '[' and a checkpoint of 100k nested objects into WORK_DIR,
 # then replays the first and resumes from the second; resumes zk-2247's plain
-# and chain searches from a checkpoint hd-4233's search wrote, and from one
-# whose observable priority is out of range; checkpoints into a missing
+# and chain searches from a checkpoint hd-4233's search wrote, from one
+# whose observable priority is out of range, and from three whose
+# rounds_completed is negative, a string, or past the int range (each used to
+# resume into a wrong search); checkpoints into a missing
 # directory and with a strategy that cannot checkpoint (all exit 1); and
 # passes an unknown strategy and malformed counts (exit 2).
 #
@@ -65,6 +67,22 @@ endif()
 file(WRITE "${hostile}" "${tampered}")
 expect_error("run --resume (out-of-range priority)" 1 "\"observable_priorities\" holds"
              "${ANDURIL_CASE}" run zk-2247 "--checkpoint=${hostile}" --resume)
+
+# The same round-2 checkpoint with a forged round count. A negative count
+# used to resume "in -4 rounds", a string one restarted at round 1 with round
+# 2's strategy state, and 4294967298 wrapped to 2.
+if(NOT checkpoint MATCHES "\"rounds_completed\": 2,")
+  message(FATAL_ERROR "found no \"rounds_completed\": 2 in ${hostile}")
+endif()
+set(forged_file "${WORK_DIR}/zk2247_forged_rounds_checkpoint.json")
+foreach(forged "-7" "\"2\"" "4294967298")
+  string(REPLACE "\"rounds_completed\": 2," "\"rounds_completed\": ${forged},"
+         tampered "${checkpoint}")
+  file(WRITE "${forged_file}" "${tampered}")
+  expect_error("run --resume (rounds_completed ${forged})" 1
+               "cannot resume: checkpoint field \"rounds_completed\""
+               "${ANDURIL_CASE}" run zk-2247 "--checkpoint=${forged_file}" --resume)
+endforeach()
 
 # Checkpoints the search cannot write, and a strategy that cannot checkpoint.
 set(missing "${WORK_DIR}/no_such_dir/ck.json")

@@ -12,6 +12,7 @@
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -26,6 +27,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/explorer/checkpoint.h"
 #include "src/service/context_cache.h"
 #include "src/service/daemon.h"
 #include "src/service/manifest.h"
@@ -180,6 +182,26 @@ TEST(ManifestTest, RejectsSliceWidthBelowOne) {
   }
 }
 
+// A count that is negative, not an integer, or past the int range is refused
+// by name before the integrity check could be fooled by a wrapped value.
+TEST(ManifestTest, RejectsMalformedCounts) {
+  const std::string text = SerializeManifest(SampleManifest());
+  for (const auto& [from, to] : {std::pair{"\"rounds_done\": 17", "\"rounds_done\": -17"},
+                                 std::pair{"\"crashes\": 1", "\"crashes\": \"1\""},
+                                 std::pair{"\"slices_done\": 2", "\"slices_done\": 4294967298"},
+                                 std::pair{"\"round_budget\": 10", "\"round_budget\": 1e1"}}) {
+    std::string tampered = text;
+    const size_t at = tampered.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    tampered.replace(at, std::string(from).size(), to);
+    QueueManifest parsed;
+    std::string error;
+    EXPECT_FALSE(ParseManifest(tampered, &parsed, &error)) << to;
+    const std::string key = std::string(from).substr(0, std::string(from).find(':'));
+    EXPECT_NE(error.find("manifest: " + key), std::string::npos) << error;
+  }
+}
+
 TEST(ManifestTest, CountsAndTerminality) {
   QueueManifest manifest = SampleManifest();
   EXPECT_FALSE(manifest.AllTerminal());
@@ -318,6 +340,98 @@ TEST(WorkTest, UnitAndResultRoundTrip) {
   EXPECT_FALSE(ParseWorkResult("{\"status\": \"bogus\"}", &result_parsed, &error));
 }
 
+// Integer fields are refused by name when they are not integers or out of
+// range, instead of being cast into a different unit or result.
+TEST(WorkTest, RejectsMalformedIntegers) {
+  for (const char* field :
+       {R"("slice_rounds": -1)", R"("round_budget": "2000")", R"("daemon_pid": 4294967298)",
+        R"("emulate_crash_after_rounds": 1.5)"}) {
+    const std::string text = std::string(R"({"case_id": "zk-2247", )") + field + "}";
+    const std::string key = std::string(field).substr(0, std::string(field).find(':'));
+    WorkUnit unit;
+    std::string error;
+    EXPECT_FALSE(ParseWorkUnit(text, &unit, &error)) << text;
+    EXPECT_NE(error.find("work unit: " + key), std::string::npos) << error;
+  }
+  for (const char* field : {R"("rounds_done": -3)", R"("daemon_pid": -1)"}) {
+    const std::string text =
+        std::string(R"({"case_id": "zk-2247", "status": "slice_done", )") + field + "}";
+    WorkResult result;
+    std::string error;
+    EXPECT_FALSE(ParseWorkResult(text, &result, &error)) << text;
+    EXPECT_NE(error.find("work result: "), std::string::npos) << error;
+  }
+}
+
+// One end pair of the kind the daemon shares with each worker.
+struct Channel {
+  int ends[2] = {-1, -1};
+  Channel() { EXPECT_EQ(socketpair(AF_UNIX, SOCK_SEQPACKET, 0, ends), 0); }
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
+  ~Channel() {
+    close(ends[0]);
+    close(ends[1]);
+  }
+};
+
+// Also when the child exits with a packet of ours unread, which the kernel
+// reports as one ECONNRESET ahead of the child's packet.
+TEST(ChannelTest, PacketSentJustBeforeExitArrivesWholeThenHangUp) {
+  WorkResult result;
+  result.case_id = "casc-retry-1";
+  result.status = SliceStatus::kReproduced;
+  result.rounds_done = 40;
+  result.script = std::string(900, 's');
+  result.script_seed = 7;
+  const std::string packet = SerializeWorkResult(result);
+  for (const bool unread : {false, true}) {
+    SCOPED_TRACE(unread ? "child left a packet unread" : "nothing unread");
+    Channel channel;
+    ASSERT_TRUE(!unread || SendMessage(channel.ends[0], "{}"));
+    const pid_t pid = fork();
+    if (pid == 0) {
+      close(channel.ends[0]);
+      _exit(SendMessage(channel.ends[1], packet) ? 0 : 1);
+    }
+    ASSERT_GT(pid, 0);
+    close(channel.ends[1]);
+    channel.ends[1] = -1;
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+    std::string received;
+    ASSERT_EQ(ReceiveMessage(channel.ends[0], &received), Received::kMessage);
+    EXPECT_EQ(received, packet);
+    EXPECT_EQ(ReceiveMessage(channel.ends[0], &received), Received::kHangUp);
+  }
+}
+
+TEST(ChannelTest, EmptyChannelHasNothingPending) {
+  Channel channel;
+  std::string received;
+  EXPECT_EQ(ReceiveMessage(channel.ends[0], &received), Received::kEmpty);
+  ASSERT_TRUE(SendMessage(channel.ends[1], "{}"));
+  ASSERT_EQ(ReceiveMessage(channel.ends[0], &received), Received::kMessage);
+  EXPECT_EQ(received, "{}");
+  EXPECT_EQ(ReceiveMessage(channel.ends[0], &received), Received::kEmpty);
+}
+
+TEST(ChannelTest, OverlongPacketCountsAsHangUp) {
+  Channel channel;
+  const std::string longest(kMaxMessageBytes, 'x');
+  std::string received;
+  ASSERT_TRUE(SendMessage(channel.ends[1], longest));
+  ASSERT_EQ(ReceiveMessage(channel.ends[0], &received), Received::kMessage);
+  EXPECT_EQ(received, longest);
+
+  const std::string overlong = longest + "x";
+  EXPECT_FALSE(SendMessage(channel.ends[1], overlong));
+  ASSERT_EQ(send(channel.ends[1], overlong.data(), overlong.size(), 0),
+            static_cast<ssize_t>(overlong.size()));
+  EXPECT_EQ(ReceiveMessage(channel.ends[0], &received), Received::kHangUp);
+}
+
 // ---------------------------------------------------------------------------
 // Context cache
 
@@ -338,7 +452,8 @@ TEST(ContextCacheTest, KeyedByCaseIdNotFingerprint) {
   ASSERT_NE(entry_second, nullptr);
   EXPECT_NE(entry_first, entry_second);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(entry_first->fingerprint, entry_second->fingerprint);
+  EXPECT_EQ(explorer::ProgramFingerprint(*entry_first->built.program),
+            explorer::ProgramFingerprint(*entry_second->built.program));
   EXPECT_NE(entry_first->built.spec.failure_log_text,
             entry_second->built.spec.failure_log_text);
 
@@ -521,6 +636,17 @@ TEST(ServiceTest, SliceWidthDoesNotChangeOutcomes) {
             ReadFileOrDie(MergedMetricsPath(fine_dir)));
 }
 
+// The daemon and its workers keep nothing in the state dir but the queue
+// journal, the cases' checkpoints and metrics, and the merged metrics.
+void ExpectOnlyQueueFiles(const std::string& dir) {
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    const bool known = name == "queue.json" || name == "merged_metrics.json" ||
+                       name.rfind("ckpt-", 0) == 0 || name.rfind("metrics-", 0) == 0;
+    EXPECT_TRUE(known && entry.is_regular_file()) << "unexpected " << name << " in " << dir;
+  }
+}
+
 TEST(ServiceTest, ShardedMatchesSerialAtOneAndEightWorkers) {
   std::vector<QueueCase> seed = MixedSeed();
   seed.push_back(MakeCase("hd-4233", 2000));
@@ -548,6 +674,7 @@ TEST(ServiceTest, ShardedMatchesSerialAtOneAndEightWorkers) {
     EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(serial_dir)),
               ReadFileOrDie(MergedMetricsPath(dir)))
         << workers << " workers";
+    ExpectOnlyQueueFiles(dir);
   }
 }
 
@@ -652,6 +779,9 @@ TEST(ServiceTest, WorkerKilledMidRoundConvergesToBaseline) {
             ReadFileOrDie(MergedMetricsPath(dir)));
 }
 
+// What the command line of a worker of the daemon on `state_dir` contains.
+std::string WorkerNeedle(const std::string& state_dir) { return "worker " + state_dir + " "; }
+
 // Pids of live processes whose command line contains `needle` (zombies
 // have an empty command line and never match).
 std::vector<pid_t> ProcessesNaming(const std::string& needle) {
@@ -694,21 +824,17 @@ TEST(ServiceTest, StoppedWorkerIsKilledOnHeartbeatAndConverges) {
   options.workers = 2;
   options.heartbeat_timeout_ms = 300;
   options.serve_binary = ANDURIL_SERVE_BIN;
-  // Stops worker 0 once it has taken its first command: the daemon counts the
-  // slot busy from the dispatch until a result arrives.
+  // Stops the first worker as soon as its process runs. At start the daemon
+  // dispatches a slice to every idle worker, so the stopped one holds a
+  // slice, and the daemon counts its slot busy until a result arrives.
   std::atomic<pid_t> stopped{0};
   std::atomic<bool> finished{false};
   std::thread stopper([&] {
-    const std::string cmd_path = dir + "/w0/cmd.json";
-    bool dispatched = false;
     while (!finished) {
-      dispatched = dispatched || fs::exists(cmd_path);
-      if (dispatched && !fs::exists(cmd_path)) {
-        const std::vector<pid_t> pids = ProcessesNaming(dir + "/w0 ");
-        if (pids.size() == 1) {
-          kill(pids[0], SIGSTOP);
-          stopped = pids[0];
-        }
+      const std::vector<pid_t> pids = ProcessesNaming(WorkerNeedle(dir));
+      if (!pids.empty()) {
+        kill(pids[0], SIGSTOP);
+        stopped = pids[0];
         return;
       }
       usleep(100);
@@ -927,10 +1053,10 @@ TEST(ServiceCrashTest, DaemonCrashLeavesNoWorkerBehind) {
   const std::string dir = FreshStateDir("service_orphans");
   ASSERT_EQ(RunServeCli(CliArgs(dir, {"--crash-after-slices=4"})), 42);
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  std::vector<pid_t> left = ProcessesNaming(dir + "/w");
+  std::vector<pid_t> left = ProcessesNaming(WorkerNeedle(dir));
   while (!left.empty() && std::chrono::steady_clock::now() < deadline) {
     usleep(10000);
-    left = ProcessesNaming(dir + "/w");
+    left = ProcessesNaming(WorkerNeedle(dir));
   }
   EXPECT_TRUE(left.empty()) << left.size() << " workers outlived their daemon";
 }

@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/util/backoff.h"
@@ -400,6 +402,72 @@ TEST(Json, NestingBombsFailWithAnErrorInsteadOfOverflowingTheStack) {
   std::string error;
   JsonValue::Parse("{\"steps\": " + arrays + "}", &error);
   EXPECT_EQ(error, "nesting deeper than 64 levels at offset 73");
+}
+
+TEST(Json, ParsesWellFormedNumbersWhole) {
+  const std::pair<const char*, int64_t> ints[] = {{"0", 0},
+                                                  {"-0", 0},
+                                                  {"-42", -42},
+                                                  {"9223372036854775807", INT64_MAX},
+                                                  {"-9223372036854775808", INT64_MIN}};
+  for (const auto& [token, expected] : ints) {
+    std::string error;
+    const JsonValue value = JsonValue::Parse(token, &error);
+    ASSERT_EQ(value.type(), JsonValue::Type::kInt) << token << ": " << error;
+    EXPECT_EQ(value.as_int(), expected) << token;
+  }
+  const std::pair<const char*, double> doubles[] = {
+      {"0.5", 0.5}, {"-1.5e-3", -1.5e-3}, {"1E5", 1e5}, {"1e300", 1e300}};
+  for (const auto& [token, expected] : doubles) {
+    std::string error;
+    const JsonValue value = JsonValue::Parse(token, &error);
+    ASSERT_EQ(value.type(), JsonValue::Type::kDouble) << token << ": " << error;
+    EXPECT_EQ(value.as_double(), expected) << token;
+  }
+  // A double is not an integer: no conversion, however it would round.
+  std::string error;
+  EXPECT_EQ(JsonValue::Parse("1e300", &error).as_int(7), 7);
+  EXPECT_EQ(JsonValue::Parse("2.0", &error).as_int(7), 7);
+}
+
+TEST(Json, RejectsMalformedAndOutOfRangeNumbersAtTheirOffset) {
+  for (const char* token : {"-", "--5", "1-2", "1.2.3", "1e", "+1", "1e999",
+                            "99999999999999999999", "-9223372036854775809"}) {
+    std::string error;
+    const JsonValue value = JsonValue::Parse(std::string("{\"n\": ") + token + "}", &error);
+    EXPECT_TRUE(value.is_null()) << token;
+    EXPECT_NE(error.find(std::string("number ") + token), std::string::npos) << error;
+    EXPECT_NE(error.find("at offset 6"), std::string::npos) << error;
+  }
+}
+
+TEST(Json, ReadIntMemberChecksTypeAndRange) {
+  std::string error;
+  const JsonValue object = JsonValue::Parse(
+      R"({"rounds": 2, "negative": -7, "text": "2", "real": 2.5, "wide": 4294967298})",
+      &error);
+  ASSERT_TRUE(error.empty()) << error;
+  int rounds = -1;
+  EXPECT_TRUE(ReadIntMember(object, "rounds", 0, INT32_MAX, &rounds, &error));
+  EXPECT_EQ(rounds, 2);
+  int absent = 11;  // an absent member keeps the caller's default
+  EXPECT_TRUE(ReadIntMember(object, "absent", 0, INT32_MAX, &absent, &error));
+  EXPECT_EQ(absent, 11);
+  int64_t wide = 0;
+  EXPECT_TRUE(ReadIntMember(object, "wide", 0, INT64_MAX, &wide, &error));
+  EXPECT_EQ(wide, int64_t{4294967298});
+
+  const std::pair<const char*, const char*> bad[] = {
+      {"negative", "\"negative\" is -7, outside [0, 2147483647]"},
+      {"text", "\"text\" is not an integer"},
+      {"real", "\"real\" is not an integer"},
+      {"wide", "\"wide\" is 4294967298, outside [0, 2147483647]"}};
+  for (const auto& [key, message] : bad) {
+    int out = 5;
+    EXPECT_FALSE(ReadIntMember(object, key, 0, INT32_MAX, &out, &error)) << key;
+    EXPECT_EQ(error, message);
+    EXPECT_EQ(out, 5) << key;
+  }
 }
 
 TEST(Json, U64RoundTripsAsADecimalStringAndDecodesStrictly) {

@@ -21,8 +21,9 @@
 //   anduril_serve status <state_dir>
 //       Print the journaled queue state.
 //   anduril_serve worker <dir> [daemon_pid]
-//       Internal: worker-process loop (spawned by `run`, which hands it a
-//       doorbell channel at descriptor 3; without one it exits 2).
+//       Internal: worker-process loop (spawned by `run` with the state
+//       directory and its own pid, and its end of the daemon's channel at
+//       descriptor 3; without one it exits 2).
 //
 // Exit codes for run: 0 every case reproduced, 1 some case starved/failed
 // (or setup error), 2 usage, 3 drained by SIGTERM/SIGINT (resumable).
