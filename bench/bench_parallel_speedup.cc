@@ -1,8 +1,8 @@
 // Parallel exploration engine speedup: serial vs N-thread wall clock on the
-// two workloads the engine parallelizes — multi-repetition rounds
-// (runs_per_round >= 4, the §6 combined-runs remedy) and speculative
-// parallel-candidate evaluation — plus the shared-analysis-cache saving of
-// the iterative multi-fault mode. Emits BENCH_parallel.json.
+// workload the engine parallelizes — multi-repetition rounds
+// (runs_per_round = 4, the §6 combined-runs remedy) — plus the
+// shared-analysis-cache saving of the iterative multi-fault mode. Emits
+// BENCH_parallel.json.
 //
 // Speedup is hardware-bound: the simulations are pure CPU, so the N-thread
 // ratio approaches min(N, cores) on idle multi-core machines and ~1.0 on a
@@ -29,7 +29,6 @@ namespace {
 
 struct Measurement {
   std::string case_id;
-  std::string mode;  // "repetitions" | "candidates"
   int threads = 1;
   double seconds = 0;
   int rounds = 0;
@@ -37,15 +36,10 @@ struct Measurement {
   std::string script;
 };
 
-Measurement RunOnce(const systems::BuiltCase& built, const std::string& case_id,
-                    const std::string& mode, int threads) {
+Measurement RunOnce(const systems::BuiltCase& built, const std::string& case_id, int threads) {
   explorer::ExplorerOptions options;
   options.num_threads = threads;
-  if (mode == "repetitions") {
-    options.runs_per_round = 4;
-  } else {
-    options.parallel_candidates = true;
-  }
+  options.runs_per_round = 4;
   Stopwatch timer;
   explorer::Explorer ex(built.spec, options);
   auto strategy = explorer::MakeFullFeedbackStrategy();
@@ -53,7 +47,6 @@ Measurement RunOnce(const systems::BuiltCase& built, const std::string& case_id,
 
   Measurement m;
   m.case_id = case_id;
-  m.mode = mode;
   m.threads = threads;
   m.seconds = timer.ElapsedSeconds();
   m.rounds = result.rounds;
@@ -121,8 +114,7 @@ int Main() {
 
   std::printf("Parallel exploration engine: serial vs N-thread wall clock\n");
   std::printf("hardware_concurrency = %u\n\n", hardware);
-  PrintRow({"Case", "Mode", "Threads", "Seconds", "Rounds", "Speedup"},
-           {12, 14, 9, 10, 8, 9});
+  PrintRow({"Case", "Threads", "Seconds", "Rounds", "Speedup"}, {12, 9, 10, 8, 9});
 
   std::vector<Measurement> measurements;
   bool deterministic = true;
@@ -132,27 +124,25 @@ int Main() {
     const systems::FailureCase* failure_case = systems::FindCase(case_id);
     ANDURIL_CHECK(failure_case != nullptr);
     systems::BuiltCase built = systems::BuildCase(*failure_case);
-    for (const std::string& mode : {std::string("repetitions"), std::string("candidates")}) {
-      double serial_seconds = 0;
-      std::string serial_script;
-      for (int threads : thread_counts) {
-        Measurement m = RunOnce(built, case_id, mode, threads);
-        if (threads == 1) {
-          serial_seconds = m.seconds;
-          serial_script = m.script;
-        } else if (m.script != serial_script || !m.reproduced) {
-          deterministic = false;
-        }
-        double speedup = m.seconds > 0 ? serial_seconds / m.seconds : 0;
-        if (threads == 4) {
-          best_speedup_4t = std::max(best_speedup_4t, speedup);
-        }
-        PrintRow({case_id, mode, std::to_string(threads), StrFormat("%.3f", m.seconds),
-                  std::to_string(m.rounds), StrFormat("%.2fx", speedup)},
-                 {12, 14, 9, 10, 8, 9});
-        std::fflush(stdout);
-        measurements.push_back(std::move(m));
+    double serial_seconds = 0;
+    std::string serial_script;
+    for (int threads : thread_counts) {
+      Measurement m = RunOnce(built, case_id, threads);
+      if (threads == 1) {
+        serial_seconds = m.seconds;
+        serial_script = m.script;
+      } else if (m.script != serial_script || !m.reproduced) {
+        deterministic = false;
       }
+      double speedup = m.seconds > 0 ? serial_seconds / m.seconds : 0;
+      if (threads == 4) {
+        best_speedup_4t = std::max(best_speedup_4t, speedup);
+      }
+      PrintRow({case_id, std::to_string(threads), StrFormat("%.3f", m.seconds),
+                std::to_string(m.rounds), StrFormat("%.2fx", speedup)},
+               {12, 9, 10, 8, 9});
+      std::fflush(stdout);
+      measurements.push_back(std::move(m));
     }
   }
 
@@ -181,10 +171,9 @@ int Main() {
   for (size_t i = 0; i < measurements.size(); ++i) {
     const Measurement& m = measurements[i];
     std::fprintf(json,
-                 "    {\"case\": \"%s\", \"mode\": \"%s\", \"threads\": %d, "
-                 "\"seconds\": %.6f, \"rounds\": %d, \"reproduced\": %s, "
-                 "\"script\": \"%s\"}%s\n",
-                 m.case_id.c_str(), m.mode.c_str(), m.threads, m.seconds, m.rounds,
+                 "    {\"case\": \"%s\", \"threads\": %d, \"seconds\": %.6f, "
+                 "\"rounds\": %d, \"reproduced\": %s, \"script\": \"%s\"}%s\n",
+                 m.case_id.c_str(), m.threads, m.seconds, m.rounds,
                  m.reproduced ? "true" : "false", JsonEscape(m.script).c_str(),
                  i + 1 < measurements.size() ? "," : "");
   }

@@ -61,22 +61,13 @@ struct ExplorerOptions {
   // Ground-truth fault site to track for rank-trajectory reporting (Fig. 6).
   // Only used for bench reporting; never influences the search.
   ir::FaultSiteId track_site = ir::kInvalidId;
-  // Worker threads of the parallel exploration engine. 1 = fully serial.
-  // Parallelism is deterministic: with a fixed base_seed the explorer emits
-  // the same ReproductionScript and round count at every thread count,
-  // because every simulation's seed is a pure function of (round, repetition)
-  // and first-success selection resolves by lowest repetition/candidate
-  // index, never by completion order.
+  // Worker threads that run a round's repetitions (runs_per_round > 1)
+  // concurrently; 1 = fully serial. Parallelism is deterministic: with a
+  // fixed base_seed the explorer emits the same ReproductionScript and round
+  // count at every thread count, because every simulation's seed is a pure
+  // function of (round, repetition) and first-success selection resolves by
+  // lowest repetition index, never by completion order.
   int num_threads = 1;
-  // Speculative window evaluation: instead of arming the whole window in one
-  // run (where only the first-reached candidate fires), run every window
-  // candidate as its own single-candidate simulation — concurrently when
-  // num_threads > 1. The observable feedback of all runs is merged (a strict
-  // superset of the serial round's feedback) and the success committed is the
-  // one of the highest-ranked candidate. More simulations per round, fewer
-  // rounds; a different (still deterministic) search mode, not a
-  // bit-identical replacement for the serial window semantics.
-  bool parallel_candidates = false;
   // Also enumerate crash and stall fault candidates (one of each per causal
   // fault site) alongside the exception candidates. Off by default: the
   // extra kinds triple the candidate space and change search trajectories,

@@ -57,8 +57,8 @@ interp::RunScratch& LocalScratch() {
   return scratch;
 }
 
-// Simulates one plan item and, when `feedback` is set, digests its log into
-// per-observable flags right here on the simulating thread. Search runs
+// Simulates one run of a round and, when `feedback` is set, digests its log
+// into per-observable flags right here on the simulating thread. Search runs
 // record no fault-instance trace: nothing in the round loop reads it. A run
 // starts from the context's latest fault-free snapshot before every instance
 // it arms, when there is one, and simulates only the rest of the run.
@@ -92,66 +92,34 @@ RepRun ExecuteOne(const ExperimentSpec& spec, const ExplorerContext& context,
   return rep;
 }
 
-// The work items of one round, in priority order: index `i` must win over
-// index `j` whenever i < j and both succeed, regardless of which thread
-// finishes first — that is what makes the parallel engine's result identical
-// to the serial loop's.
-struct RoundPlan {
-  // Each item: the window to arm and the seed to run with.
-  std::vector<std::pair<std::vector<interp::InjectionCandidate>, uint64_t>> items;
-};
-
-RoundPlan PlanRound(const ExperimentSpec& spec, const ExplorerOptions& options, int round,
-                    const std::vector<interp::InjectionCandidate>& window) {
-  RoundPlan plan;
-  int repetitions = std::max(1, options.runs_per_round);
-  auto seed_of = [&](int rep) {
-    return spec.base_seed + static_cast<uint64_t>(round) * static_cast<uint64_t>(repetitions) +
-           static_cast<uint64_t>(rep);
-  };
-  if (options.parallel_candidates && window.size() > 1) {
-    // Speculative window evaluation: candidate-major so that the first
-    // success in plan order is the success of the highest-ranked candidate.
-    for (const interp::InjectionCandidate& candidate : window) {
-      for (int rep = 0; rep < repetitions; ++rep) {
-        plan.items.emplace_back(std::vector<interp::InjectionCandidate>{candidate},
-                                seed_of(rep));
-      }
-    }
-  } else {
-    for (int rep = 0; rep < repetitions; ++rep) {
-      plan.items.emplace_back(window, seed_of(rep));
-    }
-  }
-  return plan;
-}
-
-// Executes the plan. Serial mode stops at the first success (items after it
-// are never needed: a successful round skips feedback digestion, and on an
-// unsuccessful round everything executed anyway). Parallel mode runs every
-// item and lets the caller select by plan order, which yields the same
-// selection.
-std::vector<RepRun> ExecutePlan(const ExperimentSpec& spec, const ExplorerContext& context,
-                                const ir::FlatProgram* flat, const RoundPlan& plan,
-                                ThreadPool* pool, bool feedback,
-                                obs::MetricsRegistry* metrics) {
+// Executes a round: `repetitions` runs of its whole window at seeds
+// first_seed, first_seed + 1, ..., in priority order. Serial mode stops at
+// the first success (later runs are never needed: a successful round skips
+// feedback digestion, and on an unsuccessful round everything ran anyway).
+// Parallel mode runs every seed and the caller selects the first success in
+// seed order, whichever thread finished first, so it selects what the serial
+// loop would.
+std::vector<RepRun> ExecuteRound(const ExperimentSpec& spec, const ExplorerContext& context,
+                                 const ir::FlatProgram* flat,
+                                 const std::vector<interp::InjectionCandidate>& window,
+                                 uint64_t first_seed, int repetitions, ThreadPool* pool,
+                                 bool feedback, obs::MetricsRegistry* metrics) {
   std::vector<RepRun> executed;
-  if (pool != nullptr && plan.items.size() > 1) {
+  if (pool != nullptr) {
     std::vector<std::future<RepRun>> futures;
-    futures.reserve(plan.items.size());
-    for (const auto& [window, seed] : plan.items) {
-      futures.push_back(
-          pool->Submit([&spec, &context, flat, &window, seed = seed, feedback, metrics]() {
+    for (uint64_t rep = 0; rep < static_cast<uint64_t>(repetitions); ++rep) {
+      futures.push_back(pool->Submit(
+          [&spec, &context, flat, &window, seed = first_seed + rep, feedback, metrics]() {
             return ExecuteOne(spec, context, flat, window, seed, feedback, metrics);
           }));
     }
-    executed.reserve(futures.size());
     for (std::future<RepRun>& future : futures) {
       executed.push_back(future.get());
     }
   } else {
-    for (const auto& [window, seed] : plan.items) {
-      executed.push_back(ExecuteOne(spec, context, flat, window, seed, feedback, metrics));
+    for (uint64_t rep = 0; rep < static_cast<uint64_t>(repetitions); ++rep) {
+      executed.push_back(
+          ExecuteOne(spec, context, flat, window, first_seed + rep, feedback, metrics));
       if (executed.back().success) {
         break;
       }
@@ -359,8 +327,10 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     }
   }
 
+  // Runs per round. The pool speeds up only a round of several runs.
+  const int repetitions = std::max(1, options_.runs_per_round);
   std::optional<ThreadPool> pool_storage;
-  if (options_.num_threads > 1) {
+  if (options_.num_threads > 1 && repetitions > 1) {
     pool_storage.emplace(options_.num_threads);
   }
   ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
@@ -371,12 +341,11 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
   std::vector<double> workload_times;
 
   // Emits the round's spans once its record is final: a "round" span on
-  // track 0 covering the round's whole grid slot, and per executed plan item
-  // a "candidate" span (the armed window) nesting a "run" span (the
+  // track 0 covering the round's whole grid slot, and per executed run i a
+  // "candidate" span (the armed window) nesting a "run" span (the
   // simulation) on track i+1. All timestamps are logical, so the trace is a
   // pure function of the search trajectory — identical at any thread count.
-  auto trace_round = [&](const RoundRecord& rec, const RoundPlan& plan,
-                         const std::vector<RepRun>& executed) {
+  auto trace_round = [&](const RoundRecord& rec, const std::vector<RepRun>& executed) {
     if (tracer == nullptr) {
       return;
     }
@@ -386,8 +355,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       const int64_t item_ts = base + static_cast<int64_t>(i) * obs::kItemStride;
       const int64_t track = static_cast<int64_t>(i) + 1;
       std::vector<obs::TraceArg> candidate_args;
-      candidate_args.push_back(
-          obs::ArgInt("armed", static_cast<int64_t>(plan.items[i].first.size())));
+      candidate_args.push_back(obs::ArgInt("armed", rec.window_size));
       if (rep.run.injected.has_value()) {
         candidate_args.push_back(obs::ArgStr(
             "site", spec_->program->fault_site(rep.run.injected->site).name));
@@ -505,13 +473,13 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
 
     // Execute the round. One run by default; runs_per_round > 1 adds
     // repetitions with distinct seeds whose observable feedback is combined
-    // (the paper's §6 remedy for probabilistically-missing log messages);
-    // parallel_candidates fans the window out into single-candidate runs.
-    // All of it lands on the thread pool when num_threads > 1, and the
-    // selected run is always the first success in plan order, so the
+    // (the paper's §6 remedy for probabilistically-missing log messages).
+    // The repetitions land on the thread pool when num_threads > 1, and the
+    // selected run is always the first success in seed order, so the
     // outcome matches the serial engine exactly.
     Stopwatch run_timer;
-    RoundPlan plan = PlanRound(*spec_, options_, round, window);
+    const uint64_t first_seed =
+        spec_->base_seed + static_cast<uint64_t>(round) * static_cast<uint64_t>(repetitions);
     // The context's cached FlatProgram is only valid for the program it was
     // lowered from; a context shared across specs with a different (equal)
     // program falls back to per-run self-lowering inside the simulator.
@@ -520,12 +488,12 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       flat = nullptr;
     }
     const bool feedback = strategy->WantsLogFeedback();
-    std::vector<RepRun> executed =
-        ExecutePlan(*spec_, *context_, flat, plan, pool, feedback, metrics);
+    std::vector<RepRun> executed = ExecuteRound(*spec_, *context_, flat, window, first_seed,
+                                                repetitions, pool, feedback, metrics);
     // Transient-failure retry: when the watchdog wall budget killed a run
     // the round's feedback is an artifact of host load, not of the fault.
-    // Back off (bounded exponential + jitter) and re-execute the identical
-    // plan; deterministic outcomes are never retried.
+    // Back off (bounded exponential + jitter) and re-execute the same
+    // seeds; deterministic outcomes are never retried.
     while (AnyWallBudgetKill(executed) && retry_backoff.ShouldRetry()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(retry_backoff.NextDelayMs()));
       ++record.retries;
@@ -536,7 +504,8 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
                             obs::kRoundStride - obs::kItemStride + record.retries,
                         0, {obs::ArgInt("attempt", record.retries)});
       }
-      executed = ExecutePlan(*spec_, *context_, flat, plan, pool, feedback, metrics);
+      executed = ExecuteRound(*spec_, *context_, flat, window, first_seed, repetitions, pool,
+                              feedback, metrics);
     }
     retry_backoff.Reset();
     record.run_seconds = run_timer.ElapsedSeconds();
@@ -544,24 +513,20 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     result.experiment.max_round_wall_seconds =
         std::max(result.experiment.max_round_wall_seconds, record.run_seconds);
 
+    // The selected run is the first success (else the first run). Count the
+    // runs through it only: the serial engine stops there.
     const RepRun* selected = &executed.front();
-    for (const RepRun& rep : executed) {
-      if (rep.success) {
-        selected = &rep;
-        break;
-      }
-    }
-    const interp::RunResult& run = selected->run;
-    // Through the first success only: the serial engine stops there.
     for (const RepRun& rep : executed) {
       ++record.runs;
       record.forked_runs += rep.run.forked_at_step > 0 ? 1 : 0;
       record.steps += rep.run.steps;
       record.skipped_steps += rep.run.forked_at_step;
       if (rep.success) {
+        selected = &rep;
         break;
       }
     }
+    const interp::RunResult& run = selected->run;
 
     record.outcome = run.outcome;
     record.partition_events = run.partition_events;
@@ -620,7 +585,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
           metrics->Observe("logdiff.present_observables", record.present_observables);
         }
       }
-      trace_round(record, plan, executed);
+      trace_round(record, executed);
       if (tracer != nullptr) {
         tracer->Instant("explore", "reproduced",
                         phase_base + static_cast<int64_t>(round) * obs::kRoundStride +
@@ -654,37 +619,9 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
         }
       }
     }
-    if (options_.parallel_candidates && window.size() > 1) {
-      // Speculative mode: every run that fired reports its instance, in
-      // candidate-rank order, so the strategy retires all of them at once.
-      for (const RepRun& rep : executed) {
-        if (!rep.run.injected.has_value()) {
-          continue;
-        }
-        const interp::InjectionCandidate& fired = *rep.run.injected;
-        if (outcome.injected == fired ||
-            std::find(outcome.also_injected.begin(), outcome.also_injected.end(), fired) !=
-                outcome.also_injected.end()) {
-          continue;
-        }
-        if (!outcome.injected.has_value()) {
-          outcome.injected = fired;
-        } else {
-          outcome.also_injected.push_back(fired);
-        }
-      }
-      // Let the round record reflect the round's real injection activity
-      // (the iterative mode pins record.candidate of the best round).
-      if (!record.injected && outcome.injected.has_value()) {
-        record.injected = true;
-        record.candidate = *outcome.injected;
-      }
-    } else {
-      // Repetition mode reports only the selected run's injection: the
-      // serial engine never sees the others, and parity with it is the
-      // determinism contract.
-      outcome.injected = run.injected;
-    }
+    // Only the selected run's injection: the serial engine never sees the
+    // other repetitions', and parity with it is the determinism contract.
+    outcome.injected = run.injected;
     if (strategy->WantsLogFeedback()) {
       outcome.present_keys = PresentKeys(*context_, executed);
       record.present_observables = static_cast<int>(outcome.present_keys.size());
@@ -695,7 +632,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     strategy->OnRound(outcome);
     record.decide_seconds = decide_seconds + feedback_timer.ElapsedSeconds();
     round_inits.push_back(record.decide_seconds);
-    trace_round(record, plan, executed);
+    trace_round(record, executed);
     result.records.push_back(record);
     result.rounds = round;
 

@@ -1,6 +1,7 @@
 #include "src/explorer/signature.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -288,26 +289,29 @@ bool ParseSignature(const std::string& text, FaultSignature* out, std::string* e
     *error = "signature is not a JSON object";
     return false;
   }
-  const JsonValue* version = root.Find("version");
-  if (version == nullptr || version->as_int() != kSignatureVersion) {
+  // The outcome of a field read; a failure's message names the field.
+  auto field = [error](bool ok) {
+    if (!ok) {
+      *error = "signature field " + *error;
+    }
+    return ok;
+  };
+  constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+  int64_t version = 0;
+  if (!field(ReadIntMember(root, "version", 0, kMaxInt64, &version, error))) {
+    return false;
+  }
+  if (version != kSignatureVersion) {
     *error = StrFormat(
         "unsupported signature version %lld (this build reads only version %d); "
         "re-run the search and re-emit the signature",
-        version == nullptr ? 0LL : static_cast<long long>(version->as_int()),
-        kSignatureVersion);
+        static_cast<long long>(version), kSignatureVersion);
     return false;
   }
   *out = FaultSignature{};
-  out->version = static_cast<int>(version->as_int());
+  out->version = kSignatureVersion;
   out->case_id = root.Find("case_id") ? root.Find("case_id")->as_string() : "";
-  auto read_u64 = [error](const JsonValue& object, const char* key, uint64_t* into) {
-    if (ReadU64Member(object, key, into, error)) {
-      return true;
-    }
-    *error = "signature field " + *error;
-    return false;
-  };
-  if (!read_u64(root, "program_fingerprint", &out->program_fingerprint)) {
+  if (!field(ReadU64Member(root, "program_fingerprint", &out->program_fingerprint, error))) {
     return false;
   }
   out->minimized = root.Find("minimized") != nullptr && root.Find("minimized")->as_bool();
@@ -320,15 +324,16 @@ bool ParseSignature(const std::string& text, FaultSignature* out, std::string* e
       SignatureStep step;
       step.site = entry.Find("site") ? entry.Find("site")->as_string() : "";
       step.exception = entry.Find("exception") ? entry.Find("exception")->as_string() : "";
-      step.occurrence =
-          entry.Find("occurrence") ? entry.Find("occurrence")->as_int() : 1;
+      if (!field(ReadIntMember(entry, "occurrence", 1, kMaxInt64, &step.occurrence, error))) {
+        return false;
+      }
       const std::string kind =
           entry.Find("kind") ? entry.Find("kind")->as_string() : std::string("exception");
       if (!interp::FaultKindFromName(kind, &step.kind)) {
         *error = "unknown fault kind \"" + kind + "\"";
         return false;
       }
-      if (!read_u64(entry, "seed", &step.seed)) {
+      if (!field(ReadU64Member(entry, "seed", &step.seed, error))) {
         return false;
       }
       out->steps.push_back(std::move(step));
@@ -346,7 +351,7 @@ bool ParseSignature(const std::string& text, FaultSignature* out, std::string* e
   read_strings("ir_methods", &out->ir_methods);
 
   uint64_t stored_hash = 0;
-  if (!read_u64(root, "content_hash", &stored_hash)) {
+  if (!field(ReadU64Member(root, "content_hash", &stored_hash, error))) {
     return false;
   }
   if (stored_hash != ContentHash(*out)) {

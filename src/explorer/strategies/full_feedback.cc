@@ -85,10 +85,6 @@ class FeedbackStrategyBase : public InjectionStrategy {
         Retire(*outcome.injected);
         Count("strategy.retired");
       }
-      for (const interp::InjectionCandidate& extra : outcome.also_injected) {
-        Retire(extra);  // parallel-candidates: all fired instances
-        Count("strategy.retired");
-      }
     } else {
       // Saturates at INT_MAX: from the default window of 10, the 28th
       // injection-free round would overflow, and a wrapped window is <= 0

@@ -114,9 +114,6 @@ class ListStrategy : public InjectionStrategy {
     }
     if (outcome.injected.has_value()) {
       MarkTried(&tried_, *outcome.injected);
-      for (const interp::InjectionCandidate& extra : outcome.also_injected) {
-        MarkTried(&tried_, extra);  // parallel-candidates: all fired instances
-      }
       return;
     }
     if (sequential_) {

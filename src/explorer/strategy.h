@@ -23,13 +23,9 @@ namespace anduril::explorer {
 
 struct RoundOutcome {
   int round = 0;
-  // What (if anything) the runtime injected this round.
+  // What (if anything) the round's selected run injected: its first success,
+  // else its first run.
   std::optional<interp::InjectionCandidate> injected;
-  // Additional distinct instances injected by the round's other runs, in
-  // candidate-rank order. Only populated in parallel-candidates mode, where
-  // each window candidate gets its own run and therefore several instances
-  // can fire in one round; strategies mark all of them tried.
-  std::vector<interp::InjectionCandidate> also_injected;
   // Observable keys that appeared in this round's log (only filled when the
   // strategy asks for log feedback). Algorithm 2: observables *present* in an
   // unsuccessful run get deprioritized; the still-missing ones are the clues

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
+#include <limits>
 
 #include "src/util/strings.h"
 
@@ -169,50 +171,76 @@ JsonValue MetricsSnapshotToJson(const MetricsSnapshot& snapshot) {
 }
 
 bool MetricsSnapshotFromJson(const JsonValue& value, MetricsSnapshot* out, std::string* error) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // Object member `key` of `parent` (an absent one reads as empty), or null
+  // with *error set when it is not an object. `owner` names its metric.
+  auto section = [error](const JsonValue& parent, const std::string& key,
+                         const std::string& owner) -> const JsonValue* {
+    static const JsonValue kEmpty = JsonValue::Object();
+    const JsonValue* found = parent.Find(key);
+    if (found != nullptr && found->type() != JsonValue::Type::kObject) {
+      *error = "metrics " + owner + "\"" + key + "\" is not an object";
+      return nullptr;
+    }
+    return found != nullptr ? found : &kEmpty;
+  };
   if (value.type() != JsonValue::Type::kObject) {
     *error = "metrics snapshot is not a JSON object";
     return false;
   }
-  out->counters.clear();
-  out->gauges.clear();
-  out->histograms.clear();
-  if (const JsonValue* counters = value.Find("counters"); counters != nullptr) {
-    if (counters->type() != JsonValue::Type::kObject) {
-      *error = "metrics \"counters\" is not an object";
+  *out = MetricsSnapshot{};
+  const JsonValue* counters = section(value, "counters", "");
+  const JsonValue* gauges = section(value, "gauges", "");
+  const JsonValue* histograms = section(value, "histograms", "");
+  if (counters == nullptr || gauges == nullptr || histograms == nullptr) {
+    return false;
+  }
+  // Every value is a JSON integer, and every count is >= 0.
+  for (const auto& [name, entry] : counters->members()) {
+    if (!ReadInt(entry, name, 0, kMax, &out->counters.emplace_back(name, 0).second, error)) {
+      *error = "metrics counter " + *error;
       return false;
-    }
-    for (const auto& [name, entry] : counters->members()) {
-      out->counters.emplace_back(name, entry.as_int());
     }
   }
-  if (const JsonValue* gauges = value.Find("gauges"); gauges != nullptr) {
-    if (gauges->type() != JsonValue::Type::kObject) {
-      *error = "metrics \"gauges\" is not an object";
+  for (const auto& [name, entry] : gauges->members()) {
+    if (!ReadInt(entry, name, kMin, kMax, &out->gauges.emplace_back(name, 0).second, error)) {
+      *error = "metrics gauge " + *error;
       return false;
-    }
-    for (const auto& [name, entry] : gauges->members()) {
-      out->gauges.emplace_back(name, entry.as_int());
     }
   }
-  if (const JsonValue* histograms = value.Find("histograms"); histograms != nullptr) {
-    if (histograms->type() != JsonValue::Type::kObject) {
-      *error = "metrics \"histograms\" is not an object";
+  for (const auto& [name, entry] : histograms->members()) {
+    const std::string owner = "histogram \"" + name + "\" ";
+    if (entry.type() != JsonValue::Type::kObject) {
+      *error = "metrics " + owner + "is not an object";
       return false;
     }
-    for (const auto& [name, entry] : histograms->members()) {
-      if (entry.type() != JsonValue::Type::kObject) {
-        *error = "metrics histogram \"" + name + "\" is not an object";
+    MetricsSnapshot::Histogram& histogram =
+        out->histograms.emplace_back(name, MetricsSnapshot::Histogram{}).second;
+    if (!ReadIntMember(entry, "count", 0, kMax, &histogram.count, error) ||
+        !ReadIntMember(entry, "sum", kMin, kMax, &histogram.sum, error)) {
+      *error = "metrics " + owner + *error;
+      return false;
+    }
+    const JsonValue* buckets = section(entry, "buckets", owner);
+    if (buckets == nullptr) {
+      return false;
+    }
+    for (const auto& [key, count] : buckets->members()) {
+      // The key is a bucket index: a whole decimal in [0, kHistogramBuckets).
+      unsigned bucket = 0;
+      const char* end = key.data() + key.size();
+      if (auto [ptr, ec] = std::from_chars(key.data(), end, bucket);
+          ec != std::errc() || ptr != end || bucket >= kHistogramBuckets) {
+        *error = StrFormat("metrics %sbucket \"%s\" is not a whole number in [0, %d)",
+                           owner.c_str(), key.c_str(), kHistogramBuckets);
         return false;
       }
-      MetricsSnapshot::Histogram histogram;
-      histogram.count = entry.Find("count") ? entry.Find("count")->as_int() : 0;
-      histogram.sum = entry.Find("sum") ? entry.Find("sum")->as_int() : 0;
-      if (const JsonValue* buckets = entry.Find("buckets"); buckets != nullptr) {
-        for (const auto& [bucket, count] : buckets->members()) {
-          histogram.buckets.emplace_back(std::atoi(bucket.c_str()), count.as_int());
-        }
+      int64_t& in_bucket = histogram.buckets.emplace_back(static_cast<int>(bucket), 0).second;
+      if (!ReadInt(count, key, 0, kMax, &in_bucket, error)) {
+        *error = "metrics " + owner + "bucket " + *error;
+        return false;
       }
-      out->histograms.emplace_back(name, std::move(histogram));
     }
   }
   error->clear();
@@ -241,14 +269,20 @@ bool ParseMetricsJson(const std::string& text, MetricsSnapshot* out, std::string
     *error = "metrics file is not a JSON object";
     return false;
   }
-  const JsonValue* version = root.Find("anduril_metrics");
-  if (version == nullptr) {
+  const JsonValue* version_field = root.Find("anduril_metrics");
+  if (version_field == nullptr) {
     *error = "metrics file has no anduril_metrics version field";
     return false;
   }
-  if (version->as_int() != kMetricsFormatVersion) {
+  int64_t version = 0;
+  if (!ReadInt(*version_field, "anduril_metrics", 0, std::numeric_limits<int64_t>::max(),
+               &version, error)) {
+    *error = "metrics file " + *error;
+    return false;
+  }
+  if (version != kMetricsFormatVersion) {
     *error = StrFormat("unsupported metrics version %lld (this build reads only version %d)",
-                       static_cast<long long>(version->as_int()), kMetricsFormatVersion);
+                       static_cast<long long>(version), kMetricsFormatVersion);
     return false;
   }
   return MetricsSnapshotFromJson(root, out, error);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <tuple>
 #include <utility>
 
@@ -199,6 +200,7 @@ std::string Tracer::DumpJsonl(bool include_wall) const {
 
 bool Tracer::ParseJsonl(const std::string& text, std::vector<TraceEvent>* out,
                         std::string* error) {
+  constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
   out->clear();
   size_t pos = 0;
   size_t line_number = 0;
@@ -220,15 +222,24 @@ bool Tracer::ParseJsonl(const std::string& text, std::vector<TraceEvent>* out,
                          parse_error.empty() ? "" : (": " + parse_error).c_str());
       return false;
     }
+    // Every later failure names the line; ReadInt's message names the field.
+    auto fail = [&](const std::string& what) {
+      *error = StrFormat("trace line %zu: %s", line_number, what.c_str());
+      return false;
+    };
     if (!saw_header) {
-      const JsonValue* version = value.Find("anduril_trace");
-      if (version == nullptr) {
+      const JsonValue* version_field = value.Find("anduril_trace");
+      if (version_field == nullptr) {
         *error = "trace file has no anduril_trace version header";
         return false;
       }
-      if (version->as_int() != kTraceFormatVersion) {
+      int64_t version = 0;
+      if (!ReadInt(*version_field, "anduril_trace", 0, kMaxInt64, &version, error)) {
+        return fail(*error);
+      }
+      if (version != kTraceFormatVersion) {
         *error = StrFormat("unsupported trace version %lld (this build reads only version %d)",
-                           static_cast<long long>(version->as_int()), kTraceFormatVersion);
+                           static_cast<long long>(version), kTraceFormatVersion);
         return false;
       }
       saw_header = true;
@@ -249,13 +260,26 @@ bool Tracer::ParseJsonl(const std::string& text, std::vector<TraceEvent>* out,
                          ph->as_string().c_str());
       return false;
     }
-    event.category = value.Find("cat") ? value.Find("cat")->as_string() : "";
-    event.name = value.Find("name") ? value.Find("name")->as_string() : "";
-    event.ts = value.Find("ts") ? value.Find("ts")->as_int() : 0;
-    event.dur = value.Find("dur") ? value.Find("dur")->as_int() : 0;
-    event.track = value.Find("track") ? value.Find("track")->as_int() : 0;
-    event.wall_nanos = value.Find("wall_nanos") ? value.Find("wall_nanos")->as_int() : 0;
+    for (auto [key, into] : {std::pair{"cat", &event.category}, std::pair{"name", &event.name}}) {
+      if (const JsonValue* field = value.Find(key); field != nullptr) {
+        if (field->type() != JsonValue::Type::kString) {
+          return fail(StrFormat("\"%s\" is not a string", key));
+        }
+        *into = field->as_string();
+      }
+    }
+    // Logical times, lanes and wall durations are integers >= 0.
+    for (auto [key, into] : {std::pair{"ts", &event.ts}, std::pair{"dur", &event.dur},
+                             std::pair{"track", &event.track},
+                             std::pair{"wall_nanos", &event.wall_nanos}}) {
+      if (!ReadIntMember(value, key, 0, kMaxInt64, into, error)) {
+        return fail(*error);
+      }
+    }
     if (const JsonValue* args = value.Find("args"); args != nullptr) {
+      if (args->type() != JsonValue::Type::kObject) {
+        return fail("\"args\" is not an object");
+      }
       for (const auto& [key, arg] : args->members()) {
         std::string rendered;
         switch (arg.type()) {
@@ -265,8 +289,11 @@ bool Tracer::ParseJsonl(const std::string& text, std::vector<TraceEvent>* out,
           case JsonValue::Type::kBool:
             rendered = arg.as_bool() ? "true" : "false";
             break;
-          default:
+          case JsonValue::Type::kInt:
             rendered = std::to_string(arg.as_int());
+            break;
+          default:
+            return fail("arg \"" + key + "\" is not a string, bool or integer");
         }
         event.args.push_back(TraceArg{key, std::move(rendered)});
       }

@@ -437,20 +437,25 @@ void JsonValue::DumpTo(std::string* out, int depth) const {
   }
 }
 
-bool ReadIntMember(const JsonValue& object, const std::string& key, int64_t min, int64_t max,
-                   int64_t* out, std::string* error) {
-  const JsonValue* value = object.Find(key);
-  if (value != nullptr && value->type() != JsonValue::Type::kInt) {
-    *error = "\"" + key + "\" is not an integer";
+bool ReadInt(const JsonValue& value, const std::string& name, int64_t min, int64_t max,
+             int64_t* out, std::string* error) {
+  if (value.type() != JsonValue::Type::kInt) {
+    *error = "\"" + name + "\" is not an integer";
     return false;
   }
-  if (value != nullptr && (value->as_int() < min || value->as_int() > max)) {
-    *error = "\"" + key + "\" is " + std::to_string(value->as_int()) + ", outside [" +
+  if (value.as_int() < min || value.as_int() > max) {
+    *error = "\"" + name + "\" is " + std::to_string(value.as_int()) + ", outside [" +
              std::to_string(min) + ", " + std::to_string(max) + "]";
     return false;
   }
-  *out = value != nullptr ? value->as_int() : *out;
+  *out = value.as_int();
   return true;
+}
+
+bool ReadIntMember(const JsonValue& object, const std::string& key, int64_t min, int64_t max,
+                   int64_t* out, std::string* error) {
+  const JsonValue* value = object.Find(key);
+  return value == nullptr || ReadInt(*value, key, min, max, out, error);
 }
 
 bool ReadU64Member(const JsonValue& object, const std::string& key, uint64_t* out,

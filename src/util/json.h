@@ -78,6 +78,11 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+// `value` into *out: it must be a JSON integer in [min, max]. On failure
+// returns false and sets *error to a message naming `name`.
+bool ReadInt(const JsonValue& value, const std::string& name, int64_t min, int64_t max,
+             int64_t* out, std::string* error);
+
 // Integer member `key` of `object`, when present, into *out: it must be a
 // JSON integer in [min, max], a range `Int` holds. An absent member leaves
 // *out as it is (the caller's default). On failure returns false and sets

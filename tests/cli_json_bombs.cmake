@@ -3,9 +3,10 @@
 # signature of 200k '[' and a checkpoint of 100k nested objects into WORK_DIR,
 # then replays the first and resumes from the second; resumes zk-2247's plain
 # and chain searches from a checkpoint hd-4233's search wrote, from one
-# whose observable priority is out of range, and from three whose
+# whose observable priority is out of range, from three whose
 # rounds_completed is negative, a string, or past the int range (each used to
-# resume into a wrong search); checkpoints into a missing
+# resume into a wrong search), and from one whose embedded metrics counter is
+# a string (it used to resume with the counter at 0); checkpoints into a missing
 # directory and with a strategy that cannot checkpoint (all exit 1); and
 # passes an unknown strategy and malformed counts (exit 2).
 #
@@ -83,6 +84,26 @@ foreach(forged "-7" "\"2\"" "4294967298")
                "cannot resume: checkpoint field \"rounds_completed\""
                "${ANDURIL_CASE}" run zk-2247 "--checkpoint=${forged_file}" --resume)
 endforeach()
+
+# zk-2247's round-2 checkpoint written with --metrics-out, so it embeds the
+# metrics snapshot, with a counter forged to a string: a resume used to read
+# it as 0, exit 0 and write the counter as 0.
+set(metered "${WORK_DIR}/zk2247_metrics_checkpoint.json")
+file(REMOVE "${metered}")
+execute_process(COMMAND "${ANDURIL_CASE}" run zk-2247 full 2 "--checkpoint=${metered}"
+                        "--metrics-out=${WORK_DIR}/zk2247_metrics.json"
+                OUTPUT_QUIET ERROR_QUIET)
+file(READ "${metered}" metered_checkpoint)
+string(REGEX REPLACE "(\"explore\\.context_builds\"): [0-9]+" "\\1: \"1\"" tampered
+       "${metered_checkpoint}")
+if(tampered STREQUAL metered_checkpoint)
+  message(FATAL_ERROR "found no explore.context_builds counter in ${metered}")
+endif()
+file(WRITE "${metered}" "${tampered}")
+expect_error("run --resume (metrics counter \"1\")" 1
+             "cannot resume: metrics counter \"explore\\.context_builds\" is not an integer"
+             "${ANDURIL_CASE}" run zk-2247 "--checkpoint=${metered}" --resume
+             "--metrics-out=${WORK_DIR}/zk2247_metrics.json")
 
 # Checkpoints the search cannot write, and a strategy that cannot checkpoint.
 set(missing "${WORK_DIR}/no_such_dir/ck.json")

@@ -321,6 +321,39 @@ TEST_F(SignatureTest, ParseRejectsMalformedU64Fields) {
   }
 }
 
+// Integer fields are read strictly too: a string, a double or an
+// out-of-range value is an error naming the field, not a fallback that the
+// content hash then reports as tampering (or a version mismatch).
+TEST_F(SignatureTest, ParseRejectsMalformedIntegerFields) {
+  const std::string text = SerializeSignature(signature_);
+  struct Tamper {
+    std::string field;
+    std::string bad;
+    std::string named;
+  };
+  for (const Tamper& tamper : std::vector<Tamper>{
+           {"version", "\"1\"", "\"version\" is not an integer"},
+           {"version", "1.0", "\"version\" is not an integer"},
+           {"occurrence", "\"3\"", "\"occurrence\" is not an integer"},
+           {"occurrence", "1.5", "\"occurrence\" is not an integer"},
+           {"occurrence", "true", "\"occurrence\" is not an integer"},
+           {"occurrence", "0", "\"occurrence\" is 0, outside [1, "},  // 1-based
+           {"occurrence", "-3", "\"occurrence\" is -3, outside [1, "},
+       }) {
+    SCOPED_TRACE(tamper.field + "=" + tamper.bad);
+    std::string tampered = text;
+    const std::string key = "\"" + tamper.field + "\": ";
+    size_t begin = tampered.find(key);
+    ASSERT_NE(begin, std::string::npos);
+    begin += key.size();
+    tampered.replace(begin, tampered.find_first_of(",\n", begin) - begin, tamper.bad);
+    FaultSignature out;
+    std::string error;
+    EXPECT_FALSE(ParseSignature(tampered, &out, &error));
+    EXPECT_NE(error.find(tamper.named), std::string::npos) << error;
+  }
+}
+
 TEST_F(SignatureTest, SaveLoadFileRoundTrip) {
   std::string path = TempPath("sig_roundtrip.json");
   ASSERT_TRUE(SaveSignatureFile(path, signature_));

@@ -258,6 +258,94 @@ TEST(ObsPropertyTest, MetricsParseRejectsTruncatedAndUnknownVersion) {
   EXPECT_NE(error.find("999"), std::string::npos) << error;
 }
 
+// One tampered value of a dumped file: the first `from` becomes `to`, and the
+// parse error must name `named`.
+struct Tamper {
+  std::string from;
+  std::string to;
+  std::string named;
+};
+
+std::string Tampered(std::string text, const Tamper& tamper) {
+  size_t pos = text.find(tamper.from);
+  EXPECT_NE(pos, std::string::npos) << tamper.from;
+  return pos == std::string::npos ? text : text.replace(pos, tamper.from.size(), tamper.to);
+}
+
+// Every integer of a metrics snapshot (also the one a checkpoint embeds) is
+// read strictly: a string, a double, a negative count or a bad bucket index
+// is an error naming the metric, never a 0 or a dropped bucket that a
+// resumed search would carry on with.
+TEST(ObsPropertyTest, MetricsParseRejectsMalformedIntegers) {
+  MetricsRegistry metrics;
+  metrics.Add("a.counter", 3);
+  metrics.Set("a.gauge", -2);
+  metrics.Observe("a.hist", 1);
+  metrics.Observe("a.hist", 16);
+  const std::string text = metrics.DumpJson();
+  MetricsSnapshot out;
+  std::string error;
+  ASSERT_TRUE(ParseMetricsJson(text, &out, &error)) << error;
+
+  const std::string hist = "histogram \"a.hist\" ";
+  for (const Tamper& tamper : std::vector<Tamper>{
+           {"\"anduril_metrics\": 1", "\"anduril_metrics\": \"1\"", "\"anduril_metrics\""},
+           {"\"a.counter\": 3", "\"a.counter\": \"3\"", "counter \"a.counter\""},
+           {"\"a.counter\": 3", "\"a.counter\": 1.5", "counter \"a.counter\""},
+           {"\"a.counter\": 3", "\"a.counter\": -1", "counter \"a.counter\""},
+           {"\"a.gauge\": -2", "\"a.gauge\": \"-2\"", "gauge \"a.gauge\""},
+           {"\"a.gauge\": -2", "\"a.gauge\": null", "gauge \"a.gauge\""},
+           {"\"count\": 2", "\"count\": \"2\"", hist + "\"count\""},
+           {"\"count\": 2", "\"count\": -2", hist + "\"count\""},
+           {"\"sum\": 17", "\"sum\": 17.0", hist + "\"sum\""},
+           {"\"buckets\": {", "\"buckets\": [], \"x\": {", hist + "\"buckets\""},
+           {"\"1\": 1", "\"1\": \"1\"", hist + "bucket \"1\""},
+           {"\"1\": 1", "\"1\": -1", hist + "bucket \"1\""},
+           {"\"1\": 1", "\"x\": 1", hist + "bucket \"x\""},
+           {"\"1\": 1", "\"\": 1", hist + "bucket \"\""},
+           {"\"1\": 1", "\"1a\": 1", hist + "bucket \"1a\""},
+           {"\"1\": 1", "\"-1\": 1", hist + "bucket \"-1\""},
+           {"\"1\": 1", "\"65\": 1", hist + "bucket \"65\""},
+       }) {
+    SCOPED_TRACE(tamper.to);
+    error.clear();
+    EXPECT_FALSE(ParseMetricsJson(Tampered(text, tamper), &out, &error));
+    EXPECT_NE(error.find(tamper.named), std::string::npos) << error;
+  }
+}
+
+// The trace reader is as strict: times, lanes and wall durations are
+// integers >= 0, names are strings, and an arg is a string, bool or integer.
+TEST(ObsPropertyTest, TraceParseRejectsMalformedFields) {
+  Tracer tracer;
+  tracer.Span("explore", "round", 5, 7, 1, {ArgInt("round", 1), ArgStr("outcome", "completed")},
+              /*wall_nanos=*/9);
+  const std::string text = tracer.DumpJsonl(/*include_wall=*/true);
+  std::vector<TraceEvent> out;
+  std::string error;
+  ASSERT_TRUE(Tracer::ParseJsonl(text, &out, &error)) << error;
+
+  for (const Tamper& tamper : std::vector<Tamper>{
+           {"\"anduril_trace\":1", "\"anduril_trace\":\"1\"", "\"anduril_trace\""},
+           {"\"ts\":5", "\"ts\":\"5\"", "\"ts\""},
+           {"\"ts\":5", "\"ts\":-5", "\"ts\""},
+           {"\"dur\":7", "\"dur\":7.5", "\"dur\""},
+           {"\"track\":1", "\"track\":\"1\"", "\"track\""},
+           {"\"wall_nanos\":9", "\"wall_nanos\":-9", "\"wall_nanos\""},
+           {"\"cat\":\"explore\"", "\"cat\":7", "\"cat\""},
+           {"\"name\":\"round\"", "\"name\":null", "\"name\""},
+           {"\"args\":{", "\"args\":[],\"x\":{", "\"args\""},
+           {"\"round\":1", "\"round\":1.5", "arg \"round\""},
+           {"\"round\":1", "\"round\":null", "arg \"round\""},
+           {"\"round\":1", "\"round\":[1]", "arg \"round\""},
+       }) {
+    SCOPED_TRACE(tamper.to);
+    error.clear();
+    EXPECT_FALSE(Tracer::ParseJsonl(Tampered(text, tamper), &out, &error));
+    EXPECT_NE(error.find(tamper.named), std::string::npos) << error;
+  }
+}
+
 TEST(ObsPropertyTest, HistogramBucketsAreBitWidths) {
   EXPECT_EQ(HistogramBucketOf(-5), 0);
   EXPECT_EQ(HistogramBucketOf(0), 0);

@@ -1,9 +1,9 @@
 // Determinism tests for the parallel exploration engine: with a fixed seed,
 // the explorer must emit the same ReproductionScript and round count at
-// every thread count (1, 2, 8), in every execution mode (single run per
-// round, combined repetitions, speculative parallel candidates), on real
-// failure cases. This is the engine's headline invariant — parallelism only
-// changes wall-clock time, never the search outcome.
+// every thread count (1, 2, 8), with one run per round and with combined
+// repetitions, on real failure cases. This is the engine's headline
+// invariant — parallelism only changes wall-clock time, never the search
+// outcome.
 
 #include <gtest/gtest.h>
 
@@ -111,20 +111,6 @@ TEST(ParallelDeterminism, ZooKeeperMultiRepetition) {
   ExpectIdenticalAcrossThreadCounts("zk-2247", options);
 }
 
-// --- speculative window evaluation --------------------------------------------
-
-TEST(ParallelDeterminism, HdfsParallelCandidates) {
-  ExplorerOptions options;
-  options.parallel_candidates = true;
-  ExpectIdenticalAcrossThreadCounts("hd-4233", options);
-}
-
-TEST(ParallelDeterminism, ZooKeeperParallelCandidates) {
-  ExplorerOptions options;
-  options.parallel_candidates = true;
-  ExpectIdenticalAcrossThreadCounts("zk-2247", options);
-}
-
 // --- reproduction scripts replay regardless of the thread count they came from
 
 TEST(ParallelDeterminism, ParallelScriptReplays) {
@@ -141,27 +127,6 @@ TEST(ParallelDeterminism, ParallelScriptReplays) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(Explorer::Replay(built.spec, *result.script));
   }
-}
-
-// --- the parallel-candidates mode reproduces and its feedback is a superset ---
-
-TEST(ParallelCandidates, ReproducesAndConvergesNoSlower) {
-  const systems::FailureCase* failure_case = systems::FindCase("hd-4233");
-  ASSERT_NE(failure_case, nullptr);
-  systems::BuiltCase built = systems::BuildCase(*failure_case);
-
-  ExplorerOptions serial_options;
-  Outcome serial = RunCase(built, serial_options);
-  ASSERT_TRUE(serial.reproduced);
-
-  ExplorerOptions speculative_options;
-  speculative_options.parallel_candidates = true;
-  speculative_options.num_threads = 4;
-  Outcome speculative = RunCase(built, speculative_options);
-  ASSERT_TRUE(speculative.reproduced);
-  // Evaluating every window candidate per round can only retire candidates
-  // at least as fast as arming the whole window in one run.
-  EXPECT_LE(speculative.rounds, serial.rounds);
 }
 
 // --- shared analysis cache ----------------------------------------------------
