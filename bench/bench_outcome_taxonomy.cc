@@ -1,6 +1,6 @@
 // Outcome taxonomy of the hardened exploration runtime: per-case round
-// outcome counts (completed / crashed / hung / budget-exceeded), transient
-// retry counts, and round wall-clock extremes.
+// outcome counts (completed / crashed / hung / budget-exceeded) and round
+// wall-clock extremes.
 //
 // The exception-rooted cases run over the stock candidate space (their
 // rounds all complete); the crash/stall-rooted cases run with
@@ -22,20 +22,19 @@ void PrintCaseRow(const systems::FailureCase& failure_case) {
   PrintRow({failure_case.id, RoundsCell(run), std::to_string(experiment.completed_rounds),
             std::to_string(experiment.crashed_rounds), std::to_string(experiment.hung_rounds),
             std::to_string(experiment.budget_exceeded_rounds),
-            std::to_string(experiment.transient_retries),
             total > 0 ? StrFormat("%.1f%%", 100.0 * (experiment.crashed_rounds +
                                                      experiment.hung_rounds) /
                                                 total)
                       : "-",
             StrFormat("%.2fms", experiment.max_round_wall_seconds * 1e3)},
-           {12, 8, 10, 8, 6, 8, 8, 10, 10});
+           {12, 8, 10, 8, 6, 8, 10, 10});
 }
 
 int Main() {
   std::printf("Round outcome taxonomy (strategy: full feedback)\n\n");
-  PrintRow({"case", "rounds", "completed", "crashed", "hung", "budget", "retries",
-            "fault-rate", "max-round"},
-           {12, 8, 10, 8, 6, 8, 8, 10, 10});
+  PrintRow({"case", "rounds", "completed", "crashed", "hung", "budget", "fault-rate",
+            "max-round"},
+           {12, 8, 10, 8, 6, 8, 10, 10});
   for (const systems::FailureCase& failure_case : systems::AllCases()) {
     if (failure_case.id == "zk-2247" || failure_case.id == "hd-4233" ||
         failure_case.id == "hb-18137" || failure_case.id == "ka-12508") {

@@ -24,7 +24,7 @@ struct CaseRun {
   double median_workload_seconds = 0;
   std::vector<int> rank_trajectory;  // rank of the ground-truth site per round
   std::optional<explorer::ReproductionScript> script;
-  // Outcome taxonomy, retry, and wall-clock accounting across the search.
+  // Outcome taxonomy and wall-clock accounting across the search.
   explorer::ExperimentRecord experiment;
   // Context statistics.
   size_t observables = 0;

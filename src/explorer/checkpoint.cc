@@ -112,7 +112,7 @@ std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
   root.Set("program_fingerprint", JsonValue::U64(checkpoint.program_fingerprint));
   root.Set("base_seed", JsonValue::U64(checkpoint.base_seed));
   root.Set("rounds_completed", JsonValue::Int(checkpoint.rounds_completed));
-  root.Set("retry_rng_draws", JsonValue::U64(checkpoint.retry_rng_draws));
+  root.Set("retry_rng_draws", JsonValue::U64(0));
 
   JsonValue network = JsonValue::Object();
   network.Set("candidates", JsonValue::Bool(checkpoint.network_candidates));
@@ -128,7 +128,7 @@ std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
                  JsonValue::Int(checkpoint.experiment.budget_exceeded_rounds));
   experiment.Set("partitioned_stuck_rounds",
                  JsonValue::Int(checkpoint.experiment.partitioned_stuck_rounds));
-  experiment.Set("transient_retries", JsonValue::Int(checkpoint.experiment.transient_retries));
+  experiment.Set("transient_retries", JsonValue::Int(0));
   experiment.Set("total_run_wall_seconds",
                  JsonValue::Double(checkpoint.experiment.total_run_wall_seconds));
   experiment.Set("max_round_wall_seconds",
@@ -260,10 +260,16 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
     *error = "checkpoint field " + *error;
     return false;
   };
+  uint64_t retry_rng_draws = 0;
   if (!read_u64(root, "program_fingerprint", &parsed.program_fingerprint) ||
       !read_u64(root, "base_seed", &parsed.base_seed) ||
-      !read_u64(root, "retry_rng_draws", &parsed.retry_rng_draws) ||
+      !read_u64(root, "retry_rng_draws", &retry_rng_draws) ||
       !ReadField(root, "rounds_completed", 0, kMaxInt, &parsed.rounds_completed, error)) {
+    return false;
+  }
+  if (retry_rng_draws != 0) {
+    *error = "checkpoint field \"retry_rng_draws\" is " + std::to_string(retry_rng_draws) +
+             ", outside [0, 0]";
     return false;
   }
 
@@ -286,12 +292,15 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
         {"crashed_rounds", &record.crashed_rounds},
         {"hung_rounds", &record.hung_rounds},
         {"budget_exceeded_rounds", &record.budget_exceeded_rounds},
-        {"partitioned_stuck_rounds", &record.partitioned_stuck_rounds},
-        {"transient_retries", &record.transient_retries}};
+        {"partitioned_stuck_rounds", &record.partitioned_stuck_rounds}};
     for (const auto& [key, into] : counts) {
       if (!ReadField(*experiment, key, 0, kMaxInt, into, error)) {
         return false;
       }
+    }
+    int transient_retries = 0;
+    if (!ReadField(*experiment, "transient_retries", 0, 0, &transient_retries, error)) {
+      return false;
     }
     const JsonValue* total = experiment->Find("total_run_wall_seconds");
     parsed.experiment.total_run_wall_seconds = total ? total->as_double() : 0;

@@ -25,9 +25,9 @@
 //     "program_fingerprint": "<hex>",   // guards against program drift
 //     "base_seed": "<u64 as string>",   // strings: no 2^53 precision loss
 //     "rounds_completed": N,
-//     "retry_rng_draws": "<u64 as string>",
+//     "retry_rng_draws": "0",           // always 0 (see below)
 //     "experiment": { per-outcome round counts (incl. partitioned_stuck),
-//                     retries, wall-clock },
+//                     "transient_retries": 0, wall-clock },
 //     "network": {                      // v2: network fault configuration
 //       "candidates": bool,             // ExplorerOptions::network_candidates
 //       "partition_heal_ms": N,         // ClusterSpec::partition_heal_ms
@@ -81,10 +81,14 @@
 // always "incremental"; a v4 file naming the removed "full-rerank" engine is
 // refused like any other kind. Parsing also refuses search state no search
 // can reach: a window below one candidate, or an observable priority the
-// ranking arithmetic could overflow on. Old versions —
-// including a version-2 file that smuggles a chain block — are rejected with
-// an actionable error rather than silently resumed into a different search
-// space.
+// ranking arithmetic could overflow on. "retry_rng_draws" and
+// "experiment.transient_retries" are always 0, because no search re-runs a
+// round; they stay so that v4 files keep their bytes. Parsing refuses any
+// other value with an error that names the field: such a file comes from a
+// search that retried a round, which no resume can continue exactly. Old
+// versions — including a version-2 file that smuggles a chain block — are
+// rejected with an actionable error rather than silently resumed into a
+// different search space.
 
 #ifndef ANDURIL_SRC_EXPLORER_CHECKPOINT_H_
 #define ANDURIL_SRC_EXPLORER_CHECKPOINT_H_
@@ -157,8 +161,6 @@ struct SearchCheckpoint {
   uint64_t program_fingerprint = 0;
   uint64_t base_seed = 0;
   int rounds_completed = 0;
-  // Jitter draws consumed by the retry backoff so far (stream position).
-  uint64_t retry_rng_draws = 0;
   // v2: network-fault configuration active when the checkpoint was written.
   // Resume validates these against the live options/cluster — a mismatch
   // would change the candidate space or message timing and silently break

@@ -89,14 +89,6 @@ struct ExplorerOptions {
   // converge in fewer rounds. Off by default to keep baseline numbers
   // comparable with prior measurements.
   bool static_prune = false;
-  // Transient-round retry policy: a round whose runs were killed by the host
-  // wall-clock watchdog (environmental slowness, not a fault-induced
-  // outcome) is re-executed up to max_run_retries times with bounded
-  // exponential backoff + jitter between attempts. Crashed/hung/completed
-  // rounds are deterministic outcomes and are never retried.
-  int max_run_retries = 2;
-  int64_t retry_initial_delay_ms = 5;
-  int64_t retry_max_delay_ms = 250;
   // Observability sinks (src/obs/), not owned; null = disabled, and every
   // instrumentation hook reduces to a single pointer test. Both sinks are
   // deterministic under a fixed seed at any thread count: trace timestamps
@@ -116,16 +108,15 @@ struct ExplorerOptions {
   int trace_phase = 0;
 };
 
-// Robustness accounting for one exploration: how rounds ended, how often
-// transient rounds were retried, and the wall-clock spent running workloads.
-// Feeds the hang/crash/retry-rate columns of EXPERIMENTS.md.
+// Robustness accounting for one exploration: how rounds ended and the
+// wall-clock spent running workloads. Feeds the outcome-taxonomy table of
+// EXPERIMENTS.md.
 struct ExperimentRecord {
   int completed_rounds = 0;
   int crashed_rounds = 0;
   int hung_rounds = 0;
   int budget_exceeded_rounds = 0;
   int partitioned_stuck_rounds = 0;
-  int transient_retries = 0;
   double total_run_wall_seconds = 0;
   double max_round_wall_seconds = 0;
 

@@ -4,13 +4,11 @@
 #include <chrono>
 #include <future>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "src/interp/simulator.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/util/backoff.h"
 #include "src/util/check.h"
 #include "src/util/stopwatch.h"
 #include "src/util/strings.h"
@@ -142,19 +140,6 @@ std::vector<std::string> PresentKeys(const ExplorerContext& context,
     }
   }
   return present;
-}
-
-// A round is *transient* when the watchdog killed any of its runs: the host
-// was too slow, not the fault too severe. Deterministic outcomes (crashed,
-// hung, completed, simulated-time/step budgets) re-occur on retry by
-// construction, so only wall-clock kills are worth retrying.
-bool AnyWallBudgetKill(const std::vector<RepRun>& executed) {
-  for (const RepRun& rep : executed) {
-    if (rep.run.hit_wall_budget) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void CountOutcome(ExperimentRecord* record, interp::RunOutcome outcome) {
@@ -290,15 +275,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     }
   }
 
-  // Backoff for transient (wall-budget-killed) rounds. Its jitter RNG is
-  // seeded off base_seed so the delay *stream* is deterministic; checkpoints
-  // record the draw count so a resumed search continues the same stream.
-  ExponentialBackoff::Options backoff_options;
-  backoff_options.initial_delay_ms = options_.retry_initial_delay_ms;
-  backoff_options.max_delay_ms = options_.retry_max_delay_ms;
-  backoff_options.max_retries = options_.max_run_retries;
-  ExponentialBackoff retry_backoff(backoff_options, spec_->base_seed ^ 0x9e3779b97f4a7c15ull);
-
   int first_round = 1;
   if (checkpoint.resume != nullptr) {
     const SearchCheckpoint& snap = *checkpoint.resume;
@@ -314,7 +290,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       result.error = "cannot resume: " + mismatch;
       return result;
     }
-    retry_backoff.FastForward(snap.retry_rng_draws);
     result.experiment = snap.experiment;
     result.rounds = snap.rounds_completed;
     first_round = snap.rounds_completed + 1;
@@ -384,7 +359,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     round_args.push_back(obs::ArgBool("success", rec.success));
     round_args.push_back(obs::ArgStr("outcome", interp::RunOutcomeName(rec.outcome)));
     round_args.push_back(obs::ArgInt("present", rec.present_observables));
-    round_args.push_back(obs::ArgInt("retries", rec.retries));
     tracer->Span("explore", "round", base, obs::kRoundStride, 0, std::move(round_args),
                  static_cast<int64_t>(rec.run_seconds * 1e9));
   };
@@ -405,7 +379,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     snap.program_fingerprint = *fingerprint;
     snap.base_seed = spec_->base_seed;
     snap.rounds_completed = round;
-    snap.retry_rng_draws = retry_backoff.draws();
     snap.network_candidates = options_.network_candidates;
     snap.partition_heal_ms = spec_->cluster->partition_heal_ms;
     snap.network_delay_ms = spec_->cluster->network_delay_ms;
@@ -490,24 +463,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     const bool feedback = strategy->WantsLogFeedback();
     std::vector<RepRun> executed = ExecuteRound(*spec_, *context_, flat, window, first_seed,
                                                 repetitions, pool, feedback, metrics);
-    // Transient-failure retry: when the watchdog wall budget killed a run
-    // the round's feedback is an artifact of host load, not of the fault.
-    // Back off (bounded exponential + jitter) and re-execute the same
-    // seeds; deterministic outcomes are never retried.
-    while (AnyWallBudgetKill(executed) && retry_backoff.ShouldRetry()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(retry_backoff.NextDelayMs()));
-      ++record.retries;
-      ++result.experiment.transient_retries;
-      if (tracer != nullptr) {
-        tracer->Instant("explore", "retry",
-                        phase_base + static_cast<int64_t>(round) * obs::kRoundStride +
-                            obs::kRoundStride - obs::kItemStride + record.retries,
-                        0, {obs::ArgInt("attempt", record.retries)});
-      }
-      executed = ExecuteRound(*spec_, *context_, flat, window, first_seed, repetitions, pool,
-                              feedback, metrics);
-    }
-    retry_backoff.Reset();
     record.run_seconds = run_timer.ElapsedSeconds();
     result.experiment.total_run_wall_seconds += record.run_seconds;
     result.experiment.max_round_wall_seconds =
@@ -536,9 +491,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       metrics->Add("explore.rounds");
       metrics->Add(std::string("explore.outcome.") + interp::RunOutcomeName(run.outcome));
       metrics->Observe("explore.window_size", record.window_size);
-      if (record.retries > 0) {
-        metrics->Add("explore.retries", record.retries);
-      }
       if (record.network_candidates_tried > 0) {
         metrics->Add("explore.network_candidates", record.network_candidates_tried);
       }
@@ -601,7 +553,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
 
     // Feedback digestion: combined observables across every run of the
     // round (§6), each run already digested by ExecuteOne. Partial logs from
-    // crashed and watchdog-killed runs participate too — a truncated log
+    // crashed and budget-exceeded runs participate too — a truncated log
     // still carries every observable emitted before the crash, which is
     // exactly the feedback Algorithm 2 wants.
     Stopwatch feedback_timer;

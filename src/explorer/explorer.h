@@ -36,10 +36,8 @@ struct RoundRecord {
   int present_observables = -1;
   int64_t injection_requests = 0;
   int64_t decision_nanos = 0;  // runtime hook latency, cumulative
-  // How the round's selected run ended, and how many transient retries the
-  // round burned before settling on that outcome.
+  // How the round's selected run ended.
   interp::RunOutcome outcome = interp::RunOutcome::kCompleted;
-  int retries = 0;
   // Network-fault candidates armed in this round's window (0 unless
   // ExplorerOptions::network_candidates widened the space).
   int network_candidates_tried = 0;
@@ -78,7 +76,7 @@ struct ExploreResult {
   double init_seconds = 0;
   std::optional<ReproductionScript> script;
   std::vector<RoundRecord> records;
-  // Outcome taxonomy / retry / wall-clock accounting across the search. On a
+  // Outcome taxonomy and wall-clock accounting across the search. On a
   // resumed search this includes the rounds executed before the checkpoint.
   ExperimentRecord experiment;
 

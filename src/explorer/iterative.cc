@@ -1,15 +1,12 @@
 #include "src/explorer/iterative.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
 #include "src/interp/simulator.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/util/backoff.h"
 #include "src/util/check.h"
 #include "src/util/strings.h"
 
@@ -145,32 +142,15 @@ std::vector<ir::FaultSiteId> NewlyExecutedSites(const ExplorerContext& context,
 
 StitchRunResult RunChainStitch(const ExperimentSpec& spec,
                                const interp::InjectionCandidate& candidate,
-                               const ExplorerOptions& options) {
+                               const ExplorerOptions& /*options*/) {
   StitchRunResult result;
-  // Same bounded exponential backoff (and seed derivation) as the search
-  // rounds: only wall-budget kills are transient; every other outcome is
-  // deterministic and re-occurs on retry by construction.
-  ExponentialBackoff::Options backoff_options;
-  backoff_options.initial_delay_ms = options.retry_initial_delay_ms;
-  backoff_options.max_delay_ms = options.retry_max_delay_ms;
-  backoff_options.max_retries = options.max_run_retries;
-  ExponentialBackoff backoff(backoff_options, spec.base_seed ^ 0x9e3779b97f4a7c15ull);
-
   std::vector<interp::InjectionCandidate> pinned = spec.pinned_faults;
   pinned.push_back(candidate);
-  for (;;) {
-    interp::FaultRuntime runtime(spec.program);
-    runtime.set_tracing(true);
-    runtime.SetPinned(pinned);
-    interp::Simulator simulator(spec.program, spec.cluster, spec.base_seed, &runtime);
-    result.run = simulator.Run();
-    if (result.run.hit_wall_budget && backoff.ShouldRetry()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff.NextDelayMs()));
-      ++result.retries;
-      continue;
-    }
-    break;
-  }
+  interp::FaultRuntime runtime(spec.program);
+  runtime.set_tracing(true);
+  runtime.SetPinned(pinned);
+  interp::Simulator simulator(spec.program, spec.cluster, spec.base_seed, &runtime);
+  result.run = simulator.Run();
   // A wedged stitch run condemns the whole chain candidate: pinning this
   // fault makes the degraded system hang (or stay partition-stuck), so no
   // continuation searched on top of it can ever run to an oracle verdict.
@@ -335,9 +315,6 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
       StitchRunResult stitch = RunChainStitch(spec_, summary.candidate, options_);
       if (options_.metrics != nullptr) {
         options_.metrics->Add("chain.stitch_runs");
-        if (stitch.retries > 0) {
-          options_.metrics->Add("chain.stitch_retries", stitch.retries);
-        }
       }
       if (stitch.demote_chain) {
         ++result.demoted_chain_candidates;

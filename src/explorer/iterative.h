@@ -105,9 +105,6 @@ struct ChainResult {
 // candidate, all pinned, no window, at the experiment's base seed.
 struct StitchRunResult {
   interp::RunResult run;
-  // Wall-budget-kill retries burned (bounded exponential backoff; all other
-  // outcomes are deterministic and never retried).
-  int retries = 0;
   // The run hung or got partition-stuck: extending the chain through this
   // candidate wedges the system, so the whole chain candidate is demoted.
   bool demote_chain = false;
@@ -115,10 +112,10 @@ struct StitchRunResult {
 
 // Executes the stitch run for `candidate` over `spec` (whose pinned_faults
 // hold the accepted chain prefix). Exposed for tests; ChainExplorer calls it
-// between phases.
+// between phases. The unread options parameter stays for reprobench's calls.
 StitchRunResult RunChainStitch(const ExperimentSpec& spec,
                                const interp::InjectionCandidate& candidate,
-                               const ExplorerOptions& options);
+                               const ExplorerOptions& /*options*/);
 
 // Ordered-chain search (header comment above). Deterministic under a fixed
 // seed at any thread count; supports checkpoint/resume mid-chain via the v3

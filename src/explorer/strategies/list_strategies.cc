@@ -40,14 +40,16 @@ class ExhaustiveStrategy : public ListStrategy {
   void BuildList(const ExplorerContext& context) override {
     // Enumerate the causal graph's dynamic fault instances in execution
     // order: how a tool without priorities walks the space front to back.
-    std::unordered_map<ir::FaultSiteId, ir::ExceptionTypeId> type_of;
+    // A site's first candidate decides what is armed there: the exception
+    // candidate where there is one, else (a send site) its first network kind.
+    std::unordered_map<ir::FaultSiteId, const FaultCandidate*> first_of;
     for (const FaultCandidate& candidate : context.candidates()) {
-      type_of.emplace(candidate.site, candidate.type);
+      first_of.emplace(candidate.site, &candidate);
     }
     for (const interp::FaultInstanceEvent& event : context.normal_trace()) {
-      auto it = type_of.find(event.site);
-      if (it != type_of.end()) {
-        list_.push_back(interp::InjectionCandidate{event.site, event.occurrence, it->second});
+      auto it = first_of.find(event.site);
+      if (it != first_of.end()) {
+        list_.push_back(Arm(*it->second, event.occurrence));
       }
     }
   }
@@ -95,8 +97,7 @@ class SiteDistanceStrategy : public ListStrategy {
                          ? std::min<size_t>(instances.size(), static_cast<size_t>(instance_limit_))
                          : instances.size();
       for (size_t j = 0; j < limit; ++j) {
-        list_.push_back(interp::InjectionCandidate{candidate.site, instances[j].occurrence,
-                                                   candidate.type});
+        list_.push_back(Arm(candidate, instances[j].occurrence));
       }
     }
   }

@@ -38,14 +38,12 @@ struct ClusterSpec {
   // Simulated-time budget for a run. Threads still blocked when the event
   // queue drains (or the limit is hit) are reported as stuck.
   int64_t time_limit_ms = 120'000;
-  // Hard cap on interpreted statements, as a runaway-loop backstop.
+  // Hard cap on interpreted statements, as a runaway-loop backstop. It
+  // bounds the events too, since only the initial tasks and the ops push
+  // them. These two limits are all that can cut a run short; no host clock
+  // can, so a run is a pure function of its program, cluster, seed and armed
+  // faults.
   int64_t step_limit = 20'000'000;
-  // Host wall-clock budget per run, enforced cooperatively by the
-  // simulator's watchdog (checked at every event and every few thousand
-  // steps). 0 = unlimited. A normal run takes well under a millisecond, so
-  // the default only trips when a run is genuinely wedged; the explorer
-  // classifies such runs as transient and retries them.
-  int64_t wall_budget_ms = 10'000;
   // --- Network fault parameters (only consulted when a network fault fires) --
   // kPartition: simulated ms until a severed node pair heals. 0 = never
   // heals (the partition outlives the run unless nothing depends on it).

@@ -68,7 +68,6 @@ uint64_t DigestRun(const RunResult& run,
   hasher.Field("budget_flags");
   hasher.MixInt(run.hit_time_limit);
   hasher.MixInt(run.hit_step_limit);
-  hasher.MixInt(run.hit_wall_budget);
   hasher.Field("log");
   hasher.MixStr(FormatLogFile(run.log));
 

@@ -84,10 +84,6 @@ struct RunResult {
   int64_t end_time_ms = 0;
   bool hit_time_limit = false;
   bool hit_step_limit = false;
-  // The watchdog killed the run because the host wall-clock budget expired.
-  // Unlike the simulated-time and step limits this depends on the machine,
-  // so the explorer treats it as transient and retries.
-  bool hit_wall_budget = false;
   RunOutcome outcome = RunOutcome::kCompleted;
   // Nodes halted by a crash fault, in crash order.
   std::vector<std::string> crashed_nodes;

@@ -539,7 +539,7 @@ void Simulator::PrepareFlatRun() {
 
 // Direct-threaded dispatch loop. Each label is one interpreter *step* (the
 // accounting flatten.h documents); the shared `dispatch` point does the
-// per-step bookkeeping (dead/idle checks, task pull, step limit, watchdog)
+// per-step bookkeeping (dead/idle checks, task pull, step limit)
 // and then jumps straight to the opcode's body via a computed goto
 // (GCC/Clang) or a dense switch. Every body ends in ANDURIL_NEXT() or
 // `return`; control never falls through between labels.
@@ -627,9 +627,6 @@ dispatch:
   }
   if (++steps_ > spec_->step_limit) {
     hit_step_limit_ = true;
-    return;
-  }
-  if ((steps_ & 2047) == 0 && WallBudgetExceeded()) {
     return;
   }
   // Re-acquired every step: op bodies may push frames (fstack realloc).
@@ -1061,13 +1058,6 @@ void Simulator::Restore(const RunSnapshot& snapshot) {
   forked_at_step_ = snapshot.steps_;
 }
 
-bool Simulator::EventStride() {
-  if (capture_ != nullptr) {
-    MaybeCapture();
-  }
-  return WallBudgetExceeded();
-}
-
 void Simulator::MaybeCapture() {
   // Past the first draw from the seed the state depends on it: stop for good.
   if (!(rng_ == Rng(seed_)) || network_.seed_drawn()) {
@@ -1143,16 +1133,6 @@ size_t RunSnapshot::bytes() const {
   return total;
 }
 
-bool Simulator::WallBudgetExceeded() {
-  if (!wall_limited_ || hit_wall_budget_) {
-    return hit_wall_budget_;
-  }
-  if (std::chrono::steady_clock::now() >= wall_deadline_) {
-    hit_wall_budget_ = true;
-  }
-  return hit_wall_budget_;
-}
-
 RunResult Simulator::Run() {
   ANDURIL_CHECK(!ran_) << "Simulator::Run may be called once";
   ran_ = true;
@@ -1160,11 +1140,6 @@ RunResult Simulator::Run() {
       << "a forked run cannot capture snapshots";
   PrepareFlatRun();
   fault_runtime_->BeginRun();
-  wall_limited_ = spec_->wall_budget_ms > 0;
-  if (wall_limited_) {
-    wall_deadline_ =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(spec_->wall_budget_ms);
-  }
 
   if (start_ != nullptr && !fault_runtime_->tracing()) {
     Restore(*start_);
@@ -1175,13 +1150,13 @@ RunResult Simulator::Run() {
   // The loop top is the event boundary snapshots are taken at: the next
   // event is still on the heap and counted (a snapshot stores the count
   // before it), and no thread is mid-step.
-  while (!event_heap_.empty() && !hit_step_limit_ && !hit_wall_budget_) {
+  while (!event_heap_.empty() && !hit_step_limit_) {
     if (event_heap_.front().time > spec_->time_limit_ms) {
       hit_time_limit_ = true;
       break;
     }
-    if ((++events_processed_ & 255) == 0 && EventStride()) {
-      break;
+    if ((++events_processed_ & 255) == 0 && capture_ != nullptr) {
+      MaybeCapture();
     }
     Event event = PopEvent();
     now_ = event.time;
@@ -1229,7 +1204,6 @@ RunResult Simulator::Run() {
   result.end_time_ms = now_;
   result.hit_time_limit = hit_time_limit_;
   result.hit_step_limit = hit_step_limit_;
-  result.hit_wall_budget = hit_wall_budget_;
   result.injection_requests = fault_runtime_->injection_requests();
   result.decision_nanos = fault_runtime_->decision_nanos();
   result.steps = steps_;
@@ -1258,7 +1232,7 @@ RunResult Simulator::Run() {
     result.outcome = RunOutcome::kHung;
   } else if (partitioned_stuck) {
     result.outcome = RunOutcome::kPartitionedStuck;
-  } else if (hit_wall_budget_ || hit_step_limit_ || hit_time_limit_) {
+  } else if (hit_step_limit_ || hit_time_limit_) {
     result.outcome = RunOutcome::kBudgetExceeded;
   } else {
     result.outcome = RunOutcome::kCompleted;

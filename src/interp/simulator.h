@@ -8,8 +8,10 @@
 // every external-call fault site.
 //
 // Determinism: a run is a pure function of (program, cluster spec, seed,
-// injection window). This is what lets a successful search end with a script
-// that deterministically reproduces the failure (§3 step 4.a).
+// injection window). No host clock can end it: the cluster spec's
+// simulated-time and step limits bound every run. This is what lets a
+// successful search end with a script that deterministically reproduces the
+// failure (§3 step 4.a).
 //
 // Execution: the simulator runs the flattened direct-threaded program
 // (ir::FlatProgram). A caller may supply a shared pre-built one (the explorer
@@ -31,7 +33,7 @@
 // that prefix. So a fork reseeds from its own seed and produces a RunResult
 // equal, field for field, to the from-scratch run's (decision_nanos, host
 // wall clock, is extrapolated; see FaultRuntime::decision_nanos). Capture
-// rides on the event loop's every-256-events watchdog check, starts past
+// is tried every 256 events at the top of the event loop, starts past
 // kCaptureMinSteps and keeps at most kMaxSnapshots, thinning to every other
 // snapshot (and doubling the stride) when full. Choosing a snapshot is the
 // caller's job (ExplorerContext::ForkPoint): the simulator trusts that the
@@ -48,7 +50,6 @@
 #ifndef ANDURIL_SRC_INTERP_SIMULATOR_H_
 #define ANDURIL_SRC_INTERP_SIMULATOR_H_
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -261,9 +262,8 @@ class Simulator {
   // a copy of start_.
   void PushInitialTasks();
   void Restore(const RunSnapshot& snapshot);
-  // The every-256-events check of the event loop: takes a snapshot when
-  // capturing, then polls the watchdog. True = stop the run.
-  bool EventStride();
+  // Takes a snapshot when one is due (called every 256 events while
+  // capturing).
   void MaybeCapture();
 
   // --- Helpers ----------------------------------------------------------------
@@ -297,9 +297,6 @@ class Simulator {
   // compose in one place; the event loop's dead-thread check remains as the
   // backstop for threads dead from uncaught exceptions).
   void CrashNode(int32_t node);
-  // Watchdog: true once the host wall-clock budget is spent. Polled at every
-  // event and every few thousand interpreter steps.
-  bool WallBudgetExceeded();
   void BlockThread(Thread* thread, Thread::BlockKind kind, ir::GlobalStmt at);
   void UnblockThread(Thread* thread);
   void WakeWaitersOf(int32_t node, ir::VarId var);
@@ -358,11 +355,8 @@ class Simulator {
 
   bool hit_time_limit_ = false;
   bool hit_step_limit_ = false;
-  bool hit_wall_budget_ = false;
   bool stall_fired_ = false;
   std::vector<int32_t> crashed_node_indices_;
-  bool wall_limited_ = false;
-  std::chrono::steady_clock::time_point wall_deadline_;
   uint64_t events_processed_ = 0;
   bool ran_ = false;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -318,9 +318,7 @@ class Daemon {
     for (int i = 0; i < options_.workers; ++i) {
       WorkerSlot& slot = slots_[i];
       slot.index = i;
-      ExponentialBackoff::Options backoff_options;
-      backoff_options.max_retries = 1 << 30;  // pacing only; cases gate crashes
-      backoffs_.emplace_back(backoff_options, 0xB0FFu + static_cast<uint64_t>(i));
+      backoffs_.emplace_back(ExponentialBackoff::Options{}, 0xB0FFu + static_cast<uint64_t>(i));
       Spawn(slot);
     }
 
@@ -603,20 +601,28 @@ class Daemon {
     Commit();
   }
 
+  // A case's metrics file that does not parse, or a merged file that cannot
+  // be written, fails the run and leaves merged_metrics.json as it was.
   void MergeMetrics() {
     obs::MetricsRegistry merged;
     for (const QueueCase& entry : manifest_.cases) {
+      const std::string path = CaseMetricsPath(options_.state_dir, entry.id);
       std::string text;
-      if (!ReadFileToString(CaseMetricsPath(options_.state_dir, entry.id), &text)) {
+      if (!ReadFileToString(path, &text)) {
         continue;  // failed before its first slice completed
       }
       obs::MetricsSnapshot snapshot;
       std::string error;
-      if (obs::ParseMetricsJson(text, &snapshot, &error)) {
-        merged.Merge(snapshot);
+      if (!obs::ParseMetricsJson(text, &snapshot, &error)) {
+        Fail("cannot merge " + path + ": " + error);
+        return;
       }
+      merged.Merge(snapshot);
     }
-    WriteFileAtomic(MergedMetricsPath(options_.state_dir), merged.DumpJson());
+    const std::string merged_path = MergedMetricsPath(options_.state_dir);
+    if (!WriteFileAtomic(merged_path, merged.DumpJson())) {
+      Fail("cannot write " + merged_path);
+    }
   }
 
   void Summary() {

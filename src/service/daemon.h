@@ -82,7 +82,8 @@ struct ServeReport {
 
 // Runs the queue to completion (all cases terminal), drain, or error.
 // On completion, merges every case's metrics into
-// <state_dir>/merged_metrics.json via MetricsRegistry::Merge.
+// <state_dir>/merged_metrics.json via MetricsRegistry::Merge; a case's
+// metrics file that does not parse is an error that names it.
 ServeReport RunService(const ServeOptions& options);
 
 // Per-case file locations inside the state dir (shared with tests).

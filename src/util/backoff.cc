@@ -13,16 +13,8 @@ int64_t ExponentialBackoff::NextDelayMs() {
   ++attempt_;
   // Jitter in [-jitter, +jitter] * base, from the deterministic stream.
   double spread = rng_.NextDouble() * 2.0 - 1.0;
-  ++draws_;
   int64_t delay = static_cast<int64_t>(base * (1.0 + options_.jitter * spread));
   return std::max<int64_t>(delay, 0);
-}
-
-void ExponentialBackoff::FastForward(uint64_t draws) {
-  for (uint64_t i = 0; i < draws; ++i) {
-    rng_.NextDouble();
-  }
-  draws_ += draws;
 }
 
 }  // namespace anduril

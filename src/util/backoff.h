@@ -1,11 +1,9 @@
 // Bounded exponential backoff with deterministic jitter.
 //
-// The explorer retries *transient* round failures (runs killed by the host
-// wall-clock watchdog, i.e. environmental slowness rather than a
-// fault-induced outcome) with delays that grow exponentially up to a cap.
-// Jitter is drawn from the repo's deterministic Rng so a search seeded the
-// same way consumes the same jitter stream; the number of draws is exposed
-// so checkpoint/resume can restore the stream position exactly.
+// The service daemon paces the respawns of a worker slot whose workers keep
+// dying: each delay doubles up to a cap, and a result from the slot's worker
+// restarts the sequence. Jitter is drawn from the repo's deterministic Rng,
+// so a backoff seeded the same way yields the same delays.
 
 #ifndef ANDURIL_SRC_UTIL_BACKOFF_H_
 #define ANDURIL_SRC_UTIL_BACKOFF_H_
@@ -22,38 +20,24 @@ class ExponentialBackoff {
     int64_t initial_delay_ms = 5;
     double multiplier = 2.0;
     int64_t max_delay_ms = 250;
-    int max_retries = 2;      // per Reset() scope (one explorer round)
-    double jitter = 0.2;      // +/- fraction of the base delay
+    double jitter = 0.2;  // +/- fraction of the base delay
   };
 
   ExponentialBackoff(const Options& options, uint64_t seed)
       : options_(options), rng_(seed) {}
 
-  // True while the current scope has retry budget left.
-  bool ShouldRetry() const { return attempt_ < options_.max_retries; }
-
-  // Delay before the next retry; advances the attempt counter and consumes
-  // one jitter draw from the stream.
+  // The next delay: the base grows by `multiplier` with each call since the
+  // last Reset, up to max_delay_ms, and one jitter draw spreads it.
   int64_t NextDelayMs();
 
-  // Starts a new retry scope (next round): the attempt counter restarts but
-  // the jitter stream keeps advancing — the stream position is global.
+  // Restarts the sequence at initial_delay_ms; the jitter stream keeps
+  // advancing.
   void Reset() { attempt_ = 0; }
-
-  int attempt() const { return attempt_; }
-
-  // --- Checkpoint support ----------------------------------------------------
-  // Total jitter draws consumed since construction.
-  uint64_t draws() const { return draws_; }
-  // Replays `draws` jitter draws so a resumed search continues the stream
-  // where the interrupted one left off.
-  void FastForward(uint64_t draws);
 
  private:
   Options options_;
   Rng rng_;
   int attempt_ = 0;
-  uint64_t draws_ = 0;
 };
 
 }  // namespace anduril

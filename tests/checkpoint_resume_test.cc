@@ -32,13 +32,11 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   snap.program_fingerprint = 0xdeadbeefcafef00dull;
   snap.base_seed = (1ull << 63) + 17;  // exercises the >2^53 string encoding
   snap.rounds_completed = 42;
-  snap.retry_rng_draws = 7;
   snap.experiment.completed_rounds = 30;
   snap.experiment.crashed_rounds = 6;
   snap.experiment.hung_rounds = 5;
   snap.experiment.budget_exceeded_rounds = 1;
   snap.experiment.partitioned_stuck_rounds = 2;
-  snap.experiment.transient_retries = 3;
   snap.experiment.total_run_wall_seconds = 1.25;
   snap.experiment.max_round_wall_seconds = 0.5;
   snap.network_candidates = true;
@@ -90,7 +88,6 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   EXPECT_EQ(parsed.program_fingerprint, snap.program_fingerprint);
   EXPECT_EQ(parsed.base_seed, snap.base_seed);
   EXPECT_EQ(parsed.rounds_completed, snap.rounds_completed);
-  EXPECT_EQ(parsed.retry_rng_draws, snap.retry_rng_draws);
   EXPECT_EQ(parsed.experiment.completed_rounds, snap.experiment.completed_rounds);
   EXPECT_EQ(parsed.experiment.crashed_rounds, snap.experiment.crashed_rounds);
   EXPECT_EQ(parsed.experiment.hung_rounds, snap.experiment.hung_rounds);
@@ -101,7 +98,6 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   EXPECT_EQ(parsed.network_candidates, snap.network_candidates);
   EXPECT_EQ(parsed.partition_heal_ms, snap.partition_heal_ms);
   EXPECT_EQ(parsed.network_delay_ms, snap.network_delay_ms);
-  EXPECT_EQ(parsed.experiment.transient_retries, snap.experiment.transient_retries);
   EXPECT_DOUBLE_EQ(parsed.experiment.total_run_wall_seconds,
                    snap.experiment.total_run_wall_seconds);
   EXPECT_EQ(parsed.pinned, snap.pinned);
@@ -326,6 +322,32 @@ TEST(CheckpointTest, ParseRejectsUnknownFaultKind) {
   std::string error;
   EXPECT_FALSE(ParseCheckpoint(bad, &out, &error));
   EXPECT_NE(error.find("teleport"), std::string::npos) << error;
+}
+
+// v4 keeps two fields of the removed transient-retry path. Every file
+// carries both as 0, and a nonzero value (a search that retried a round) is
+// refused with an error that names the field.
+TEST(CheckpointTest, RetryFieldsAreWrittenAsZeroAndRefusedOtherwise) {
+  const std::string text = SerializeCheckpoint(SearchCheckpoint{});
+  SearchCheckpoint out;
+  std::string error;
+  ASSERT_TRUE(ParseCheckpoint(text, &out, &error)) << error;
+  struct Field {
+    std::string name;
+    std::string zero;
+    std::string nonzero;
+  };
+  for (const Field& field :
+       {Field{"retry_rng_draws", "\"0\"", "\"7\""}, Field{"transient_retries", "0", "3"}}) {
+    SCOPED_TRACE(field.name);
+    const std::string key = "\"" + field.name + "\": ";
+    const size_t at = text.find(key + field.zero);
+    ASSERT_NE(at, std::string::npos) << text;
+    std::string tampered = text;
+    tampered.replace(at, key.size() + field.zero.size(), key + field.nonzero);
+    EXPECT_FALSE(ParseCheckpoint(tampered, &out, &error));
+    EXPECT_NE(error.find("\"" + field.name + "\""), std::string::npos) << error;
+  }
 }
 
 // u64 fields ride as decimal strings and are decoded strictly: a malformed

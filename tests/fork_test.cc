@@ -47,14 +47,11 @@ class WindowRecorder : public InjectionStrategy {
   std::unique_ptr<InjectionStrategy> inner_;
 };
 
-// A case built without the host wall-clock watchdog, so a slow (sanitized)
-// build never cuts a run short.
+// A case built on the heap, so its spec can point at its cluster.
 std::unique_ptr<systems::BuiltCase> Build(const systems::FailureCase& failure_case) {
   auto built =
       std::make_unique<systems::BuiltCase>(systems::BuildCase(failure_case, /*verify=*/false));
   built->spec.cluster = &built->cluster;  // the move left it at the temporary's
-  built->cluster.wall_budget_ms = 0;
-  built->failure_cluster.wall_budget_ms = 0;
   return built;
 }
 

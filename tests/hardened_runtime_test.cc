@@ -1,6 +1,6 @@
 // Hardened exploration runtime, interp layer: crash and stall fault kinds,
-// the run-outcome taxonomy, the wall-clock watchdog, and the FaultRuntime
-// reset / pinned-vs-window pre-emption contracts.
+// the run-outcome taxonomy, the step limit, and the FaultRuntime reset /
+// pinned-vs-window pre-emption contracts.
 
 #include <gtest/gtest.h>
 
@@ -128,7 +128,7 @@ TEST_F(HardenedRuntimeTest, StallFaultWedgesCallAndClassifiesRunHung) {
       Run("pump", 1, {InjectionCandidate{Site("h_op"), 4, ir::kInvalidId, FaultKind::kStall}});
   EXPECT_EQ(result.outcome, RunOutcome::kHung);
   // The handler wedged at occurrence 4: three completions, then silence —
-  // but the run itself still terminates (the watchdog's job is bounded).
+  // but the run itself still terminates.
   EXPECT_EQ(Var(result, "handled", "n2"), 3);
   EXPECT_TRUE(result.IsThreadStuck("handler"));
   EXPECT_TRUE(result.IsThreadStuckIn(program_, "n2/handler", "handler"));
@@ -155,41 +155,7 @@ TEST_F(HardenedRuntimeTest, OrdinaryBlockedThreadsDoNotMakeRunHung) {
   EXPECT_EQ(result.outcome, RunOutcome::kCompleted);
 }
 
-// --- wall-clock watchdog --------------------------------------------------------
-
-TEST_F(HardenedRuntimeTest, WallBudgetWatchdogStopsLongRun) {
-  {
-    MethodBuilder b(&program_, "spin");
-    b.While(b.Lt("i", 900'000), [&] {
-      b.Assign("i", b.Plus("i", 1));
-      b.Assign("j", b.Plus("j", 1));
-    });
-  }
-  program_.Finalize();
-  cluster_.AddNode("n1");
-  cluster_.AddNode("n2");
-  cluster_.wall_budget_ms = 1;
-  RunResult result = Run("spin");
-  EXPECT_TRUE(result.hit_wall_budget);
-  EXPECT_EQ(result.outcome, RunOutcome::kBudgetExceeded);
-  // The spin never finished.
-  EXPECT_LT(Var(result, "i"), 900'000);
-}
-
-TEST_F(HardenedRuntimeTest, UnlimitedWallBudgetNeverTrips) {
-  {
-    MethodBuilder b(&program_, "spin");
-    b.While(b.Lt("i", 50'000), [&] { b.Assign("i", b.Plus("i", 1)); });
-  }
-  program_.Finalize();
-  cluster_.AddNode("n1");
-  cluster_.AddNode("n2");
-  cluster_.wall_budget_ms = 0;  // unlimited
-  RunResult result = Run("spin");
-  EXPECT_FALSE(result.hit_wall_budget);
-  EXPECT_EQ(result.outcome, RunOutcome::kCompleted);
-  EXPECT_EQ(Var(result, "i"), 50'000);
-}
+// --- step limit -----------------------------------------------------------------
 
 TEST_F(HardenedRuntimeTest, StepLimitClassifiesAsBudgetExceeded) {
   {
@@ -202,7 +168,6 @@ TEST_F(HardenedRuntimeTest, StepLimitClassifiesAsBudgetExceeded) {
   cluster_.step_limit = 10'000;
   RunResult result = Run("spin");
   EXPECT_TRUE(result.hit_step_limit);
-  EXPECT_FALSE(result.hit_wall_budget);
   EXPECT_EQ(result.outcome, RunOutcome::kBudgetExceeded);
 }
 
@@ -316,41 +281,7 @@ TEST_F(HardenedRuntimeTest, CrashAndNetworkDropFaultsCompose) {
   EXPECT_TRUE(result.DidNodeCrash("n2"));
 }
 
-// --- chain-stitch runs: retry policy and whole-chain demotion -------------------
-
-TEST_F(HardenedRuntimeTest, ChainStitchRetriesWallBudgetKillsWithBoundedBackoff) {
-  // A workload that reliably trips the 1ms wall-clock watchdog, with a fault
-  // site so the stitch has something to pin.
-  {
-    MethodBuilder b(&program_, "spin");
-    b.While(b.Lt("i", 900'000), [&] { b.Assign("i", b.Plus("i", 1)); });
-    b.External("op", {"IOException"});  // never reached: the watchdog fires first
-  }
-  program_.Finalize();
-  cluster_.AddNode("n1");
-  cluster_.AddNode("n2");
-  cluster_.AddTask("n1", "main", program_.FindMethod("spin"), 0);
-  cluster_.wall_budget_ms = 1;
-
-  explorer::ExperimentSpec spec;
-  spec.program = &program_;
-  spec.cluster = &cluster_;
-  explorer::ExplorerOptions options;
-  options.max_run_retries = 3;
-  options.retry_initial_delay_ms = 1;
-  options.retry_max_delay_ms = 2;
-  ir::ExceptionTypeId io = program_.FindException("IOException");
-  explorer::StitchRunResult stitch =
-      explorer::RunChainStitch(spec, InjectionCandidate{Site("op"), 1, io}, options);
-  EXPECT_TRUE(stitch.run.hit_wall_budget);
-  EXPECT_EQ(stitch.run.outcome, RunOutcome::kBudgetExceeded);
-  // The stitch reuses the same bounded exponential backoff as search rounds:
-  // exactly max_run_retries re-executions of the wall-budget-killed run,
-  // then it gives up rather than spinning forever.
-  EXPECT_EQ(stitch.retries, options.max_run_retries);
-  // A budget kill is environmental, not a wedge: the chain candidate lives.
-  EXPECT_FALSE(stitch.demote_chain);
-}
+// --- chain-stitch runs: whole-chain demotion -------------------------------------
 
 TEST_F(HardenedRuntimeTest, WedgedStitchRunDemotesWholeChainCandidate) {
   BuildPipeline(10);
@@ -375,8 +306,6 @@ TEST_F(HardenedRuntimeTest, WedgedStitchRunDemotesWholeChainCandidate) {
   // A hung intermediate step condemns the *whole* chain candidate — the
   // explorer drops it instead of searching continuations on a wedged system.
   EXPECT_TRUE(stitch.demote_chain);
-  // Hangs are deterministic outcomes, never retried as transient.
-  EXPECT_EQ(stitch.retries, 0);
 }
 
 // --- determinism of the new kinds ----------------------------------------------

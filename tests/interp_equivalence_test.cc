@@ -15,7 +15,8 @@
 // fault-instance trace, thread end states, final node variables, crashed
 // nodes, network accounting, partition transitions and the fault runtime's
 // accounting. decision_nanos is the one field left out: it is host
-// wall-clock, sampled, so only its sign is checked elsewhere.
+// wall-clock, sampled, so only its sign is checked elsewhere. Every run of
+// the grid must also end well inside the step and simulated-time limits.
 //
 // The lines were first written by running every point on both the flattened
 // interpreter and the statement-tree walker it replaced, refusing to write
@@ -97,37 +98,49 @@ std::string RunLine(const std::string& case_id, const RunPoint& point, const Run
   return line.str();
 }
 
-// The six-run grid of one case. The host wall-clock watchdog is off so a
-// slow (e.g. sanitized) build can never cut a run short.
+// The six-run grid of one case.
 std::vector<RunPoint> GridFor(const systems::FailureCase& failure_case,
-                              systems::BuiltCase* built) {
-  built->cluster.wall_budget_ms = 0;
-  built->failure_cluster.wall_budget_ms = 0;
+                              const systems::BuiltCase& built) {
   std::vector<RunPoint> points;
   for (int i = 0; i < 3; ++i) {
-    points.push_back(RunPoint{"fault-free." + std::to_string(i), &built->cluster,
+    points.push_back(RunPoint{"fault-free." + std::to_string(i), &built.cluster,
                               failure_case.explore_seed + 17 * static_cast<uint64_t>(i),
                               {},
                               {}});
   }
-  explorer::ExplorerContext context(built->spec, systems::OptionsForCase(failure_case));
+  explorer::ExplorerContext context(built.spec, systems::OptionsForCase(failure_case));
   for (int64_t occurrence : {1, 2}) {
     Window window;
     for (size_t c = 0; c < std::min<size_t>(10, context.candidates().size()); ++c) {
       window.push_back(explorer::Arm(context.candidates()[c], occurrence));
     }
     EXPECT_FALSE(window.empty()) << failure_case.id;
-    points.push_back(RunPoint{"window.occ" + std::to_string(occurrence), &built->cluster,
+    points.push_back(RunPoint{"window.occ" + std::to_string(occurrence), &built.cluster,
                               failure_case.explore_seed, std::move(window), {}});
   }
   Window pinned;
-  if (!built->ground_truth_chain.empty()) {
-    pinned.assign(built->ground_truth_chain.begin(), built->ground_truth_chain.end() - 1);
+  if (!built.ground_truth_chain.empty()) {
+    pinned.assign(built.ground_truth_chain.begin(), built.ground_truth_chain.end() - 1);
   }
-  points.push_back(RunPoint{"ground-truth", &built->failure_cluster, failure_case.failure_seed,
-                            {built->ground_truth},
+  points.push_back(RunPoint{"ground-truth", &built.failure_cluster, failure_case.failure_seed,
+                            {built.ground_truth},
                             std::move(pinned)});
   return points;
+}
+
+// The deterministic limits bound every run, with room to spare: no run of the
+// grid (its crashed, hung and partition-stuck runs included) hits step_limit
+// or time_limit_ms, and none takes 5% of step_limit. The step limit bounds the
+// event loop as well as the ops: every event is pushed either by one of the
+// cluster's initial tasks or by an op, and an op pushes at most two events
+// (a duplicated send) or one per waiter it wakes (a signal or a completed
+// future).
+void ExpectWellInsideLimits(const std::string& case_id, const RunPoint& point, const Run& run) {
+  const std::string where = case_id + " " + point.label;
+  EXPECT_FALSE(run.result.hit_step_limit) << where;
+  EXPECT_FALSE(run.result.hit_time_limit) << where;
+  EXPECT_LT(run.steps * 20, point.cluster->step_limit)
+      << where << " took " << run.steps << " of " << point.cluster->step_limit << " steps";
 }
 
 std::vector<std::string> CurrentRunLines() {
@@ -137,8 +150,10 @@ std::vector<std::string> CurrentRunLines() {
         &systems::CascadeCases(), &systems::StormCases()}) {
     for (const systems::FailureCase& failure_case : *registry) {
       systems::BuiltCase built = systems::BuildCase(failure_case, /*verify=*/false);
-      for (const RunPoint& point : GridFor(failure_case, &built)) {
-        lines.push_back(RunLine(failure_case.id, point, Execute(built, point)));
+      for (const RunPoint& point : GridFor(failure_case, built)) {
+        const Run run = Execute(built, point);
+        ExpectWellInsideLimits(failure_case.id, point, run);
+        lines.push_back(RunLine(failure_case.id, point, run));
       }
     }
   }
@@ -219,7 +234,7 @@ TEST(InterpEquivalence, SharedFlatProgramMatchesSelfLowered) {
   ASSERT_NE(failure_case, nullptr);
   systems::BuiltCase built = systems::BuildCase(*failure_case, /*verify=*/false);
   ir::FlatProgram flat(*built.program);
-  for (const RunPoint& point : GridFor(*failure_case, &built)) {
+  for (const RunPoint& point : GridFor(*failure_case, built)) {
     EXPECT_EQ(RunLine(failure_case->id, point, Execute(built, point, &flat)),
               RunLine(failure_case->id, point, Execute(built, point)));
   }

@@ -35,7 +35,7 @@ TEST(ObsPropertyTest, ConcurrentSpanEmissionLosesNoEvents) {
           tracer.Span("explore", "run", ts, 1 + static_cast<int64_t>(rng.NextBelow(999)),
                       t, {ArgInt("thread", t), ArgInt("i", i)});
         } else {
-          tracer.Instant("explore", "retry", ts, t,
+          tracer.Instant("explore", "reproduced", ts, t,
                          {ArgStr("tag", "t" + std::to_string(t))});
         }
       }

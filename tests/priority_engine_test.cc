@@ -1,26 +1,29 @@
-// Pinned search trajectories of the feedback strategies, plus the priority
-// engine's own invariants.
+// Pinned search trajectories of the feedback and list strategies, plus the
+// priority engine's own invariants.
 //
 // tests/golden/search_runs.txt holds one line per (strategy, case, base-seed
 // offset): the five feedback strategies (full, full-order, full-sum,
-// multiply, site-feedback) over the 31 registered non-storm cases at base-seed
-// offsets 0 and 7919, plus full on the two storm cases. Cascades are capped at
-// 40 rounds (single-fault search never reproduces them), everything else at
-// 300. Each line has readable fields (reproduced, rounds, exhausted, script
-// seed and text) and FNV-1a digests of:
+// multiply, site-feedback) and the six list strategies (exhaustive,
+// site-distance, site-distance-limit, fate, crashtuner, stacktrace) over the
+// 31 registered non-storm cases at base-seed offsets 0 and 7919, plus full on
+// the two storm cases. Cascades are capped at 40 rounds (single-fault search
+// never reproduces them), everything else at 300. Each line has readable
+// fields (reproduced, rounds, exhausted, script seed and text) and FNV-1a
+// digests of:
 //
 //   windows  every NextWindow result, in order;
 //   records  every RoundRecord's window size, tracked rank, injected
 //            candidate, present-observable count, outcome and success;
 //   audits   the per-round rank-audit hashes (RankAuditHash) the strategy
 //            pushes;
-//   state    the strategy's final StrategyCheckpoint.
+//   state    the strategy's final StrategyCheckpoint ("-" for the list
+//            strategies, which save no state).
 //
-// The lines were first written while stage-1 ranking still had a second,
-// from-scratch implementation (a full per-round re-rank behind an explorer
-// option). The generator ran full on both and refused to write unless every
-// line agreed, and the ablations' lines are that re-rank's own output. After
-// an intentional change to a trajectory, refresh the file with
+// The feedback lines were first written while stage-1 ranking still had a
+// second, from-scratch implementation (a full per-round re-rank behind an
+// explorer option). The generator ran full on both and refused to write
+// unless every line agreed, and the ablations' lines are that re-rank's own
+// output. After an intentional change to a trajectory, refresh the file with
 // scripts/update_trace_golden.sh.
 //
 // Plus: a randomized dirty-set fuzz (incremental ApplyDeltas against a
@@ -57,17 +60,21 @@ namespace {
 constexpr const char* kGoldenFile = "search_runs.txt";
 
 constexpr const char* kGoldenHeader =
-    "# Feedback-strategy search trajectories, written by tests/priority_engine_test.cc.\n"
+    "# Search trajectories of the feedback and list strategies, written by\n"
+    "# tests/priority_engine_test.cc.\n"
     "# <strategy> <case> +<base-seed offset> reproduced= rounds= exhausted= seed=\n"
     "#   windows= records= audits= state= script=\n"
     "# windows: FNV-1a over every NextWindow result; records: over every round's\n"
     "# window size, tracked rank, injected candidate, present count, outcome and\n"
     "# success; audits: over the per-round rank-audit hashes; state: over the final\n"
-    "# StrategyCheckpoint. Refresh after an intentional change:\n"
+    "# StrategyCheckpoint (- when the strategy saves none). Refresh after an\n"
+    "# intentional change:\n"
     "# scripts/update_trace_golden.sh\n";
 
-constexpr const char* kFeedbackStrategies[] = {"full", "full-order", "full-sum", "multiply",
-                                               "site-feedback"};
+constexpr const char* kStrategies[] = {
+    "full",       "full-order",    "full-sum",            "multiply", "site-feedback",
+    "exhaustive", "site-distance", "site-distance-limit", "fate",     "crashtuner",
+    "stacktrace"};
 constexpr uint64_t kSeedOffsets[] = {0, 7919};
 constexpr int kCascadeRoundCap = 40;
 constexpr int kRoundCap = 300;
@@ -173,9 +180,6 @@ std::string Hex(uint64_t value) {
 std::string SearchLine(const std::string& strategy_name, const systems::FailureCase& failure_case,
                        uint64_t offset, int threads) {
   systems::BuiltCase built = systems::BuildCase(failure_case, /*verify=*/false);
-  // No host wall-clock watchdog: a slow (e.g. sanitized) build must not turn
-  // a run into a retried or budget-exceeded round.
-  built.cluster.wall_budget_ms = 0;
   built.spec.base_seed += offset;
   ExplorerOptions options = OptionsForCase(failure_case, threads);
   options.max_rounds = failure_case.root_chain.empty() ? kRoundCap : kCascadeRoundCap;
@@ -189,7 +193,7 @@ std::string SearchLine(const std::string& strategy_name, const systems::FailureC
   strategy.SetRankAuditSink(&audits);
   ExploreResult result = explorer.Explore(&strategy);
   StrategyCheckpoint state;
-  EXPECT_TRUE(strategy.SaveState(&state)) << strategy_name;
+  const bool saved = strategy.SaveState(&state);
 
   const bool has_script = result.script.has_value();
   std::ostringstream line;
@@ -199,7 +203,8 @@ std::string SearchLine(const std::string& strategy_name, const systems::FailureC
        << " seed=" << (has_script ? std::to_string(result.script->seed) : "-")
        << " windows=" << Hex(strategy.windows_hash())
        << " records=" << Hex(DigestRecords(result.records))
-       << " audits=" << Hex(DigestAudits(audits)) << " state=" << Hex(DigestState(state))
+       << " audits=" << Hex(DigestAudits(audits))
+       << " state=" << (saved ? Hex(DigestState(state)) : "-")
        << " script="
        << (has_script ? "\"" + result.script->ToText(*built.program) + "\"" : "-");
   return line.str();
@@ -301,12 +306,11 @@ std::vector<std::string> GoldenLines() {
   return GoldenDataLines(text);
 }
 
-TEST(SearchTrajectoryGolden, FeedbackStrategiesMatchCommittedTrajectories) {
-  const std::vector<std::string> strategies(std::begin(kFeedbackStrategies),
-                                            std::end(kFeedbackStrategies));
+TEST(SearchTrajectoryGolden, StrategiesMatchCommittedTrajectories) {
+  const std::vector<std::string> strategies(std::begin(kStrategies), std::end(kStrategies));
   const std::vector<std::string> actual = CurrentLines(strategies, 1);
-  EXPECT_EQ(actual.size(), 5u * 31u * 2u + 2u * 2u)
-      << "the grid is 5 strategies x 31 cases x 2 seeds, plus full on 2 storms x 2 seeds";
+  EXPECT_EQ(actual.size(), 11u * 31u * 2u + 2u * 2u)
+      << "the grid is 11 strategies x 31 cases x 2 seeds, plus full on 2 storms x 2 seeds";
   if (UpdateGoldens()) {
     ASSERT_FALSE(HasFailure()) << "not writing " << GoldenPath(kGoldenFile);
     std::string text = kGoldenHeader;

@@ -299,7 +299,7 @@ TEST(MetricsConsistency, SearchCountersMatchExploreResult) {
             result.experiment.completed_rounds);
   EXPECT_EQ(metrics.counter("explore.outcome.crashed"), result.experiment.crashed_rounds);
   EXPECT_EQ(metrics.gauge("explore.last_round"), result.rounds);
-  // One simulation per round (runs_per_round = 1, no retries), so the
+  // One simulation per round (runs_per_round = 1), so the
   // injected-fault counters must equal the count of injected rounds.
   int64_t injected_rounds = 0;
   for (const explorer::RoundRecord& record : result.records) {

@@ -1008,6 +1008,44 @@ TEST(ServiceCrashTest, RerunOfCompletedQueueExitsPromptly) {
   EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(dir)), merged);
 }
 
+// A case's metrics file that does not parse fails the merge: the rerun exits
+// 1, names the file, and leaves merged_metrics.json as the first run wrote
+// it instead of merging the other cases without it. So does a merged file
+// that cannot be written.
+TEST(ServiceCrashTest, UnmergeableMetricsFailTheRunAndKeepTheMergedFile) {
+  const std::string dir = FreshStateDir("service_bad_metrics");
+  const std::vector<std::string> args = {"run", dir, "--workers=1", "--cases=zk-2247,hd-4233",
+                                         "--quiet"};
+  ASSERT_EQ(RunServeCli(args), 0);
+  const std::string merged = ReadFileOrDie(MergedMetricsPath(dir));
+  const std::string metrics_path = CaseMetricsPath(dir, "zk-2247");
+  std::string metrics = ReadFileOrDie(metrics_path);
+  const std::string counter = "\"explore.rounds\": ";
+  const size_t at = metrics.find(counter);
+  ASSERT_NE(at, std::string::npos) << metrics;
+  const size_t digits = at + counter.size();
+  const size_t end = metrics.find_first_not_of("0123456789", digits);
+  ASSERT_GT(end, digits);
+  metrics.insert(end, "\"");
+  metrics.insert(digits, "\"");
+  ASSERT_TRUE(WriteFileAtomic(metrics_path, metrics));
+
+  EXPECT_EQ(RunServeCli(args, /*kill_after_ms=*/0, /*timeout_ms=*/30000), 1);
+  EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(dir)), merged);
+  ServeReport report = RunService(BaseOptions(dir, {}));
+  EXPECT_TRUE(report.error);
+  EXPECT_NE(report.error_text.find(metrics_path), std::string::npos) << report.error_text;
+  EXPECT_EQ(ReadFileOrDie(MergedMetricsPath(dir)), merged);
+
+  // Intact metrics, but a directory where the merged file goes.
+  const std::string clean_dir = FreshStateDir("service_unwritable_merge");
+  fs::create_directories(MergedMetricsPath(clean_dir));
+  report = RunService(BaseOptions(clean_dir, {MakeCase("zk-2247", 2000)}));
+  EXPECT_TRUE(report.error);
+  EXPECT_NE(report.error_text.find(MergedMetricsPath(clean_dir)), std::string::npos)
+      << report.error_text;
+}
+
 // A real SIGTERM while slices are in flight drains the queue (exit 3)
 // promptly, and rerunning the command finishes it byte-identically.
 TEST(ServiceCrashTest, SigtermDrainsPromptlyAndResumesByteIdentically) {

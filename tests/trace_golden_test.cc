@@ -51,10 +51,8 @@ void CompareOrUpdateGolden(const std::string& name, const std::string& actual) {
       << "; if intentional, run scripts/update_trace_golden.sh";
 }
 
-// One searched case with the observability sinks attached. The host
-// wall-clock watchdog is disabled (wall_budget_ms = 0) so a slow CI machine
-// can never add a retry round that real runs would not have — everything
-// left in the trace is a pure function of the seed.
+// One searched case with the observability sinks attached. Everything in the
+// trace is a pure function of the seed.
 struct TracedSearch {
   std::string trace_jsonl;
   std::string metrics_json;
@@ -65,7 +63,6 @@ TracedSearch RunTraced(int threads, int max_rounds = 0) {
   const systems::FailureCase* failure_case = systems::FindCase(kCaseId);
   EXPECT_NE(failure_case, nullptr);
   systems::BuiltCase built = systems::BuildCase(*failure_case);
-  built.cluster.wall_budget_ms = 0;
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   ExplorerOptions options = OptionsForCase(*failure_case, threads);
@@ -138,7 +135,6 @@ TEST(TraceGoldenTest, TraceAndMetricsAreByteIdenticalAcrossCheckpointResume) {
 
   // Interrupted session: stop one round short of success, checkpointing.
   systems::BuiltCase built = systems::BuildCase(*failure_case);
-  built.cluster.wall_budget_ms = 0;
   obs::Tracer interrupted_tracer;
   obs::MetricsRegistry interrupted_metrics;
   ExplorerOptions options = OptionsForCase(*failure_case, 1);
@@ -155,7 +151,6 @@ TEST(TraceGoldenTest, TraceAndMetricsAreByteIdenticalAcrossCheckpointResume) {
   ASSERT_TRUE(LoadCheckpointFile(path, &snap, &error)) << error;
   ASSERT_TRUE(snap.has_metrics);
   systems::BuiltCase rebuilt = systems::BuildCase(*failure_case);
-  rebuilt.cluster.wall_budget_ms = 0;
   obs::Tracer resumed_tracer;
   obs::MetricsRegistry resumed_metrics;
   ExplorerOptions resume_options = OptionsForCase(*failure_case, 1);

@@ -284,50 +284,24 @@ TEST(ExponentialBackoff, DelaysGrowExponentiallyWithinJitterBounds) {
   options.initial_delay_ms = 10;
   options.multiplier = 2.0;
   options.max_delay_ms = 40;
-  options.max_retries = 5;
   options.jitter = 0.2;
   ExponentialBackoff backoff(options, 7);
   // Base delays 10, 20, 40, then capped at 40; jitter is +/- 20% of the base.
   const int64_t bases[] = {10, 20, 40, 40, 40};
   for (int64_t base : bases) {
-    ASSERT_TRUE(backoff.ShouldRetry() || backoff.attempt() >= options.max_retries);
     int64_t delay = backoff.NextDelayMs();
     EXPECT_GE(delay, base - base / 5) << "base " << base;
     EXPECT_LE(delay, base + base / 5) << "base " << base;
   }
-  EXPECT_EQ(backoff.draws(), 5u);
 }
 
-TEST(ExponentialBackoff, ShouldRetryHonorsBudgetAndResetRestartsIt) {
-  ExponentialBackoff backoff({.max_retries = 2}, 1);
-  EXPECT_TRUE(backoff.ShouldRetry());
-  backoff.NextDelayMs();
-  EXPECT_TRUE(backoff.ShouldRetry());
-  backoff.NextDelayMs();
-  EXPECT_FALSE(backoff.ShouldRetry());  // per-round budget exhausted
+TEST(ExponentialBackoff, ResetRestartsTheDelaySequence) {
+  ExponentialBackoff backoff({.initial_delay_ms = 10, .max_delay_ms = 1000, .jitter = 0}, 1);
+  EXPECT_EQ(backoff.NextDelayMs(), 10);
+  EXPECT_EQ(backoff.NextDelayMs(), 20);
+  EXPECT_EQ(backoff.NextDelayMs(), 40);
   backoff.Reset();
-  EXPECT_TRUE(backoff.ShouldRetry());  // new round, fresh budget
-  // The jitter stream position is global, not per round.
-  EXPECT_EQ(backoff.draws(), 2u);
-}
-
-TEST(ExponentialBackoff, FastForwardRestoresJitterStreamPosition) {
-  ExponentialBackoff::Options options;
-  options.max_retries = 100;
-  ExponentialBackoff original(options, 99);
-  for (int i = 0; i < 3; ++i) {
-    original.NextDelayMs();
-  }
-  original.Reset();
-
-  ExponentialBackoff resumed(options, 99);
-  resumed.FastForward(3);
-  EXPECT_EQ(resumed.draws(), 3u);
-
-  // Same stream position + same attempt counter => identical future delays.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(resumed.NextDelayMs(), original.NextDelayMs()) << "draw " << i;
-  }
+  EXPECT_EQ(backoff.NextDelayMs(), 10);
 }
 
 // --- json ---------------------------------------------------------------------

@@ -308,7 +308,7 @@ int RunCase(const std::string& id, const std::string& strategy_name, int max_rou
   }
   for (const explorer::RoundRecord& record : result.records) {
     std::printf(
-        "round %4d  window=%-4d injected=%d rank=%-4d present=%d net=%-3d outcome=%s%s%s%s\n",
+        "round %4d  window=%-4d injected=%d rank=%-4d present=%d net=%-3d outcome=%s%s%s\n",
         record.round, record.window_size, record.injected ? 1 : 0, record.tracked_rank,
         record.present_observables, record.network_candidates_tried,
         interp::RunOutcomeName(record.outcome),
@@ -318,7 +318,7 @@ int RunCase(const std::string& id, const std::string& strategy_name, int max_rou
                                  static_cast<long long>(record.candidate.occurrence))
                   .c_str()
             : "",
-        record.retries > 0 ? "  (retried)" : "", record.success ? "  <- reproduced" : "");
+        record.success ? "  <- reproduced" : "");
     for (const interp::PartitionTransition& transition : record.partition_events) {
       std::printf("            partition %s %s<->%s at t=%lldms\n",
                   transition.sever ? "severed" : "healed", transition.node_a.c_str(),
@@ -328,10 +328,9 @@ int RunCase(const std::string& id, const std::string& strategy_name, int max_rou
   const explorer::ExperimentRecord& experiment = result.experiment;
   std::printf(
       "outcomes: %d completed, %d crashed, %d hung, %d partitioned-stuck, %d "
-      "budget-exceeded; %d transient retries\n",
+      "budget-exceeded\n",
       experiment.completed_rounds, experiment.crashed_rounds, experiment.hung_rounds,
-      experiment.partitioned_stuck_rounds, experiment.budget_exceeded_rounds,
-      experiment.transient_retries);
+      experiment.partitioned_stuck_rounds, experiment.budget_exceeded_rounds);
   int runs = 0;
   int forked_runs = 0;
   int64_t steps = 0;

@@ -26,7 +26,8 @@
 //       descriptor 3; without one it exits 2).
 //
 // Exit codes for run: 0 every case reproduced, 1 some case starved/failed
-// (or setup error), 2 usage, 3 drained by SIGTERM/SIGINT (resumable).
+// (or setup error, or a case's metrics file that cannot be merged), 2 usage,
+// 3 drained by SIGTERM/SIGINT (resumable).
 
 #include <atomic>
 #include <charconv>
