@@ -104,7 +104,7 @@ interp::RunResult Simulate(const explorer::ExperimentSpec& spec,
   interp::Simulator simulator(spec.program, spec.cluster, item.seed, runtime,
                               context.flat_program(), scratch);
   if (fork) {
-    simulator.set_start(context.ForkPoint(spec, item.window), &context.baseline_log());
+    simulator.set_start(context.ForkPoint(item.window), &context.baseline_log());
   }
   return simulator.Run();
 }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/explorer/iterative.h"
 #include "src/util/check.h"
 #include "src/util/stopwatch.h"
 #include "src/util/strings.h"

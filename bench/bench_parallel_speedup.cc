@@ -1,8 +1,8 @@
 // Parallel exploration engine speedup: serial vs N-thread wall clock on the
 // workload the engine parallelizes — multi-repetition rounds
-// (runs_per_round = 4, the §6 combined-runs remedy) — plus the
-// shared-analysis-cache saving of the iterative multi-fault mode. Emits
-// BENCH_parallel.json.
+// (runs_per_round = 4, the §6 combined-runs remedy) — plus the saving of
+// sharing one analysis context across searches, as the service's
+// ContextCache does. Emits BENCH_parallel.json.
 //
 // Speedup is hardware-bound: the simulations are pure CPU, so the N-thread
 // ratio approaches min(N, cores) on idle multi-core machines and ~1.0 on a
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/explorer/iterative.h"
 #include "src/util/check.h"
 #include "src/util/stopwatch.h"
 #include "src/util/strings.h"
@@ -60,8 +59,7 @@ Measurement RunOnce(const systems::BuiltCase& built, const std::string& case_id,
 double MeasureContextReuse(const systems::BuiltCase& built, double* rebuild_seconds,
                            double* reuse_seconds) {
   explorer::ExplorerOptions options;
-  // Rebuild: construct the analysis from scratch three times (what the
-  // iterative mode did per phase before the shared cache).
+  // Rebuild: three searches, each constructing the analysis from scratch.
   Stopwatch rebuild_timer;
   for (int i = 0; i < 3; ++i) {
     explorer::ExplorerContext context(built.spec, options);
@@ -69,11 +67,11 @@ double MeasureContextReuse(const systems::BuiltCase& built, double* rebuild_seco
   }
   *rebuild_seconds = rebuild_timer.ElapsedSeconds();
 
-  // Reuse: construct once, share twice.
+  // Reuse: the first search builds the context, two more share it.
   Stopwatch reuse_timer;
   auto shared = std::make_shared<const explorer::ExplorerContext>(built.spec, options);
   for (int i = 0; i < 2; ++i) {
-    explorer::Explorer ex(built.spec, options, shared);
+    explorer::Explorer ex(shared, options);
     ANDURIL_CHECK(!ex.context().candidates().empty());
   }
   *reuse_seconds = reuse_timer.ElapsedSeconds();
@@ -146,14 +144,14 @@ int Main() {
     }
   }
 
-  // Shared analysis cache: 3 phases rebuilt vs 1 build + 2 reuses.
+  // Shared analysis cache: 3 searches, each building its context vs sharing one.
   const systems::FailureCase* reuse_case = systems::FindCase("zk-2247");
   systems::BuiltCase reuse_built = systems::BuildCase(*reuse_case);
   double rebuild_seconds = 0;
   double reuse_seconds = 0;
   double reuse_speedup = MeasureContextReuse(reuse_built, &rebuild_seconds, &reuse_seconds);
-  std::printf("\nShared analysis cache (3 iterative phases, zk-2247): "
-              "rebuild %.3fs vs reuse %.3fs -> %.2fx\n",
+  std::printf("\nShared analysis cache (one context shared by 3 searches of zk-2247, as the "
+              "service's ContextCache shares it): rebuild %.3fs vs reuse %.3fs -> %.2fx\n",
               rebuild_seconds, reuse_seconds, reuse_speedup);
   std::printf("Determinism across thread counts: %s\n", deterministic ? "OK" : "BROKEN");
   ANDURIL_CHECK(deterministic);

@@ -1,12 +1,12 @@
 // Table 8 — cascading fault chains: rounds-to-reproduce of the ordered
-// chain search against the single-fault and independent-iterative modes on
-// every CascadeCases() scenario, plus the cost of replaying the emitted
-// fault signature against re-running the full search. Emits BENCH_chain.json.
+// chain search against the single-fault search on every CascadeCases()
+// scenario, plus the cost of replaying the emitted fault signature against
+// re-running the full search. Emits BENCH_chain.json.
 //
-// Part 1 is the separation claim: the doomed searches (single fault,
-// independent multi-fault) are capped at kDoomedRounds and MUST fail — a
-// cascade that reproduces without ordered stitching fails the bench loudly —
-// while the chain search must reproduce within the same per-phase budget.
+// Part 1 is the separation claim: the doomed single-fault search is capped
+// at kDoomedRounds and MUST fail — a cascade that reproduces with one fault
+// fails the bench loudly — while the chain search must reproduce within the
+// same per-phase budget.
 //
 // Part 2 measures what the signature buys: wall clock of one zero-search
 // replay of the minimized signature vs the full chain search that found it,
@@ -19,20 +19,20 @@
 #include "bench/bench_util.h"
 #include "src/explorer/iterative.h"
 #include "src/explorer/signature.h"
+#include "src/systems/harness.h"
 #include "src/util/check.h"
 #include "src/util/stopwatch.h"
 
 namespace anduril::bench {
 namespace {
 
-// Budget for the searches that are expected to cap out; the chain search
-// runs with the same value as its per-phase cap.
+// Budget for the search that is expected to cap out; the chain search runs
+// with the same value as its per-phase cap.
 constexpr int kDoomedRounds = 150;
 
 struct ChainMeasurement {
   std::string case_id;
   int single_rounds = 0;       // capped single-fault search
-  int iterative_rounds = 0;    // capped independent multi-fault search
   int chain_rounds = 0;        // total rounds across chain phases
   int chain_steps = 0;
   int chain_phases = 0;
@@ -48,12 +48,10 @@ ChainMeasurement Measure(const systems::FailureCase& failure_case) {
   ChainMeasurement m;
   m.case_id = failure_case.id;
   systems::BuiltCase built = systems::BuildCase(failure_case);
-  explorer::ExplorerOptions options;
+  explorer::ExplorerOptions options = systems::OptionsForCase(failure_case);
   options.max_rounds = kDoomedRounds;
-  options.crash_stall_candidates = systems::NeedsCrashStallCandidates(failure_case);
-  options.network_candidates = systems::NeedsNetworkCandidates(failure_case);
 
-  // Doomed search 1: one fault per run, capped.
+  // The doomed search: one fault per run, capped.
   {
     explorer::Explorer ex(built.spec, options);
     auto strategy = explorer::MakeFullFeedbackStrategy();
@@ -61,14 +59,6 @@ ChainMeasurement Measure(const systems::FailureCase& failure_case) {
     ANDURIL_CHECK(!single.reproduced)
         << failure_case.id << " reproduced by a single fault: not a cascade";
     m.single_rounds = single.rounds;
-  }
-  // Doomed search 2: independent multi-fault (shared analysis cache), capped.
-  {
-    explorer::IterativeExplorer iterative(built.spec, options);
-    explorer::IterativeResult independent = iterative.Explore(/*max_faults=*/3);
-    ANDURIL_CHECK(!independent.reproduced)
-        << failure_case.id << " reproduced by independent faults: not chain-only";
-    m.iterative_rounds = independent.total_rounds;
   }
   // The chain search, same per-phase budget.
   Stopwatch search_timer;
@@ -97,11 +87,9 @@ ChainMeasurement Measure(const systems::FailureCase& failure_case) {
 
 int Main() {
   std::printf("Table 8: cascading fault chains — chain search vs capped baselines\n");
-  std::printf("(single / iterative capped at %d rounds; both must fail)\n\n", kDoomedRounds);
-  const std::vector<int> widths = {14, 10, 11, 9, 7, 9, 12, 12};
-  PrintRow({"case", "single", "iterative", "chain", "steps", "search", "sig-replay",
-            "sig-size"},
-           widths);
+  std::printf("(single capped at %d rounds; must fail)\n\n", kDoomedRounds);
+  const std::vector<int> widths = {14, 10, 9, 7, 9, 12, 12};
+  PrintRow({"case", "single", "chain", "steps", "search", "sig-replay", "sig-size"}, widths);
 
   std::vector<ChainMeasurement> measurements;
   for (const systems::FailureCase& failure_case : systems::CascadeCases()) {
@@ -111,8 +99,7 @@ int Main() {
     std::snprintf(replay, sizeof(replay), "%.4fs", m.replay_seconds);
     std::snprintf(size, sizeof(size), "%zu/%zu/%zu", m.signature_steps, m.signature_tasks,
                   m.signature_methods);
-    PrintRow({m.case_id, std::to_string(m.single_rounds) + "*",
-              std::to_string(m.iterative_rounds) + "*", std::to_string(m.chain_rounds),
+    PrintRow({m.case_id, std::to_string(m.single_rounds) + "*", std::to_string(m.chain_rounds),
               std::to_string(m.chain_steps), search, replay, size},
              widths);
     measurements.push_back(m);
@@ -126,14 +113,13 @@ int Main() {
     const ChainMeasurement& m = measurements[i];
     std::fprintf(json,
                  "    {\"case\": \"%s\", \"single_rounds\": %d, "
-                 "\"single_reproduced\": false, \"iterative_rounds\": %d, "
-                 "\"iterative_reproduced\": false, \"chain_rounds\": %d, "
+                 "\"single_reproduced\": false, \"chain_rounds\": %d, "
                  "\"chain_reproduced\": true, \"chain_steps\": %d, "
                  "\"chain_phases\": %d, \"search_seconds\": %.6f, "
                  "\"signature_replay_seconds\": %.6f, \"minimize_replays\": %d, "
                  "\"signature_steps\": %zu, \"signature_tasks\": %zu, "
                  "\"signature_methods\": %zu}%s\n",
-                 m.case_id.c_str(), m.single_rounds, m.iterative_rounds, m.chain_rounds,
+                 m.case_id.c_str(), m.single_rounds, m.chain_rounds,
                  m.chain_steps, m.chain_phases, m.search_seconds, m.replay_seconds,
                  m.minimize_replays, m.signature_steps, m.signature_tasks,
                  m.signature_methods, i + 1 < measurements.size() ? "," : "");

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "src/systems/harness.h"
 #include "src/util/check.h"
 #include "src/util/strings.h"
 
@@ -10,16 +11,11 @@ namespace anduril::bench {
 CaseRun RunCase(const systems::FailureCase& failure_case, const std::string& strategy,
                 int max_rounds, int initial_window, int adjustment) {
   systems::BuiltCase built = systems::BuildCase(failure_case);
-  explorer::ExplorerOptions options;
+  explorer::ExplorerOptions options = systems::OptionsForCase(failure_case);
   options.max_rounds = max_rounds;
   options.initial_window = initial_window;
   options.feedback_adjustment = adjustment;
   options.track_site = built.ground_truth.site;
-  // Crash/stall- and network-rooted cases need their extended candidate
-  // spaces; the stock Table 5 cases keep the original exception-only space.
-  options.crash_stall_candidates = failure_case.root_kind == interp::FaultKind::kCrash ||
-                                   failure_case.root_kind == interp::FaultKind::kStall;
-  options.network_candidates = interp::IsNetworkFaultKind(failure_case.root_kind);
 
   explorer::Explorer ex(built.spec, options);
   auto strat = explorer::MakeStrategy(strategy);

@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
                               "site-distance", "exhaustive", "stacktrace",
                               "fate",          "crashtuner"};
   std::printf("%-22s %8s %10s\n", "strategy", "rounds", "time");
+  bool full_reproduced = false;
   for (const char* name : strategies) {
     explorer::ExplorerOptions options;
     options.max_rounds = 1500;
@@ -38,10 +39,12 @@ int main(int argc, char** argv) {
     auto strategy = explorer::MakeStrategy(name);
     explorer::ExploreResult result = anduril_explorer.Explore(strategy.get());
     if (result.reproduced) {
+      full_reproduced |= std::string(name) == "full";
       std::printf("%-22s %8d %9.2fs\n", name, result.rounds, result.total_seconds);
     } else {
       std::printf("%-22s %8s %10s\n", name, "-", "-");
     }
   }
-  return 0;
+  // The baselines may cap out; ANDURIL's full feedback must not.
+  return full_reproduced ? 0 : 1;
 }

@@ -1,9 +1,9 @@
-// Iterative multi-fault reproduction (paper §3/§6).
+// Multi-fault reproduction (paper §3/§6).
 //
 // ANDURIL injects one fault per run, so a failure requiring two causally
 // independent faults is out of reach for a single search. The paper's
 // workflow — fix the most promising fault into the workload, re-run ANDURIL —
-// is automated by IterativeExplorer. This example builds a replicated queue
+// is automated by ChainExplorer. This example builds a replicated queue
 // whose data-loss symptom needs BOTH a primary disk fault AND a backup
 // network fault (either alone is tolerated), and reproduces it in two phases.
 
@@ -134,19 +134,23 @@ int main() {
                 result.rounds);
   }
 
-  // The iterative mode pins the closest fault and searches again.
-  explorer::IterativeExplorer iterative(spec, options);
-  explorer::IterativeResult result = iterative.Explore(/*max_faults=*/2);
+  // The chain search pins the fault that came closest and searches again.
+  explorer::ChainExplorer chain_explorer(spec, options);
+  explorer::ChainResult result = chain_explorer.Explore(/*max_chain_length=*/2);
   if (!result.reproduced) {
-    std::printf("iterative search failed\n");
+    std::printf("chain search failed\n");
     return 1;
   }
-  std::printf("\niterative search reproduced the failure in %d phases, %d total rounds:\n",
+  std::printf("\nchain search reproduced the failure in %d phases, %d total rounds:\n",
               result.phases, result.total_rounds);
-  for (size_t i = 0; i < result.faults.size(); ++i) {
-    std::printf("  fault %zu: %s\n", i + 1, result.faults[i].ToText(program).c_str());
+  for (size_t i = 0; i < result.chain.steps.size(); ++i) {
+    const explorer::FaultChainStep& step = result.chain.steps[i];
+    const explorer::ReproductionScript fault{step.candidate.site, step.candidate.occurrence,
+                                             step.candidate.type, step.candidate.kind,
+                                             step.seed};
+    std::printf("  fault %zu: %s\n", i + 1, fault.ToText(program).c_str());
   }
-  std::printf("multi-fault replay: %s\n",
-              explorer::IterativeExplorer::Replay(spec, result) ? "deterministic" : "FLAKY");
-  return 0;
+  const bool replayed = explorer::ChainExplorer::Replay(spec, result);
+  std::printf("multi-fault replay: %s\n", replayed ? "deterministic" : "FLAKY");
+  return replayed ? 0 : 1;
 }

@@ -26,7 +26,6 @@ ExplorerContext::ExplorerContext(const ExperimentSpec& spec, const ExplorerOptio
   // Step 1: run the workload fault-free to obtain the normal log and the
   // fault-instance distribution, capturing the snapshots search runs fork
   // from.
-  baseline_cluster_ = spec.cluster;
   baseline_pinned_ = spec.pinned_faults;
   interp::FaultRuntime runtime(&program);
   runtime.SetPinned(spec.pinned_faults);  // multi-fault mode: part of the workload
@@ -226,34 +225,15 @@ ExplorerContext::ExplorerContext(const ExperimentSpec& spec, const ExplorerOptio
 }
 
 const interp::RunSnapshot* ExplorerContext::ForkPoint(
-    const ExperimentSpec& spec, const std::vector<interp::InjectionCandidate>& window) const {
-  if (snapshots_.empty() || spec.program != flat_program_->program() ||
-      spec.cluster != baseline_cluster_) {
+    const std::vector<interp::InjectionCandidate>& window) const {
+  if (snapshots_.empty() || spec_->pinned_faults != baseline_pinned_) {
     return nullptr;
   }
-  // The instances this run arms that the fault-free run did not: its window,
-  // and the pinned faults of one side only (pins on both sides fired, or not,
-  // in both prefixes alike).
-  std::vector<const interp::InjectionCandidate*> armed;
-  armed.reserve(window.size());
-  for (const interp::InjectionCandidate& candidate : window) {
-    armed.push_back(&candidate);
-  }
-  auto add_unshared = [&armed](const std::vector<interp::InjectionCandidate>& from,
-                               const std::vector<interp::InjectionCandidate>& other) {
-    for (const interp::InjectionCandidate& pinned : from) {
-      if (std::find(other.begin(), other.end(), pinned) == other.end()) {
-        armed.push_back(&pinned);
-      }
-    }
-  };
-  add_unshared(spec.pinned_faults, baseline_pinned_);
-  add_unshared(baseline_pinned_, spec.pinned_faults);
-  auto before_all = [&armed](const interp::RunSnapshot& snapshot) {
+  auto before_all = [&window](const interp::RunSnapshot& snapshot) {
     const std::vector<int64_t>& counts = snapshot.occurrences();
-    for (const interp::InjectionCandidate* candidate : armed) {
-      const size_t site = static_cast<size_t>(candidate->site);
-      if (site < counts.size() && counts[site] >= candidate->occurrence) {
+    for (const interp::InjectionCandidate& candidate : window) {
+      const size_t site = static_cast<size_t>(candidate.site);
+      if (site < counts.size() && counts[site] >= candidate.occurrence) {
         return false;
       }
     }

@@ -68,9 +68,9 @@ struct ObservableInfo {
 
 // Immutable after construction: every member is filled by the constructor
 // and only read afterwards, so a `shared_ptr<const ExplorerContext>` is safe
-// to share across explorer phases and across threads without locking (the
-// explorer's shared analysis cache). Keep it that way — no lazy caches, no
-// mutable members.
+// to share across searches of its spec and across threads without locking
+// (the explorer's shared analysis cache). Keep it that way — no lazy caches,
+// no mutable members.
 class ExplorerContext {
  public:
   // Runs the fault-free workload, diffs logs, builds the causal graph, and
@@ -138,14 +138,12 @@ class ExplorerContext {
   const std::vector<interp::RunSnapshot>& snapshots() const { return snapshots_; }
   const std::vector<interp::LogEntry>& baseline_log() const { return baseline_log_; }
 
-  // The snapshot a run of `spec` arming `window` may start from: the latest
-  // one at which, for every window candidate and every pinned fault that is
-  // in spec's pinned set or the fault-free run's but not both, the site's
-  // occurrence count is still below the candidate's occurrence. Null when
-  // none qualifies, or when `spec` runs another program or cluster than the
-  // one the fault-free run simulated.
+  // The snapshot a run of spec() arming `window` may start from: the latest
+  // one at which every window candidate's site has run fewer times than the
+  // candidate's occurrence. Null when none qualifies, or once spec()'s pins
+  // differ from the ones the fault-free run armed.
   const interp::RunSnapshot* ForkPoint(
-      const ExperimentSpec& spec, const std::vector<interp::InjectionCandidate>& window) const;
+      const std::vector<interp::InjectionCandidate>& window) const;
 
   double init_seconds() const { return init_seconds_; }
 
@@ -166,9 +164,8 @@ class ExplorerContext {
   size_t pruned_candidates_ = 0;
   std::vector<interp::FaultInstanceEvent> normal_trace_;
   std::unique_ptr<const ir::FlatProgram> flat_program_;
-  // What the fault-free run simulated, for ForkPoint: spec_ may be mutated
-  // after construction (the iterative explorer pins faults into it).
-  const interp::ClusterSpec* baseline_cluster_ = nullptr;
+  // The pins the fault-free run armed, for ForkPoint: ChainExplorer pins
+  // faults into its spec after the phase's context was built.
   std::vector<interp::InjectionCandidate> baseline_pinned_;
   std::vector<interp::RunSnapshot> snapshots_;
   std::vector<interp::LogEntry> baseline_log_;

@@ -38,8 +38,8 @@ struct ExperimentSpec {
   // the flexible priority window (§5.2.5).
   uint64_t base_seed = 1;
   // Faults treated as part of the workload: injected in every run, including
-  // the baseline "fault-free" run. This is how the iterative multi-fault
-  // mode fixes one identified root cause before searching for the next (§3).
+  // the baseline "fault-free" run. This is how the chain search fixes one
+  // identified root cause before searching for the next (§3).
   std::vector<interp::InjectionCandidate> pinned_faults;
 };
 
@@ -103,8 +103,8 @@ struct ExplorerOptions {
   // the flag; null = never cancelled. Rounds are atomic: a cancelled search
   // never loses a finished round and never checkpoints a half round.
   const std::atomic<bool>* cancel = nullptr;
-  // Logical-timeline phase offset (iterative multi-fault mode sets it to the
-  // phase index so each phase's rounds occupy a disjoint trace range).
+  // Logical-timeline phase offset (the chain search sets it to the phase
+  // index so each phase's rounds occupy a disjoint trace range).
   int trace_phase = 0;
 };
 

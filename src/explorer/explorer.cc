@@ -55,15 +55,16 @@ interp::RunScratch& LocalScratch() {
   return scratch;
 }
 
-// Simulates one run of a round and, when `feedback` is set, digests its log
-// into per-observable flags right here on the simulating thread. Search runs
-// record no fault-instance trace: nothing in the round loop reads it. A run
-// starts from the context's latest fault-free snapshot before every instance
-// it arms, when there is one, and simulates only the rest of the run.
-RepRun ExecuteOne(const ExperimentSpec& spec, const ExplorerContext& context,
-                  const ir::FlatProgram* flat,
+// Simulates one run of a round over the context's spec and lowered program
+// and, when `feedback` is set, digests its log into per-observable flags
+// right here on the simulating thread. Search runs record no fault-instance
+// trace: nothing in the round loop reads it. A run starts from the context's
+// latest fault-free snapshot before every instance it arms, when there is
+// one, and simulates only the rest of the run.
+RepRun ExecuteOne(const ExplorerContext& context,
                   const std::vector<interp::InjectionCandidate>& window, uint64_t seed,
                   bool feedback, obs::MetricsRegistry* metrics) {
+  const ExperimentSpec& spec = context.spec();
   RepRun rep;
   rep.seed = seed;
   interp::RunScratch& scratch = LocalScratch();
@@ -74,10 +75,10 @@ RepRun ExecuteOne(const ExperimentSpec& spec, const ExplorerContext& context,
   runtime->set_tracing(false);
   runtime->SetWindow(window);
   runtime->SetPinned(spec.pinned_faults);
-  interp::Simulator simulator(spec.program, spec.cluster, seed, runtime.get(), flat,
-                              &scratch);
+  interp::Simulator simulator(spec.program, spec.cluster, seed, runtime.get(),
+                              context.flat_program(), &scratch);
   simulator.set_metrics(metrics);
-  simulator.set_start(context.ForkPoint(spec, window), &context.baseline_log());
+  simulator.set_start(context.ForkPoint(window), &context.baseline_log());
   rep.run = simulator.Run();
   rep.success = spec.oracle(*spec.program, rep.run) && rep.run.injected.has_value();
   if (feedback) {
@@ -97,8 +98,7 @@ RepRun ExecuteOne(const ExperimentSpec& spec, const ExplorerContext& context,
 // Parallel mode runs every seed and the caller selects the first success in
 // seed order, whichever thread finished first, so it selects what the serial
 // loop would.
-std::vector<RepRun> ExecuteRound(const ExperimentSpec& spec, const ExplorerContext& context,
-                                 const ir::FlatProgram* flat,
+std::vector<RepRun> ExecuteRound(const ExplorerContext& context,
                                  const std::vector<interp::InjectionCandidate>& window,
                                  uint64_t first_seed, int repetitions, ThreadPool* pool,
                                  bool feedback, obs::MetricsRegistry* metrics) {
@@ -107,8 +107,8 @@ std::vector<RepRun> ExecuteRound(const ExperimentSpec& spec, const ExplorerConte
     std::vector<std::future<RepRun>> futures;
     for (uint64_t rep = 0; rep < static_cast<uint64_t>(repetitions); ++rep) {
       futures.push_back(pool->Submit(
-          [&spec, &context, flat, &window, seed = first_seed + rep, feedback, metrics]() {
-            return ExecuteOne(spec, context, flat, window, seed, feedback, metrics);
+          [&context, &window, seed = first_seed + rep, feedback, metrics]() {
+            return ExecuteOne(context, window, seed, feedback, metrics);
           }));
     }
     for (std::future<RepRun>& future : futures) {
@@ -116,8 +116,7 @@ std::vector<RepRun> ExecuteRound(const ExperimentSpec& spec, const ExplorerConte
     }
   } else {
     for (uint64_t rep = 0; rep < static_cast<uint64_t>(repetitions); ++rep) {
-      executed.push_back(
-          ExecuteOne(spec, context, flat, window, first_seed + rep, feedback, metrics));
+      executed.push_back(ExecuteOne(context, window, first_seed + rep, feedback, metrics));
       if (executed.back().success) {
         break;
       }
@@ -230,13 +229,11 @@ std::string ReproductionScript::ToText(const ir::Program& program) const {
 }
 
 Explorer::Explorer(const ExperimentSpec& spec, const ExplorerOptions& options)
-    : spec_(&spec), options_(options) {
-  context_ = std::make_shared<const ExplorerContext>(spec, options);
-}
+    : options_(options), context_(std::make_shared<const ExplorerContext>(spec, options)) {}
 
-Explorer::Explorer(const ExperimentSpec& spec, const ExplorerOptions& options,
-                   std::shared_ptr<const ExplorerContext> context)
-    : spec_(&spec), options_(options), context_(std::move(context)) {
+Explorer::Explorer(std::shared_ptr<const ExplorerContext> context,
+                   const ExplorerOptions& options)
+    : options_(options), context_(std::move(context)) {
   ANDURIL_CHECK(context_ != nullptr);
   // The shared-analysis-cache ctor skips the whole static analysis; its
   // counterpart "explore.context_builds" is recorded by the context ctor.
@@ -253,6 +250,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
   Stopwatch total_timer;
   ExploreResult result;
   result.init_seconds = context_->init_seconds();
+  const ExperimentSpec& spec = context_->spec();
 
   obs::Tracer* tracer = options_.tracer;
   obs::MetricsRegistry* metrics = options_.metrics;
@@ -280,7 +278,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     const SearchCheckpoint& snap = *checkpoint.resume;
     const ChainState empty_chain;
     std::string mismatch =
-        ResumeMismatch(snap, *spec_, options_, *context_,
+        ResumeMismatch(snap, spec, options_, *context_,
                        checkpoint.chain != nullptr ? *checkpoint.chain : empty_chain);
     if (mismatch.empty() && !strategy->RestoreState(snap.strategy)) {
       mismatch =
@@ -333,7 +331,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       candidate_args.push_back(obs::ArgInt("armed", rec.window_size));
       if (rep.run.injected.has_value()) {
         candidate_args.push_back(obs::ArgStr(
-            "site", spec_->program->fault_site(rep.run.injected->site).name));
+            "site", spec.program->fault_site(rep.run.injected->site).name));
         candidate_args.push_back(
             obs::ArgStr("kind", interp::FaultKindName(rep.run.injected->kind)));
         candidate_args.push_back(obs::ArgInt("occurrence", rep.run.injected->occurrence));
@@ -373,19 +371,19 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
   Stopwatch since_save;
   auto save_checkpoint = [&](int round) {
     if (!fingerprint.has_value()) {
-      fingerprint = ProgramFingerprint(*spec_->program);
+      fingerprint = ProgramFingerprint(*spec.program);
     }
     SearchCheckpoint snap;
     snap.program_fingerprint = *fingerprint;
-    snap.base_seed = spec_->base_seed;
+    snap.base_seed = spec.base_seed;
     snap.rounds_completed = round;
     snap.network_candidates = options_.network_candidates;
-    snap.partition_heal_ms = spec_->cluster->partition_heal_ms;
-    snap.network_delay_ms = spec_->cluster->network_delay_ms;
+    snap.partition_heal_ms = spec.cluster->partition_heal_ms;
+    snap.network_delay_ms = spec.cluster->network_delay_ms;
     snap.engine_candidates = static_cast<int64_t>(context_->candidates().size());
     snap.engine_observables = static_cast<int64_t>(context_->observables().size());
     snap.experiment = result.experiment;
-    snap.pinned = spec_->pinned_faults;
+    snap.pinned = spec.pinned_faults;
     ANDURIL_CHECK(strategy->SaveState(&snap.strategy));  // probed before round 1
     if (checkpoint.chain != nullptr) {
       snap.chain = *checkpoint.chain;
@@ -452,17 +450,10 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     // outcome matches the serial engine exactly.
     Stopwatch run_timer;
     const uint64_t first_seed =
-        spec_->base_seed + static_cast<uint64_t>(round) * static_cast<uint64_t>(repetitions);
-    // The context's cached FlatProgram is only valid for the program it was
-    // lowered from; a context shared across specs with a different (equal)
-    // program falls back to per-run self-lowering inside the simulator.
-    const ir::FlatProgram* flat = context_->flat_program();
-    if (flat->program() != spec_->program) {
-      flat = nullptr;
-    }
+        spec.base_seed + static_cast<uint64_t>(round) * static_cast<uint64_t>(repetitions);
     const bool feedback = strategy->WantsLogFeedback();
-    std::vector<RepRun> executed = ExecuteRound(*spec_, *context_, flat, window, first_seed,
-                                                repetitions, pool, feedback, metrics);
+    std::vector<RepRun> executed =
+        ExecuteRound(*context_, window, first_seed, repetitions, pool, feedback, metrics);
     record.run_seconds = run_timer.ElapsedSeconds();
     result.experiment.total_run_wall_seconds += record.run_seconds;
     result.experiment.max_round_wall_seconds =
@@ -510,13 +501,11 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     }
     workload_times.push_back(record.run_seconds);
 
-    bool success = spec_->oracle(*spec_->program, run);
+    bool success = spec.oracle(*spec.program, run);
     record.success = success;
 
     if (success && run.injected.has_value()) {
       if (strategy->WantsLogFeedback()) {
-        // The successful round's observable count matters too: the iterative
-        // multi-fault mode ranks rounds by it when picking a fault to pin.
         record.present_observables = static_cast<int>(
             std::count(selected->present.begin(), selected->present.end(), uint8_t{1}));
       }
@@ -543,7 +532,7 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
                         phase_base + static_cast<int64_t>(round) * obs::kRoundStride +
                             obs::kRoundStride - 1,
                         0,
-                        {obs::ArgStr("site", spec_->program->fault_site(script.site).name),
+                        {obs::ArgStr("site", spec.program->fault_site(script.site).name),
                          obs::ArgStr("kind", interp::FaultKindName(script.kind)),
                          obs::ArgInt("occurrence", script.occurrence),
                          obs::ArgUint("seed", script.seed)});

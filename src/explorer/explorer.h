@@ -31,8 +31,8 @@ struct RoundRecord {
   double decide_seconds = 0;  // window computation + feedback digestion
   int tracked_rank = -1;      // rank of options.track_site (Fig. 6)
   // How many relevant observables this round's log(s) contained — a proxy
-  // for "how close was this run to the production failure" used by the
-  // iterative multi-fault mode.
+  // for "how close was this run to the production failure" that the chain
+  // search ranks stitch candidates by.
   int present_observables = -1;
   int64_t injection_requests = 0;
   int64_t decision_nanos = 0;  // runtime hook latency, cumulative
@@ -120,17 +120,16 @@ struct CheckpointConfig {
 
 class Explorer {
  public:
+  // Builds the analysis context of `spec` and searches it.
   Explorer(const ExperimentSpec& spec, const ExplorerOptions& options);
 
-  // Reuses a previously built analysis context (the shared analysis cache):
-  // the static causal graph, distance matrix, and timeline are immutable
-  // after construction, so phases of an iterative search — or several
-  // explorers across threads — can share one context instead of re-running
-  // the whole static analysis. The runs themselves still use `spec` (oracle,
-  // pinned faults, base seed), which may differ from the spec the context
-  // was built from, as long as it describes the same program and cluster.
-  Explorer(const ExperimentSpec& spec, const ExplorerOptions& options,
-           std::shared_ptr<const ExplorerContext> context);
+  // Searches a previously built analysis context (the shared analysis
+  // cache) under the spec it was built from. The static causal graph,
+  // distance matrix, and timeline are immutable after construction, so
+  // several searches — the service's slices of one case, or explorers on
+  // several threads — can share one context instead of re-running the whole
+  // static analysis.
+  Explorer(std::shared_ptr<const ExplorerContext> context, const ExplorerOptions& options);
 
   // Runs the search with the given strategy.
   ExploreResult Explore(InjectionStrategy* strategy);
@@ -150,7 +149,6 @@ class Explorer {
   static bool Replay(const ExperimentSpec& spec, const ReproductionScript& script);
 
  private:
-  const ExperimentSpec* spec_;
   ExplorerOptions options_;
   std::shared_ptr<const ExplorerContext> context_;
 };

@@ -12,96 +12,6 @@
 
 namespace anduril::explorer {
 
-IterativeResult IterativeExplorer::Explore(int max_faults) {
-  ANDURIL_CHECK_GE(max_faults, 1);
-  IterativeResult result;
-
-  // Shared analysis cache: the static analysis (fault-free run, causal
-  // graph, distance matrix, timeline) is computed once in the first phase
-  // and reused by every later phase. Pinning a fault changes the *runs* of a
-  // phase, not the program or the production failure log the analysis is
-  // derived from; the feedback loop absorbs the now-expected observables of
-  // the pinned fault by deprioritizing them round over round.
-  std::shared_ptr<const ExplorerContext> analysis_cache;
-
-  for (int phase = 0; phase < max_faults; ++phase) {
-    ++result.phases;
-    if (options_.metrics != nullptr) {
-      options_.metrics->Add("iterative.phases");
-    }
-    if (options_.tracer != nullptr) {
-      options_.tracer->Instant("explore", "phase",
-                               static_cast<int64_t>(phase) * obs::kPhaseStride, 0,
-                               {obs::ArgInt("phase", phase),
-                                obs::ArgInt("pinned", static_cast<int64_t>(
-                                                          spec_.pinned_faults.size()))});
-    }
-    // Each phase traces into its own logical-time region so the spans of
-    // phase p never collide with those of phase p+1.
-    ExplorerOptions phase_options = options_;
-    phase_options.trace_phase = phase;
-    if (analysis_cache == nullptr) {
-      analysis_cache = std::make_shared<const ExplorerContext>(spec_, phase_options);
-    }
-    Explorer explorer(spec_, phase_options, analysis_cache);
-    auto strategy = MakeFullFeedbackStrategy();
-    ExploreResult search = explorer.Explore(strategy.get());
-    result.total_rounds += search.rounds;
-
-    if (search.reproduced) {
-      // Record the pinned prefix followed by the final fault.
-      result.reproduced = true;
-      result.faults.push_back(*search.script);
-      return result;
-    }
-    if (phase + 1 == max_faults) {
-      break;
-    }
-
-    // Pick the injected round whose (combined) log contained the most
-    // relevant observables: its fault moved the system closest to the
-    // production failure.
-    const RoundRecord* best = nullptr;
-    for (const RoundRecord& record : search.records) {
-      if (!record.injected) {
-        continue;
-      }
-      if (best == nullptr || record.present_observables > best->present_observables) {
-        best = &record;
-      }
-    }
-    if (best == nullptr) {
-      break;  // nothing was ever injected; pinning cannot help
-    }
-    spec_.pinned_faults.push_back(best->candidate);
-    if (options_.metrics != nullptr) {
-      options_.metrics->Add("iterative.pinned");
-    }
-    ReproductionScript pinned;
-    pinned.site = best->candidate.site;
-    pinned.occurrence = best->candidate.occurrence;
-    pinned.type = best->candidate.type;
-    pinned.kind = best->candidate.kind;
-    pinned.seed = spec_.base_seed;
-    result.faults.push_back(pinned);
-  }
-  return result;
-}
-
-bool IterativeExplorer::Replay(ExperimentSpec spec, const IterativeResult& result) {
-  if (!result.reproduced || result.faults.empty()) {
-    return false;
-  }
-  // All but the last fault are pinned; the last is the window injection.
-  spec.pinned_faults.clear();
-  for (size_t i = 0; i + 1 < result.faults.size(); ++i) {
-    const ReproductionScript& fault = result.faults[i];
-    spec.pinned_faults.push_back(
-        interp::InjectionCandidate{fault.site, fault.occurrence, fault.type, fault.kind});
-  }
-  return Explorer::Replay(spec, result.faults.back());
-}
-
 namespace {
 
 // Relevant observable keys (of the *phase* context, whose baseline already
@@ -221,11 +131,10 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
         phase_options.max_rounds = remaining;
       }
     }
-    // No shared analysis cache here — that sharing is exactly what blinds
-    // the independent iterative mode to cascades. Each phase rebuilds the
-    // context over the *degraded* baseline (chain prefix pinned): sites the
-    // prefix newly exposed gain instance estimates, and observables the
-    // prefix already flipped drop out of the relevant set.
+    // Each phase rebuilds the context over the *degraded* baseline (chain
+    // prefix pinned): sites the prefix newly exposed gain instance
+    // estimates, and observables the prefix already flipped drop out of the
+    // relevant set.
     Explorer explorer(spec_, phase_options);
     auto strategy = MakeFullFeedbackStrategy();
     strategy->SeedStitchedSites(chain_state.stitched_sites);

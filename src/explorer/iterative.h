@@ -1,34 +1,19 @@
-// Iterative multi-fault reproduction (paper §3 "Assumptions" / §6), and its
-// cascading generalization: ordered fault chains with causal stitching.
+// Multi-fault reproduction (paper §3 "Assumptions" / §6) as ordered fault
+// chains with causal stitching.
 //
 // ANDURIL injects a single fault per run, so a failure that needs several
-// causally-independent root-cause faults cannot be reproduced in one search.
-// The paper's prescribed workflow: run ANDURIL; if the symptom is not
-// reproduced, take the round whose logs came *closest* to the production
-// failure log, fix that round's fault into the workload, and run ANDURIL
-// again — one fault at a time.
+// root-cause faults cannot be reproduced in one search. The paper's
+// prescribed workflow: run ANDURIL; if the symptom is not reproduced, take
+// the round whose logs came *closest* to the production failure log, fix
+// that round's fault into the workload, and run ANDURIL again — one fault at
+// a time.
 //
-// IterativeExplorer automates that loop: after every unsuccessful search it
-// pins the most-promising injected instance (the one whose combined run log
-// contained the most relevant observables) into the experiment's
-// pinned_faults and restarts the search, up to `max_faults` pinned faults.
-//
-// All IterativeExplorer phases share one immutable ExplorerContext (the
-// shared analysis cache): the causal graph, distance matrix, and timeline
-// are computed once in the first phase and reused, instead of re-running the
-// static analysis per phase. The feedback loop absorbs the pinned fault's
-// now-expected observables by deprioritizing them.
-//
-// That sharing is exactly what makes IterativeExplorer blind to *cascading*
-// failures. The context's instance estimates come from the fault-free
-// baseline run, so a fault site that only executes while an earlier fault is
-// active has zero instances and is never armed — independent multi-fault
-// search provably caps out on such cases. ChainExplorer closes the gap
-// (CSnake-style): it searches an *ordered* FaultChain, rebuilding the
-// analysis context at every phase with the accepted chain prefix pinned into
-// the baseline. The degraded baseline (a) gives instances to the sites the
-// previous fault newly exposed and (b) shrinks the observable set to the
-// still-missing symptoms. Between phases it runs a *stitch run* for the most
+// ChainExplorer automates that loop (CSnake-style) over an *ordered*
+// FaultChain. Each phase rebuilds the analysis context with the accepted
+// chain prefix pinned into the baseline, because the context's instance
+// estimates come from its fault-free run: without the prefix, a fault site
+// that only executes while an earlier fault is active has no instances and
+// is never armed. Between phases it runs a *stitch run* for the most
 // promising injected candidate (prefix + candidate pinned, no window) and
 // accepts the candidate as the next chain step only if the stitch run
 // genuinely moved the system: it flipped relevant observables or executed
@@ -47,35 +32,9 @@
 
 namespace anduril::explorer {
 
-struct IterativeResult {
-  bool reproduced = false;
-  // Every fault needed, in discovery order; the last entry is the one whose
-  // injection finally satisfied the oracle.
-  std::vector<ReproductionScript> faults;
-  int total_rounds = 0;
-  int phases = 0;  // searches executed (1 = single-fault success)
-};
-
-class IterativeExplorer {
- public:
-  IterativeExplorer(const ExperimentSpec& spec, const ExplorerOptions& options)
-      : spec_(spec), options_(options) {}
-
-  // Searches with up to `max_faults` pinned faults (max_faults >= 1).
-  IterativeResult Explore(int max_faults);
-
-  // Replays a full multi-fault reproduction.
-  static bool Replay(ExperimentSpec spec, const IterativeResult& result);
-
- private:
-  ExperimentSpec spec_;  // by value: pinned_faults grows per phase
-  ExplorerOptions options_;
-};
-
 // An ordered sequence of faults (FaultChainStep, checkpoint.h) that together
-// reproduce a cascading failure. Unlike IterativeResult's independent
-// faults, order matters: step N's candidate typically has no dynamic
-// instance until steps 1..N-1 fired.
+// reproduce a multi-fault failure. In a cascade, order matters: step N's
+// candidate typically has no dynamic instance until steps 1..N-1 fired.
 struct FaultChain {
   std::vector<FaultChainStep> steps;
   friend bool operator==(const FaultChain&, const FaultChain&) = default;

@@ -75,7 +75,7 @@ class FeedbackStrategyBase : public InjectionStrategy {
         // instance" — and only retire it after repeated hangs. (A partition
         // that *healed* leaves the run completed/crashed and is retired
         // normally through the else branch.)
-        int& count = demotions_[KeyOf(*outcome.injected)];
+        int& count = demotions_[*outcome.injected];
         Count("strategy.demoted");
         if (++count > kHangDemotionsBeforeRetirement) {
           Retire(*outcome.injected);
@@ -109,15 +109,10 @@ class FeedbackStrategyBase : public InjectionStrategy {
     out->window_size = window_size_;
     out->exhausted = exhausted_;
     out->observable_priorities = engine_->priorities();
-    out->tried.clear();
-    for (const TriedKey& key : tried_) {
-      out->tried.push_back(
-          interp::InjectionCandidate{key.site, key.occurrence, key.type, key.kind});
-    }
+    out->tried.assign(tried_.begin(), tried_.end());
     out->demotions.clear();
-    for (const auto& [key, count] : demotions_) {
-      out->demotions.push_back(StrategyCheckpoint::Demotion{
-          interp::InjectionCandidate{key.site, key.occurrence, key.type, key.kind}, count});
+    for (const auto& [candidate, count] : demotions_) {
+      out->demotions.push_back(StrategyCheckpoint::Demotion{candidate, count});
     }
     // Hash-set iteration order is arbitrary; sort for byte-stable files.
     auto order = [](const interp::InjectionCandidate& a, const interp::InjectionCandidate& b) {
@@ -150,7 +145,7 @@ class FeedbackStrategyBase : public InjectionStrategy {
     }
     demotions_.clear();
     for (const StrategyCheckpoint::Demotion& demotion : state.demotions) {
-      demotions_[KeyOf(demotion.candidate)] = demotion.count;
+      demotions_[demotion.candidate] = demotion.count;
     }
     return true;
   }
@@ -174,7 +169,7 @@ class FeedbackStrategyBase : public InjectionStrategy {
   // fresh inserts only (re-retiring an already-tried instance must not
   // double-count).
   void Retire(const interp::InjectionCandidate& candidate) {
-    if (tried_.insert(KeyOf(candidate)).second) {
+    if (tried_.insert(candidate).second) {
       engine_->NoteTried(candidate);
     }
   }
@@ -182,7 +177,7 @@ class FeedbackStrategyBase : public InjectionStrategy {
   // Demotion count per hung candidate (see OnRound); consulted as a stage-2
   // ranking penalty so demoted instances sort behind fresh ones.
   int64_t DemotionPenalty(const interp::InjectionCandidate& armed) const {
-    auto it = demotions_.find(KeyOf(armed));
+    auto it = demotions_.find(armed);
     return it == demotions_.end() ? 0 : kDemotionPenalty * it->second;
   }
 
@@ -201,7 +196,7 @@ class FeedbackStrategyBase : public InjectionStrategy {
   FeedbackState feedback_;
   std::unordered_set<ir::FaultSiteId> stitched_sites_;
   TriedSet tried_;
-  std::unordered_map<TriedKey, int, TriedKeyHash> demotions_;
+  std::unordered_map<interp::InjectionCandidate, int, CandidateHash> demotions_;
   int window_size_ = 10;
   bool exhausted_ = false;
   // The one holder of the observable priorities I_k and of stage-1 F_i.
@@ -287,7 +282,7 @@ class FullFeedbackStrategy : public FeedbackStrategyBase {
     for (size_t j = 0; j < instances.size(); ++j) {
       const InstanceEstimate& instance = instances[j];
       interp::InjectionCandidate armed = Arm(candidate, instance.occurrence);
-      if (WasTried(tried_, armed)) {
+      if (tried_.contains(armed)) {
         continue;
       }
       int64_t distance = order_temporal_ ? OrderTemporalDistance(instances, j, positions)
@@ -393,7 +388,7 @@ class MultiplyFeedbackStrategy : public FeedbackStrategyBase {
       const int64_t f = engine_->EffectivePriority(index);
       for (const InstanceEstimate& instance : context_->InstancesOf(candidate.site)) {
         interp::InjectionCandidate armed = Arm(candidate, instance.occurrence);
-        if (WasTried(tried_, armed)) {
+        if (tried_.contains(armed)) {
           continue;
         }
         int64_t t = TemporalDistance(instance, positions) + DemotionPenalty(armed);
@@ -438,7 +433,7 @@ class SiteFeedbackStrategy : public FeedbackStrategyBase {
         size_t limit = std::min<size_t>(instances.size(), 3);
         for (size_t j = 0; j < limit; ++j) {
           interp::InjectionCandidate armed = Arm(candidate, instances[j].occurrence);
-          if (!WasTried(tried_, armed)) {
+          if (!tried_.contains(armed)) {
             window.push_back(armed);
             break;  // one instance per site per round
           }

@@ -40,16 +40,26 @@ class ExhaustiveStrategy : public ListStrategy {
   void BuildList(const ExplorerContext& context) override {
     // Enumerate the causal graph's dynamic fault instances in execution
     // order: how a tool without priorities walks the space front to back.
-    // A site's first candidate decides what is armed there: the exception
-    // candidate where there is one, else (a send site) its first network kind.
-    std::unordered_map<ir::FaultSiteId, const FaultCandidate*> first_of;
+    // Each instance is armed once per fault kind its site has a candidate
+    // of: first the site's first candidate (the exception candidate where
+    // there is one, else a send site's first network kind), then the first
+    // candidate of every other kind, in candidate order.
+    std::unordered_map<ir::FaultSiteId, std::vector<const FaultCandidate*>> kinds_of;
     for (const FaultCandidate& candidate : context.candidates()) {
-      first_of.emplace(candidate.site, &candidate);
+      std::vector<const FaultCandidate*>& kinds = kinds_of[candidate.site];
+      if (std::none_of(kinds.begin(), kinds.end(), [&](const FaultCandidate* armed) {
+            return armed->kind == candidate.kind;
+          })) {
+        kinds.push_back(&candidate);
+      }
     }
     for (const interp::FaultInstanceEvent& event : context.normal_trace()) {
-      auto it = first_of.find(event.site);
-      if (it != first_of.end()) {
-        list_.push_back(Arm(*it->second, event.occurrence));
+      auto it = kinds_of.find(event.site);
+      if (it == kinds_of.end()) {
+        continue;
+      }
+      for (const FaultCandidate* candidate : it->second) {
+        list_.push_back(Arm(*candidate, event.occurrence));
       }
     }
   }

@@ -44,39 +44,18 @@ class FeedbackState {
   std::unordered_map<std::string, size_t> key_index_;
 };
 
-// Identity of a tried dynamic instance.
-struct TriedKey {
-  ir::FaultSiteId site;
-  int64_t occurrence;
-  ir::ExceptionTypeId type;
-  interp::FaultKind kind = interp::FaultKind::kException;
-
-  friend bool operator==(const TriedKey&, const TriedKey&) = default;
-};
-
-struct TriedKeyHash {
-  size_t operator()(const TriedKey& key) const {
-    size_t h = static_cast<size_t>(key.site);
-    h = h * 1000003u + static_cast<size_t>(key.occurrence);
-    h = h * 1000003u + static_cast<size_t>(key.type + 1);
-    h = h * 1000003u + static_cast<size_t>(key.kind);
+// Hash of a dynamic instance, for the tried sets and demotion maps.
+struct CandidateHash {
+  size_t operator()(const interp::InjectionCandidate& candidate) const {
+    size_t h = static_cast<size_t>(candidate.site);
+    h = h * 1000003u + static_cast<size_t>(candidate.occurrence);
+    h = h * 1000003u + static_cast<size_t>(candidate.type + 1);
+    h = h * 1000003u + static_cast<size_t>(candidate.kind);
     return h;
   }
 };
 
-using TriedSet = std::unordered_set<TriedKey, TriedKeyHash>;
-
-inline TriedKey KeyOf(const interp::InjectionCandidate& candidate) {
-  return TriedKey{candidate.site, candidate.occurrence, candidate.type, candidate.kind};
-}
-
-inline bool WasTried(const TriedSet& tried, const interp::InjectionCandidate& candidate) {
-  return tried.contains(KeyOf(candidate));
-}
-
-inline void MarkTried(TriedSet* tried, const interp::InjectionCandidate& candidate) {
-  tried->insert(KeyOf(candidate));
-}
+using TriedSet = std::unordered_set<interp::InjectionCandidate, CandidateHash>;
 
 // A strategy driven by a fixed, precomputed candidate list.
 //
@@ -100,7 +79,7 @@ class ListStrategy : public InjectionStrategy {
       if (static_cast<int>(window.size()) >= window_size_) {
         break;
       }
-      if (!WasTried(tried_, list_[i])) {
+      if (!tried_.contains(list_[i])) {
         window.push_back(list_[i]);
       }
     }
@@ -110,23 +89,23 @@ class ListStrategy : public InjectionStrategy {
 
   void OnRound(const RoundOutcome& outcome) override {
     for (const interp::InjectionCandidate& preempted : outcome.preempted) {
-      MarkTried(&tried_, preempted);  // claimed by a pinned fault; never fires
+      tried_.insert(preempted);  // claimed by a pinned fault; never fires
     }
     if (outcome.injected.has_value()) {
-      MarkTried(&tried_, *outcome.injected);
+      tried_.insert(*outcome.injected);
       return;
     }
     if (sequential_) {
       // The armed candidate never occurred; abandon it.
       if (!last_window_.empty()) {
-        MarkTried(&tried_, last_window_.front());
+        tried_.insert(last_window_.front());
       }
       return;
     }
     if (static_cast<size_t>(window_size_) >= CountRemainingAtMost(window_size_)) {
       // Every remaining candidate was armed and none occurred: exhausted.
       for (const interp::InjectionCandidate& candidate : list_) {
-        MarkTried(&tried_, candidate);
+        tried_.insert(candidate);
       }
       return;
     }
@@ -149,7 +128,7 @@ class ListStrategy : public InjectionStrategy {
   // revisits it. At storm scale (10⁵-entry lists) this turns the sequential
   // baselines' per-round cost from O(list) to O(new work).
   size_t FirstUntried() const {
-    while (scan_start_ < list_.size() && WasTried(tried_, list_[scan_start_])) {
+    while (scan_start_ < list_.size() && tried_.contains(list_[scan_start_])) {
       ++scan_start_;
     }
     return scan_start_;
@@ -162,7 +141,7 @@ class ListStrategy : public InjectionStrategy {
   size_t CountRemainingAtMost(size_t cap) const {
     size_t remaining = 0;
     for (size_t i = FirstUntried(); i < list_.size() && remaining <= cap; ++i) {
-      if (!WasTried(tried_, list_[i])) {
+      if (!tried_.contains(list_[i])) {
         ++remaining;
       }
     }

@@ -106,7 +106,7 @@ void FaultRuntime::FlushMetrics(obs::MetricsRegistry* metrics) const {
 }
 
 bool FaultRuntime::MatchArmed(ir::FaultSiteId site, int64_t occurrence, FaultAction* action) {
-  // Pinned faults (iterative multi-fault mode) fire unconditionally and do
+  // Pinned faults (a chain search's prefix) fire unconditionally and do
   // not consume the window's single injection. A dynamic instance fires at
   // most once: if a window candidate names the same (site, occurrence) as a
   // pinned fault, the pinned fault wins and the window candidate is recorded

@@ -116,9 +116,9 @@ class FaultRuntime {
   void SetWindow(std::vector<InjectionCandidate> window) { window_ = std::move(window); }
 
   // Faults injected unconditionally (each at its own site+occurrence), in
-  // addition to the single window injection. Used by the iterative
-  // multi-fault mode (§3): a previously-identified root cause is "fixed into
-  // the workload" while the search continues for the next one.
+  // addition to the single window injection. Used by the chain search (§3):
+  // a previously-identified root cause is "fixed into the workload" while
+  // the search continues for the next one.
   void SetPinned(std::vector<InjectionCandidate> pinned) { pinned_ = std::move(pinned); }
 
   // Enables/disables instance tracing (tracing is cheap but the trace can be

@@ -29,8 +29,8 @@ enum class ThreadEndState : uint8_t {
 // How a run ended, in decreasing severity: a crash fault halted a node, a
 // stall fault left an external call wedged past the end of the run, an
 // unhealed network partition starved a still-blocked thread of messages, a
-// run budget (simulated-time, step, or host wall-clock) expired, or the run
-// drained all events and completed cleanly. Threads blocked in ordinary
+// run limit (simulated time or steps) was reached, or the run drained all
+// events and completed cleanly. Threads blocked in ordinary
 // awaits/sleeps at run end do not make a run kHung — only a stall fault
 // does; likewise they only make it kPartitionedStuck when a partition fault
 // fired, actually dropped messages, and never healed.
@@ -97,9 +97,8 @@ struct RunResult {
   // a snapshot restored instead of executing (0 for a from-scratch run).
   int64_t steps = 0;
   int64_t forked_at_step = 0;
-  // Pinned-fault firings (iterative multi-fault mode; 0 in single-fault
-  // searches). Mirrors FaultRuntime::pinned_fired for metrics consistency
-  // checks.
+  // Pinned-fault firings (chain search; 0 in single-fault searches). Mirrors
+  // FaultRuntime::pinned_fired for metrics consistency checks.
   int64_t pinned_fired = 0;
   std::optional<InjectionCandidate> injected;
   // Window candidates pre-empted by a pinned fault at the same instance (see

@@ -133,8 +133,7 @@ WorkResult RunSlice(ContextCache* cache, const WorkUnit& unit,
       explorer = std::make_unique<explorer::Explorer>(entry->built.spec, options);
       entry->context = explorer->shared_context();
     } else {
-      explorer =
-          std::make_unique<explorer::Explorer>(entry->built.spec, options, entry->context);
+      explorer = std::make_unique<explorer::Explorer>(entry->context, options);
     }
     std::unique_ptr<explorer::InjectionStrategy> strategy =
         explorer::MakeFullFeedbackStrategy();

@@ -38,7 +38,11 @@ inline bool WriteFileAtomic(const std::string& path, const std::string& content)
       return false;
     }
   }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace anduril

@@ -8,7 +8,8 @@
 # resume into a wrong search), and from one whose embedded metrics counter is
 # a string (it used to resume with the counter at 0); checkpoints into a missing
 # directory and with a strategy that cannot checkpoint (all exit 1); and
-# passes an unknown strategy and malformed counts (exit 2).
+# passes an unknown strategy, malformed counts, a non-numeric replay
+# occurrence, a negative replay seed and a negative graph node limit (exit 2).
 #
 #   cmake -DANDURIL_CASE=<anduril_case binary> -DWORK_DIR=<dir> -P cli_json_bombs.cmake
 
@@ -122,3 +123,13 @@ expect_error("chain (chain length 0)" 2 "max_chain_length must be a whole number
              "${ANDURIL_CASE}" chain casc-retry-1 0)
 expect_error("run (non-numeric max_rounds)" 2 "max_rounds must be a whole number >= 1, got 'abc'"
              "${ANDURIL_CASE}" run zk-2247 full abc)
+# replay's occurrence and seed and graph's max_nodes are whole numbers in
+# range; read unchecked, "abc" arms occurrence 0, -1 runs seed 2^64-1 and -5
+# prints the whole graph.
+expect_error("replay (non-numeric occurrence)" 2
+             "occurrence must be a whole number >= 1, got 'abc'" "${ANDURIL_CASE}" replay
+             zk-2247 abc 7)
+expect_error("replay (negative seed)" 2 "seed must be a whole number >= 0, got '-1'"
+             "${ANDURIL_CASE}" replay zk-2247 3 -1)
+expect_error("graph (negative max_nodes)" 2 "max_nodes must be a whole number >= 0, got '-5'"
+             "${ANDURIL_CASE}" graph zk-2247 -5)

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <memory>
+#include <set>
 
 #include "src/explorer/explorer.h"
 #include "src/explorer/priority_engine.h"
@@ -279,6 +280,33 @@ TEST_F(ExplorerTest, UnreproducibleFailureExhaustsOrHitsBudget) {
   EXPECT_LT(result.rounds, options.max_rounds);
 }
 
+// Exhaustive arms each instance once per fault kind its site has a
+// candidate of, not just as the site's first candidate: on zk-crash-1 it
+// reaches the ground-truth site as an exception, a crash and a stall.
+TEST(ExhaustiveStrategyTest, ArmsEveryKindAtTheGroundTruthSite) {
+  const systems::FailureCase* failure_case = systems::FindCase("zk-crash-1");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  const ExplorerContext context(built.spec, systems::OptionsForCase(*failure_case));
+  std::unique_ptr<InjectionStrategy> strategy = MakeStrategy("exhaustive");
+  strategy->Initialize(context);
+  std::set<interp::FaultKind> kinds;
+  for (std::vector<interp::InjectionCandidate> window = strategy->NextWindow();
+       !window.empty(); window = strategy->NextWindow()) {
+    ASSERT_EQ(window.size(), 1u);
+    if (window.front().site == built.ground_truth.site) {
+      kinds.insert(window.front().kind);
+    }
+    RoundOutcome outcome;
+    outcome.injected = window.front();
+    strategy->OnRound(outcome);
+  }
+  EXPECT_TRUE(strategy->Exhausted());
+  EXPECT_EQ(kinds, (std::set<interp::FaultKind>{interp::FaultKind::kException,
+                                                 interp::FaultKind::kCrash,
+                                                 interp::FaultKind::kStall}));
+}
+
 // --- feedback unit behavior ----------------------------------------------------------
 
 TEST_F(ExplorerTest, FeedbackStateDeprioritizesPresentObservables) {
@@ -407,7 +435,7 @@ TEST(SharedContextMetricsTest, StrategyCountsIntoTheSearchingExplorersRegistry) 
   EXPECT_EQ(builder.context().options().metrics, nullptr);
   EXPECT_EQ(builder.context().options().tracer, nullptr);
   EXPECT_EQ(builder.context().options().cancel, nullptr);
-  Explorer searcher(built.spec, search_options, builder.shared_context());
+  Explorer searcher(builder.shared_context(), search_options);
   auto strategy = MakeFullFeedbackStrategy();
   const ExploreResult result = searcher.Explore(strategy.get());
   ASSERT_TRUE(result.reproduced);
@@ -433,7 +461,7 @@ TEST(SharedContextMetricsTest, StrategyCountsIntoTheSearchingExplorersRegistry) 
   builder_metrics.reset();
   auto later_metrics = std::make_unique<obs::MetricsRegistry>();
   search_options.metrics = later_metrics.get();
-  Explorer later(built.spec, search_options, searcher.shared_context());
+  Explorer later(searcher.shared_context(), search_options);
   auto later_strategy = MakeFullFeedbackStrategy();
   const ExploreResult again = later.Explore(later_strategy.get());
   EXPECT_EQ(again.rounds, result.rounds);

@@ -4,8 +4,7 @@
 //
 // The central contracts under test:
 //  - every CascadeCases() scenario is reproduced by the chain search in
-//    bounded rounds while the single-fault and independent-iterative
-//    searches provably cap out;
+//    bounded rounds while the single-fault search provably caps out;
 //  - a fixed seed yields the identical FaultChain and round count at every
 //    thread count, and a search killed mid-chain and resumed from its v3
 //    checkpoint is indistinguishable from the uninterrupted one;
@@ -77,22 +76,6 @@ TEST(FaultChainTest, SingleFaultSearchCapsOutOnEveryCascade) {
     // A later-step site has no dynamic instance in the fault-free baseline,
     // so no single injection can ever satisfy the oracle.
     EXPECT_FALSE(result.reproduced);
-  }
-}
-
-TEST(FaultChainTest, IndependentIterativeSearchCapsOutOnEveryCascade) {
-  for (const systems::FailureCase& failure_case : systems::CascadeCases()) {
-    SCOPED_TRACE(failure_case.id);
-    systems::BuiltCase built = systems::BuildCase(failure_case);
-    ExplorerOptions options = OptionsForCase(failure_case, 1);
-    options.max_rounds = kDoomedRounds;
-    IterativeExplorer iterative(built.spec, options);
-    IterativeResult result = iterative.Explore(/*max_faults=*/3);
-    // The independent mode shares one analysis cache across phases: the
-    // instance estimates stay those of the healthy baseline, so sites that
-    // only execute under an earlier fault are never armed.
-    EXPECT_FALSE(result.reproduced);
-    EXPECT_GE(result.phases, 1);
   }
 }
 

@@ -61,9 +61,10 @@ struct SimulatedRun {
   std::string metrics;
 };
 
-// One run of `window` at `seed`: from `context`'s fork point when given,
-// else from step 0. Forked runs share one scratch, so they also exercise the
-// log prefix landing in recycled entries.
+// One run of `window` at `seed`: from `context`'s fork point when given (the
+// context must have been built from `spec`), else from step 0. Forked runs
+// share one scratch, so they also exercise the log prefix landing in
+// recycled entries.
 SimulatedRun Simulate(const ExperimentSpec& spec, const Window& window, uint64_t seed,
              const ExplorerContext* context, bool tracing = false) {
   static interp::RunScratch scratch;
@@ -74,7 +75,7 @@ SimulatedRun Simulate(const ExperimentSpec& spec, const Window& window, uint64_t
   interp::Simulator simulator(spec.program, spec.cluster, seed, &runtime, nullptr,
                               context != nullptr ? &scratch : nullptr);
   if (context != nullptr) {
-    simulator.set_start(context->ForkPoint(spec, window), &context->baseline_log());
+    simulator.set_start(context->ForkPoint(window), &context->baseline_log());
   }
   obs::MetricsRegistry metrics;
   simulator.set_metrics(&metrics);
@@ -128,8 +129,8 @@ std::vector<Window> BoundaryWindows(const ExplorerContext& context) {
       }
     }
     const int64_t count = snapshot.occurrences()[static_cast<size_t>(busiest->site)];
-    const interp::RunSnapshot* after = context.ForkPoint(context.spec(), {Arm(*busiest, count + 1)});
-    const interp::RunSnapshot* at = context.ForkPoint(context.spec(), {Arm(*busiest, count)});
+    const interp::RunSnapshot* after = context.ForkPoint({Arm(*busiest, count + 1)});
+    const interp::RunSnapshot* at = context.ForkPoint({Arm(*busiest, count)});
     EXPECT_TRUE(after != nullptr && after->steps() >= snapshot.steps());
     EXPECT_TRUE(at == nullptr || at->steps() < snapshot.steps());
     windows.push_back({Arm(*busiest, count + 1)});
@@ -148,9 +149,9 @@ bool IsStorm(const systems::FailureCase& failure_case) {
 }
 
 // Every registered scenario at two seeds: the context's first 10 candidates
-// at occurrences 1 and 2, the ground truth (with a cascade's earlier steps
-// pinned), every window the full search arms, and on the storms a window on
-// either side of every snapshot.
+// at occurrences 1 and 2, the ground truth (for a cascade, also under a
+// context built with its earlier steps pinned), every window the full search
+// arms, and on the storms a window on either side of every snapshot.
 TEST(ForkDifferential, ForkedRunsMatchFromScratchOnEveryScenario) {
   int scenarios = 0;
   for (const std::vector<systems::FailureCase>* registry :
@@ -182,16 +183,21 @@ TEST(ForkDifferential, ForkedRunsMatchFromScratchOnEveryScenario) {
         windows.push_back(std::move(window));
       }
 
+      std::unique_ptr<ExperimentSpec> chained;
+      std::unique_ptr<ExplorerContext> chained_context;
+      if (built->ground_truth_chain.size() > 1) {
+        chained = std::make_unique<ExperimentSpec>(spec);
+        chained->pinned_faults.assign(built->ground_truth_chain.begin(),
+                                      built->ground_truth_chain.end() - 1);
+        chained_context = std::make_unique<ExplorerContext>(*chained, options);
+      }
       int forks = 0;
       for (uint64_t seed : {spec.base_seed, spec.base_seed + 7919}) {
         for (size_t w = 0; w < windows.size(); ++w) {
           forks += CheckFork(spec, context, windows[w], seed, "window " + std::to_string(w));
         }
-        if (built->ground_truth_chain.size() > 1) {
-          ExperimentSpec chained = spec;
-          chained.pinned_faults.assign(built->ground_truth_chain.begin(),
-                                       built->ground_truth_chain.end() - 1);
-          forks += CheckFork(chained, context, {built->ground_truth_chain.back()}, seed,
+        if (chained != nullptr) {
+          forks += CheckFork(*chained, *chained_context, {built->ground_truth_chain.back()}, seed,
                              "ground-truth chain");
         }
       }
@@ -299,76 +305,6 @@ TEST(ForkPlacement, StormRoundsTwoToFiveSkipHalfTheirSteps) {
   }
 }
 
-// The windows a full search over `context` arms.
-std::vector<Window> SearchWindows(const ExperimentSpec& spec, const ExplorerOptions& options,
-                                  std::shared_ptr<const ExplorerContext> context) {
-  Explorer explorer(spec, options, std::move(context));
-  WindowRecorder recorder;
-  explorer.Explore(&recorder);
-  return recorder.windows;
-}
-
-// IterativeExplorer phases share the first phase's context while their
-// pinned set grows. A pin the fault-free run reached before its first
-// snapshot leaves no snapshot to fork from; a pin past its last one leaves
-// the windows' fork points where they were.
-TEST(ForkDifferential, IterativePhasePinsDecideTheForkPoint) {
-  const systems::FailureCase& failure_case = *systems::FindCase("ca-storm-1");
-  std::unique_ptr<systems::BuiltCase> built = Build(failure_case);
-  ExplorerOptions options = OptionsForCase(failure_case);
-  auto context = std::make_shared<const ExplorerContext>(built->spec, options);
-  ASSERT_FALSE(context->snapshots().empty());
-  const std::vector<Window> windows = SearchWindows(built->spec, options, context);
-  ASSERT_GE(windows.size(), 3u);
-
-  const interp::RunSnapshot& first = context->snapshots().front();
-  const interp::RunSnapshot& last = context->snapshots().back();
-  const FaultCandidate* early = nullptr;
-  const FaultCandidate* late = nullptr;
-  for (const FaultCandidate& candidate : context->candidates()) {
-    const size_t site = static_cast<size_t>(candidate.site);
-    if (early == nullptr && first.occurrences()[site] > 0) {
-      early = &candidate;
-    }
-    if (late == nullptr || last.occurrences()[site] >
-                               last.occurrences()[static_cast<size_t>(late->site)]) {
-      late = &candidate;
-    }
-  }
-  ASSERT_NE(early, nullptr);
-
-  ExperimentSpec inside = built->spec;
-  inside.pinned_faults.push_back(Arm(*early, 1));
-  ExperimentSpec beyond = built->spec;
-  beyond.pinned_faults.push_back(
-      Arm(*late, last.occurrences()[static_cast<size_t>(late->site)] + 1));
-  for (const Window& window : windows) {
-    EXPECT_EQ(context->ForkPoint(inside, window), nullptr);
-    EXPECT_EQ(context->ForkPoint(beyond, window), context->ForkPoint(built->spec, window));
-  }
-
-  for (const ExperimentSpec* phase : {&inside, &beyond}) {
-    const bool expect_forks = phase == &beyond;
-    SCOPED_TRACE(expect_forks ? "pin beyond the prefix" : "pin inside the prefix");
-    int forks = 0;
-    for (size_t w = 0; w < windows.size(); ++w) {
-      forks += CheckFork(*phase, *context, windows[w], phase->base_seed + 1,
-                         "window " + std::to_string(w));
-    }
-    ExplorerOptions phase_options = options;
-    phase_options.max_rounds = 5;
-    Explorer explorer(*phase, phase_options, context);
-    std::unique_ptr<InjectionStrategy> strategy = MakeFullFeedbackStrategy();
-    const ExploreResult search = explorer.Explore(strategy.get());
-    int search_forks = 0;
-    for (const RoundRecord& record : search.records) {
-      search_forks += record.forked_runs;
-    }
-    EXPECT_EQ(forks > 0, expect_forks);
-    EXPECT_EQ(search_forks > 0, expect_forks);
-  }
-}
-
 // A chain phase builds its context over the chain prefix pinned into the
 // fault-free run; its runs pin the same faults, so only the window decides
 // the fork point.
@@ -396,6 +332,31 @@ TEST(ForkDifferential, ChainPhaseForksOverThePinnedBaseline) {
   EXPECT_GT(forks, 0);
 }
 
+// The fault-free run's prefix holds only the pins it armed. Once a fault is
+// pinned into the spec after its context was built, as ChainExplorer pins
+// its own spec between phases, nothing forks: not a window the unpinned
+// spec forks, and not a search over the shared context.
+TEST(ForkDifferential, RepinnedSpecForksNothing) {
+  const systems::FailureCase& failure_case = *systems::FindCase("ca-storm-1");
+  std::unique_ptr<systems::BuiltCase> built = Build(failure_case);
+  ExplorerOptions options = OptionsForCase(failure_case);
+  options.max_rounds = 5;
+  auto context = std::make_shared<const ExplorerContext>(built->spec, options);
+  const Window window = BoundaryWindows(*context).back();
+  ASSERT_NE(context->ForkPoint(window), nullptr);
+
+  built->spec.pinned_faults.push_back(Arm(context->candidates().front(), 1));
+  EXPECT_EQ(context->ForkPoint(window), nullptr);
+  EXPECT_FALSE(CheckFork(built->spec, *context, window, built->spec.base_seed, "re-pinned"));
+  Explorer explorer(context, options);
+  std::unique_ptr<InjectionStrategy> strategy = MakeFullFeedbackStrategy();
+  const ExploreResult search = explorer.Explore(strategy.get());
+  ASSERT_FALSE(search.records.empty());
+  for (const RoundRecord& record : search.records) {
+    EXPECT_EQ(record.forked_runs, 0) << "round " << record.round;
+  }
+}
+
 // Snapshots do not carry the fault-instance trace, so a tracing run ignores
 // its fork point and simulates from step 0.
 TEST(ForkDifferential, TracingRunStartsFromStepZero) {
@@ -404,7 +365,7 @@ TEST(ForkDifferential, TracingRunStartsFromStepZero) {
   const ExplorerContext context(built->spec, OptionsForCase(failure_case));
   ASSERT_FALSE(context.snapshots().empty());
   const Window window = BoundaryWindows(context).back();
-  ASSERT_NE(context.ForkPoint(built->spec, window), nullptr);
+  ASSERT_NE(context.ForkPoint(window), nullptr);
   const SimulatedRun traced =
       Simulate(built->spec, window, built->spec.base_seed, &context, /*tracing=*/true);
   const SimulatedRun scratch =

@@ -1,6 +1,7 @@
 // Tests for the extension features: pinned faults (multi-fault workloads),
-// the iterative multi-fault explorer (§3/§6), combined runs per round (§6),
-// and the §5.2.3/§5.2.4 design-alternative strategies.
+// the chain search on a failure that needs two independent faults (§3/§6),
+// combined runs per round (§6), and the §5.2.3/§5.2.4 design-alternative
+// strategies.
 
 #include <gtest/gtest.h>
 
@@ -134,7 +135,7 @@ TEST_F(MultiFaultTest, PinnedPlusWindowBothFire) {
   EXPECT_EQ(run.injected->site, net_);
 }
 
-// --- iterative search ------------------------------------------------------------------
+// --- multi-fault search ----------------------------------------------------------------
 
 TEST_F(MultiFaultTest, SingleFaultSearchCannotReproduce) {
   Build();
@@ -145,34 +146,43 @@ TEST_F(MultiFaultTest, SingleFaultSearchCannotReproduce) {
   EXPECT_FALSE(explorer.Explore(strategy.get()).reproduced);
 }
 
-TEST_F(MultiFaultTest, IterativeSearchReproducesWithTwoFaults) {
+// The first phase's closest round pins the disk fault; the second phase,
+// searched over a baseline with that pin, finds the mirror fault.
+TEST_F(MultiFaultTest, ChainSearchReproducesWithTwoFaults) {
   Build();
   ExplorerOptions options;
   options.max_rounds = 100;
-  IterativeExplorer iterative(spec_, options);
-  IterativeResult result = iterative.Explore(/*max_faults=*/2);
+  ChainExplorer chain_explorer(spec_, options);
+  ChainResult result = chain_explorer.Explore(/*max_chain_length=*/2);
   ASSERT_TRUE(result.reproduced);
   EXPECT_EQ(result.phases, 2);
-  ASSERT_EQ(result.faults.size(), 2u);
-  // One fault per site, in either order.
-  EXPECT_NE(result.faults[0].site, result.faults[1].site);
-  EXPECT_TRUE(IterativeExplorer::Replay(spec_, result));
+  EXPECT_EQ(result.total_rounds, 17);
+  ASSERT_EQ(result.chain.steps.size(), 2u);
+  EXPECT_EQ(result.chain.steps[0].candidate, (interp::InjectionCandidate{disk_, 1, io_}));
+  EXPECT_EQ(result.chain.steps[0].seed, 1u);
+  EXPECT_EQ(result.chain.steps[1].candidate, (interp::InjectionCandidate{net_, 1, socket_}));
+  EXPECT_EQ(result.chain.steps[1].seed, 2u);
+  EXPECT_TRUE(ChainExplorer::Replay(spec_, result));
 }
 
-TEST_F(MultiFaultTest, IterativeWithOneFaultBudgetFails) {
+// One step is one single-fault search: it exhausts its space in the 16
+// rounds the two-step chain's first phase takes.
+TEST_F(MultiFaultTest, ChainOfOneStepFails) {
   Build();
   ExplorerOptions options;
   options.max_rounds = 60;
-  IterativeExplorer iterative(spec_, options);
-  IterativeResult result = iterative.Explore(/*max_faults=*/1);
+  ChainExplorer chain_explorer(spec_, options);
+  ChainResult result = chain_explorer.Explore(/*max_chain_length=*/1);
   EXPECT_FALSE(result.reproduced);
   EXPECT_EQ(result.phases, 1);
+  EXPECT_EQ(result.total_rounds, 16);
+  EXPECT_TRUE(result.chain.steps.empty());
 }
 
 TEST_F(MultiFaultTest, ReplayRejectsEmptyResult) {
   Build();
-  IterativeResult empty;
-  EXPECT_FALSE(IterativeExplorer::Replay(spec_, empty));
+  ChainResult empty;
+  EXPECT_FALSE(ChainExplorer::Replay(spec_, empty));
 }
 
 // --- combined runs per round ------------------------------------------------------------

@@ -139,7 +139,7 @@ TEST(SharedContext, ExplorersShareOneAnalysis) {
   ExplorerOptions options;
   Explorer first(built.spec, options);
   std::shared_ptr<const ExplorerContext> cache = first.shared_context();
-  Explorer second(built.spec, options, cache);
+  Explorer second(cache, options);
   EXPECT_EQ(&second.context(), cache.get());
 
   auto strategy_a = MakeFullFeedbackStrategy();

@@ -1044,6 +1044,7 @@ TEST(ServiceCrashTest, UnmergeableMetricsFailTheRunAndKeepTheMergedFile) {
   EXPECT_TRUE(report.error);
   EXPECT_NE(report.error_text.find(MergedMetricsPath(clean_dir)), std::string::npos)
       << report.error_text;
+  EXPECT_FALSE(fs::exists(MergedMetricsPath(clean_dir) + ".tmp"));
 }
 
 // A real SIGTERM while slices are in flight drains the queue (exit 3)

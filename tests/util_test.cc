@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <future>
 #include <set>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 
 #include "src/util/backoff.h"
 #include "src/util/check.h"
+#include "src/util/file.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/stopwatch.h"
@@ -178,6 +180,19 @@ TEST(Check, PassingCheckIsSilent) {
 }
 
 // --- stopwatch ------------------------------------------------------------------------
+
+// A failed rename (the destination is a directory) reports false and leaves
+// no "<path>.tmp" behind.
+TEST(File, WriteFileAtomicOntoADirectoryLeavesNoTempFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "write_file_atomic_onto_dir";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  EXPECT_FALSE(WriteFileAtomic(dir.string(), "bytes"));
+  EXPECT_FALSE(fs::exists(dir.string() + ".tmp"));
+  EXPECT_TRUE(fs::is_directory(dir));
+  fs::remove_all(dir);
+}
 
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch stopwatch;

@@ -39,17 +39,20 @@
 // ("cannot resume: ..." for a checkpoint that does not match the search, a
 // checkpoint that cannot be written, a strategy that cannot checkpoint), 2
 // usage (an unknown strategy, a count that is not a whole number >= 1), 3
-// interrupted. SIGTERM/SIGINT drain cooperatively: the search stops at the
-// next round boundary, after the active checkpoint (if any) was flushed, so
-// `--resume` continues exactly where the signal landed.
+// interrupted. replay and graph exit 2 on an occurrence, seed or max_nodes
+// that is not a whole number in range. SIGTERM/SIGINT drain cooperatively:
+// the search stops at the next round boundary, after the active checkpoint
+// (if any) was flushed, so `--resume` continues exactly where the signal
+// landed.
 
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,6 +66,7 @@
 #include "src/obs/trace.h"
 #include "src/systems/common.h"
 #include "src/systems/harness.h"
+#include "src/util/file.h"
 #include "src/util/strings.h"
 
 namespace anduril {
@@ -129,14 +133,27 @@ int List() {
   return 0;
 }
 
-// Parses a positional count: a whole number >= 1. Prints what is wrong and
-// returns false for anything else.
-bool ParseCount(const std::string& text, const char* what, int* out) {
+// Parses a positional whole number in [min, max]: digits only, no sign.
+// Prints what is wrong and returns false for anything else.
+bool ParseWhole(const std::string& text, const char* what, uint64_t min, uint64_t max,
+                uint64_t* out) {
   char* end = nullptr;
   errno = 0;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || errno == ERANGE || value < 1 || value > INT_MAX) {
-    std::fprintf(stderr, "%s must be a whole number >= 1, got '%s'\n", what, text.c_str());
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || value < min || value > max) {
+    std::fprintf(stderr, "%s must be a whole number >= %llu, got '%s'\n", what,
+                 static_cast<unsigned long long>(min), text.c_str());
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+// A positional count: a whole number >= 1 that fits an int.
+bool ParseCount(const std::string& text, const char* what, int* out) {
+  uint64_t value = 0;
+  if (!ParseWhole(text, what, 1, INT_MAX, &value)) {
     return false;
   }
   *out = static_cast<int>(value);
@@ -192,17 +209,6 @@ int Info(const std::string& id) {
   return 0;
 }
 
-bool WriteTextFile(const std::string& path, const std::string& text, const char* what) {
-  std::ofstream out(path, std::ios::trunc | std::ios::binary);
-  out << text;
-  out.close();
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s to %s\n", what, path.c_str());
-    return false;
-  }
-  return true;
-}
-
 // The --trace-out / --metrics-out sinks of one search: Attach wires the
 // requested ones into the options, Dump writes them after the search.
 struct SearchSinks {
@@ -226,14 +232,16 @@ struct SearchSinks {
       const bool jsonl = EndsWith(trace_path, ".jsonl");
       const std::string text = jsonl ? tracer.DumpJsonl(/*include_wall=*/true)
                                      : tracer.DumpChromeTrace(/*include_wall=*/true);
-      if (!WriteTextFile(trace_path, text, "trace")) {
+      if (!WriteFileAtomic(trace_path, text)) {
+        std::fprintf(stderr, "cannot write trace to %s\n", trace_path.c_str());
         return false;
       }
       std::printf("trace: %zu events -> %s (%s)\n", tracer.event_count(), trace_path.c_str(),
                   jsonl ? "jsonl" : "chrome trace_event");
     }
     if (!metrics_path.empty()) {
-      if (!WriteTextFile(metrics_path, metrics.DumpJson(), "metrics")) {
+      if (!WriteFileAtomic(metrics_path, metrics.DumpJson())) {
+        std::fprintf(stderr, "cannot write metrics to %s\n", metrics_path.c_str());
         return false;
       }
       std::printf("metrics: -> %s\n", metrics_path.c_str());
@@ -530,7 +538,8 @@ int Graph(const std::string& id, size_t max_nodes, const std::string& graph_out)
     std::fputs(dot.c_str(), stdout);
     return 0;
   }
-  if (!WriteTextFile(graph_out, dot, "causal graph")) {
+  if (!WriteFileAtomic(graph_out, dot)) {
+    std::fprintf(stderr, "cannot write causal graph to %s\n", graph_out.c_str());
     return 1;
   }
   std::printf("causal graph: %zu nodes -> %s\n", ex.context().graph().node_count(),
@@ -605,12 +614,20 @@ int Main(int argc, char** argv) {
     return ReplayFromSignature(id, signature_path);
   }
   if (command == "replay" && args.size() >= 4) {
-    return Replay(id, std::atoll(args[2].c_str()),
-                  std::strtoull(args[3].c_str(), nullptr, 10));
+    int occurrence = 0;
+    uint64_t seed = 0;
+    if (!ParseCount(args[2], "occurrence", &occurrence) ||
+        !ParseWhole(args[3], "seed", 0, UINT64_MAX, &seed)) {
+      return 2;
+    }
+    return Replay(id, occurrence, seed);
   }
   if (command == "graph") {
-    return Graph(id, args.size() > 2 ? static_cast<size_t>(std::atoll(args[2].c_str())) : 0,
-                 graph_out);
+    uint64_t max_nodes = 0;
+    if (args.size() > 2 && !ParseWhole(args[2], "max_nodes", 0, SIZE_MAX, &max_nodes)) {
+      return 2;
+    }
+    return Graph(id, static_cast<size_t>(max_nodes), graph_out);
   }
   return Usage();
 }

@@ -34,6 +34,7 @@
 #include "src/explorer/explorer.h"
 #include "src/explorer/soundness.h"
 #include "src/systems/common.h"
+#include "src/systems/harness.h"
 
 namespace anduril {
 namespace {
@@ -81,15 +82,6 @@ analysis::LintEnvironment EnvironmentOf(const systems::BuiltCase& built) {
   return env;
 }
 
-explorer::ExplorerOptions OptionsFor(const systems::FailureCase& failure_case) {
-  explorer::ExplorerOptions options;
-  // Chain-aware: a cascade case's crash/stall or network fault may sit
-  // anywhere in its ground-truth chain, not just at the root.
-  options.crash_stall_candidates = systems::NeedsCrashStallCandidates(failure_case);
-  options.network_candidates = systems::NeedsNetworkCandidates(failure_case);
-  return options;
-}
-
 bool WriteTextFile(const std::string& path, const std::string& text, const char* what) {
   std::ofstream out(path, std::ios::trunc | std::ios::binary);
   out << text;
@@ -113,7 +105,7 @@ int LintOne(const std::string& id, bool json, const std::string& graph_out) {
                   : report.ToText(*built.program).c_str(),
              stdout);
   if (!graph_out.empty()) {
-    explorer::Explorer ex(built.spec, OptionsFor(*failure_case));
+    explorer::Explorer ex(built.spec, systems::OptionsForCase(*failure_case));
     if (!WriteTextFile(graph_out, analysis::ExportDot(*built.program, ex.context().graph()),
                        "causal graph")) {
       return 1;
@@ -171,7 +163,7 @@ int Soundness(const std::string& id, size_t max_candidates) {
   size_t violations = 0;
   for (const systems::FailureCase* failure_case : cases) {
     systems::BuiltCase built = systems::BuildCase(*failure_case);
-    explorer::Explorer ex(built.spec, OptionsFor(*failure_case));
+    explorer::Explorer ex(built.spec, systems::OptionsForCase(*failure_case));
     explorer::SoundnessReport report =
         explorer::CheckCausalSoundness(ex.context(), max_candidates);
     violations += report.violations.size();
