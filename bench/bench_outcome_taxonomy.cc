@@ -7,6 +7,7 @@
 // crash_stall_candidates enabled, so their searches visit node-crash and
 // stall candidates and the crashed/hung columns fill in.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -17,16 +18,19 @@ namespace {
 
 void PrintCaseRow(const systems::FailureCase& failure_case) {
   CaseRun run = RunCase(failure_case, "full");
-  const explorer::ExperimentRecord& experiment = run.experiment;
-  int total = experiment.total_rounds();
-  PrintRow({failure_case.id, RoundsCell(run), std::to_string(experiment.completed_rounds),
-            std::to_string(experiment.crashed_rounds), std::to_string(experiment.hung_rounds),
-            std::to_string(experiment.budget_exceeded_rounds),
-            total > 0 ? StrFormat("%.1f%%", 100.0 * (experiment.crashed_rounds +
-                                                     experiment.hung_rounds) /
-                                                total)
-                      : "-",
-            StrFormat("%.2fms", experiment.max_round_wall_seconds * 1e3)},
+  auto rounds_ending = [&run](interp::RunOutcome outcome) {
+    return static_cast<int>(
+        std::count(run.round_outcomes.begin(), run.round_outcomes.end(), outcome));
+  };
+  const int crashed = rounds_ending(interp::RunOutcome::kCrashed);
+  const int hung = rounds_ending(interp::RunOutcome::kHung);
+  const int total = static_cast<int>(run.round_outcomes.size());
+  PrintRow({failure_case.id, RoundsCell(run),
+            std::to_string(rounds_ending(interp::RunOutcome::kCompleted)),
+            std::to_string(crashed), std::to_string(hung),
+            std::to_string(rounds_ending(interp::RunOutcome::kBudgetExceeded)),
+            total > 0 ? StrFormat("%.1f%%", 100.0 * (crashed + hung) / total) : "-",
+            StrFormat("%.2fms", run.max_round_seconds * 1e3)},
            {12, 8, 10, 8, 6, 8, 10, 10});
 }
 

@@ -15,7 +15,9 @@
 // flat — at 10^5 candidates no more than kFlatRatio x the 10^3 cost — while
 // a from-scratch re-rank (the O(C*K) recompute the engine replaced, modeled
 // by Reset; reported as full_rerank_round_nanos) grows with the candidate
-// count.
+// count. Each repetition times every size back to back and the gate reads
+// the median of the repetitions' 10^5 / 10^3 ratios: timing each size in a
+// block of its own let host noise that hit one block move the ratio.
 
 #include <algorithm>
 #include <cstdio>
@@ -91,7 +93,8 @@ constexpr size_t kSweepObservables = 64;
 constexpr size_t kRaisedObservables = 4;
 constexpr int kWarmupRounds = 64;   // drains the raised observables' buckets
 constexpr int kTimedRounds = 1024;
-constexpr int kRepetitions = 5;     // keep the minimum, standard bench practice
+constexpr int kRepetitions = 5;     // full re-rank: keep the minimum
+constexpr int kRatioRepetitions = 9;  // incremental: the gate's median ratio
 constexpr int kWindow = 10;
 
 EngineSpec SweepSpec(size_t candidates, std::mt19937* rng) {
@@ -152,37 +155,28 @@ void RunIncrementalRound(PriorityEngine& engine) {
 
 struct SweepPoint {
   size_t candidates = 0;
-  double incremental_round_nanos = 0;  // steady-state, min over repetitions
-  double full_rerank_round_nanos = 0;  // Reset-based recompute, same schedule
+  double incremental_round_nanos = 1e18;  // steady-state, min over repetitions
+  double full_rerank_round_nanos = 0;     // Reset-based recompute, same schedule
 };
 
-SweepPoint MeasurePoint(size_t candidates) {
-  std::mt19937 rng(0x5707 + candidates);
-  EngineSpec spec = SweepSpec(candidates, &rng);
-
-  SweepPoint point;
-  point.candidates = candidates;
-  point.incremental_round_nanos = 1e18;
-  point.full_rerank_round_nanos = 1e18;
-
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    PriorityEngine engine(spec);
-    engine.Reset(std::vector<int64_t>(kSweepObservables, 0));
-    for (int round = 0; round < kWarmupRounds; ++round) {
-      RunIncrementalRound(engine);
-    }
-    Stopwatch timer;
-    for (int round = 0; round < kTimedRounds; ++round) {
-      RunIncrementalRound(engine);
-    }
-    double nanos = static_cast<double>(timer.ElapsedNanos()) / kTimedRounds;
-    if (nanos < point.incremental_round_nanos) {
-      point.incremental_round_nanos = nanos;
-    }
+// Steady-state per-round cost of a fresh incremental engine over `spec`.
+double TimeIncrementalRounds(const EngineSpec& spec) {
+  PriorityEngine engine(spec);
+  engine.Reset(std::vector<int64_t>(kSweepObservables, 0));
+  for (int round = 0; round < kWarmupRounds; ++round) {
+    RunIncrementalRound(engine);
   }
+  Stopwatch timer;
+  for (int round = 0; round < kTimedRounds; ++round) {
+    RunIncrementalRound(engine);
+  }
+  return static_cast<double>(timer.ElapsedNanos()) / kTimedRounds;
+}
 
-  // The reference cost: what a from-scratch re-rank pays per round to reach
-  // the same ranking — a recompute over every candidate and observable.
+// The reference cost: what a from-scratch re-rank pays per round to reach
+// the same ranking — a recompute over every candidate and observable.
+double TimeFullRerank(const EngineSpec& spec) {
+  double best = 1e18;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     PriorityEngine engine(spec);
     std::vector<int64_t> priorities(kSweepObservables, 0);
@@ -194,12 +188,27 @@ SweepPoint MeasurePoint(size_t candidates) {
       }
       engine.Reset(priorities);
     }
-    double nanos = static_cast<double>(timer.ElapsedNanos()) / kResetRounds;
-    if (nanos < point.full_rerank_round_nanos) {
-      point.full_rerank_round_nanos = nanos;
-    }
+    best = std::min(best, static_cast<double>(timer.ElapsedNanos()) / kResetRounds);
   }
-  return point;
+  return best;
+}
+
+// Times every size once per repetition, back to back, keeping each size's
+// minimum for the table; returns the median over the repetitions of the
+// largest size's cost divided by the smallest's.
+double MeasureSweep(const std::vector<EngineSpec>& specs, std::vector<SweepPoint>* sweep) {
+  std::vector<double> ratios;
+  for (int rep = 0; rep < kRatioRepetitions; ++rep) {
+    std::vector<double> nanos;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      nanos.push_back(TimeIncrementalRounds(specs[i]));
+      (*sweep)[i].incremental_round_nanos =
+          std::min((*sweep)[i].incremental_round_nanos, nanos.back());
+    }
+    ratios.push_back(nanos.back() / nanos.front());
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
 }
 
 int Main() {
@@ -228,9 +237,17 @@ int Main() {
 
   std::printf("\nEngine sweep: steady-state per-round ranking cost vs candidate count\n");
   PrintRow({"candidates", "incremental", "full-rerank", "speedup"}, {14, 14, 14, 10});
+  std::vector<EngineSpec> specs;
   std::vector<SweepPoint> sweep;
   for (size_t candidates : {1'000u, 10'000u, 100'000u}) {
-    SweepPoint point = MeasurePoint(candidates);
+    std::mt19937 rng(0x5707 + candidates);
+    specs.push_back(SweepSpec(candidates, &rng));
+    sweep.push_back(SweepPoint{candidates});
+  }
+  const double flat_ratio = MeasureSweep(specs, &sweep);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    SweepPoint& point = sweep[i];
+    point.full_rerank_round_nanos = TimeFullRerank(specs[i]);
     char incremental[32], rerank[32], speedup[32];
     std::snprintf(incremental, sizeof(incremental), "%.0f ns", point.incremental_round_nanos);
     std::snprintf(rerank, sizeof(rerank), "%.0f ns", point.full_rerank_round_nanos);
@@ -239,13 +256,11 @@ int Main() {
     PrintRow({std::to_string(point.candidates), incremental, rerank, speedup},
              {14, 14, 14, 10});
     std::fflush(stdout);
-    sweep.push_back(point);
   }
 
-  const double flat_ratio =
-      sweep.back().incremental_round_nanos / sweep.front().incremental_round_nanos;
-  std::printf("\nPer-round cost 10^3 -> 10^5: %.2fx (ceiling %.1fx)\n", flat_ratio,
-              kFlatRatio);
+  std::printf("\nPer-round cost 10^3 -> 10^5: %.2fx, median of %d back-to-back ratios "
+              "(ceiling %.1fx)\n",
+              flat_ratio, kRatioRepetitions, kFlatRatio);
   std::fflush(stdout);
   ANDURIL_CHECK(flat_ratio <= kFlatRatio)
       << "incremental per-round cost grew " << flat_ratio << "x from 10^3 to 10^5 "

@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/systems/harness.h"
@@ -32,9 +33,10 @@ CaseRun RunCase(const systems::FailureCase& failure_case, const std::string& str
   run.median_round_init_seconds = result.median_round_init_seconds;
   run.median_workload_seconds = result.median_workload_seconds;
   run.script = result.script;
-  run.experiment = result.experiment;
   for (const explorer::RoundRecord& record : result.records) {
     run.rank_trajectory.push_back(record.tracked_rank);
+    run.round_outcomes.push_back(record.outcome);
+    run.max_round_seconds = std::max(run.max_round_seconds, record.run_seconds);
   }
   run.observables = ex.context().observables().size();
   run.candidates = ex.context().candidates().size();

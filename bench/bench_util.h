@@ -24,8 +24,9 @@ struct CaseRun {
   double median_workload_seconds = 0;
   std::vector<int> rank_trajectory;  // rank of the ground-truth site per round
   std::optional<explorer::ReproductionScript> script;
-  // Outcome taxonomy and wall-clock accounting across the search.
-  explorer::ExperimentRecord experiment;
+  // How each round's selected run ended, and the longest round's run time.
+  std::vector<interp::RunOutcome> round_outcomes;
+  double max_round_seconds = 0;
   // Context statistics.
   size_t observables = 0;
   size_t candidates = 0;

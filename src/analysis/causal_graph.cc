@@ -157,7 +157,6 @@ CausalNodeId CausalGraph::GetOrAdd(const CausalNode& node, std::vector<CausalNod
   CausalNodeId id = static_cast<CausalNodeId>(nodes_.size());
   nodes_.push_back(node);
   priors_.emplace_back();
-  effects_.emplace_back();
   index_[node] = id;
   worklist->push_back(id);
   return id;
@@ -165,7 +164,6 @@ CausalNodeId CausalGraph::GetOrAdd(const CausalNode& node, std::vector<CausalNod
 
 void CausalGraph::AddEdge(CausalNodeId prior, CausalNodeId node) {
   priors_[static_cast<size_t>(node)].push_back(prior);
-  effects_[static_cast<size_t>(prior)].push_back(node);
 }
 
 void CausalGraph::ExpandNode(CausalNodeId id, std::vector<CausalNodeId>* worklist) {

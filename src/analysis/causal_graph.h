@@ -143,7 +143,6 @@ class CausalGraph {
 
   std::vector<CausalNode> nodes_;
   std::vector<std::vector<CausalNodeId>> priors_;
-  std::vector<std::vector<CausalNodeId>> effects_;  // reverse edges (unused in BFS but kept)
   std::unordered_map<CausalNode, CausalNodeId, NodeHash> index_;
   std::vector<SourceSite> sources_;
   std::vector<std::vector<CausalNodeId>> observable_sink_nodes_;  // per observable

@@ -91,10 +91,6 @@ uint64_t ProgramFingerprint(const ir::Program& program) {
 
 std::string CheckpointProgramMismatch(const SearchCheckpoint& checkpoint,
                                       const ir::Program& program) {
-  if (checkpoint.version != kCheckpointVersion) {
-    return StrFormat("checkpoint version %d, this build resumes only version %d",
-                     checkpoint.version, kCheckpointVersion);
-  }
   const uint64_t fingerprint = ProgramFingerprint(program);
   if (checkpoint.program_fingerprint != fingerprint) {
     return StrFormat(
@@ -108,32 +104,16 @@ std::string CheckpointProgramMismatch(const SearchCheckpoint& checkpoint,
 
 std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
   JsonValue root = JsonValue::Object();
-  root.Set("version", JsonValue::Int(checkpoint.version));
+  root.Set("version", JsonValue::Int(kCheckpointVersion));
   root.Set("program_fingerprint", JsonValue::U64(checkpoint.program_fingerprint));
   root.Set("base_seed", JsonValue::U64(checkpoint.base_seed));
   root.Set("rounds_completed", JsonValue::Int(checkpoint.rounds_completed));
-  root.Set("retry_rng_draws", JsonValue::U64(0));
 
   JsonValue network = JsonValue::Object();
   network.Set("candidates", JsonValue::Bool(checkpoint.network_candidates));
   network.Set("partition_heal_ms", JsonValue::Int(checkpoint.partition_heal_ms));
   network.Set("network_delay_ms", JsonValue::Int(checkpoint.network_delay_ms));
   root.Set("network", std::move(network));
-
-  JsonValue experiment = JsonValue::Object();
-  experiment.Set("completed_rounds", JsonValue::Int(checkpoint.experiment.completed_rounds));
-  experiment.Set("crashed_rounds", JsonValue::Int(checkpoint.experiment.crashed_rounds));
-  experiment.Set("hung_rounds", JsonValue::Int(checkpoint.experiment.hung_rounds));
-  experiment.Set("budget_exceeded_rounds",
-                 JsonValue::Int(checkpoint.experiment.budget_exceeded_rounds));
-  experiment.Set("partitioned_stuck_rounds",
-                 JsonValue::Int(checkpoint.experiment.partitioned_stuck_rounds));
-  experiment.Set("transient_retries", JsonValue::Int(0));
-  experiment.Set("total_run_wall_seconds",
-                 JsonValue::Double(checkpoint.experiment.total_run_wall_seconds));
-  experiment.Set("max_round_wall_seconds",
-                 JsonValue::Double(checkpoint.experiment.max_round_wall_seconds));
-  root.Set("experiment", std::move(experiment));
 
   JsonValue pinned = JsonValue::Array();
   for (const interp::InjectionCandidate& candidate : checkpoint.pinned) {
@@ -196,12 +176,9 @@ std::string SerializeCheckpoint(const SearchCheckpoint& checkpoint) {
   }
   chain.Set("round_candidates", std::move(round_candidates));
   root.Set("chain", std::move(chain));
-  // Always recomputed from the chain block — the struct field is only the
-  // parsed-and-verified copy.
   root.Set("chain_signature_hash", JsonValue::U64(ChainSignatureHash(checkpoint.chain)));
 
   JsonValue engine = JsonValue::Object();
-  engine.Set("kind", JsonValue::Str("incremental"));
   engine.Set("candidates", JsonValue::Int(checkpoint.engine_candidates));
   engine.Set("observables", JsonValue::Int(checkpoint.engine_observables));
   root.Set("engine", std::move(engine));
@@ -228,21 +205,11 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
   if (!ReadField(root, "version", 0, kMaxInt, &version, error)) {
     return false;
   }
+  if (version < 0) {
+    *error = "checkpoint has no version field";
+    return false;
+  }
   if (version != kCheckpointVersion) {
-    if (version < 0) {
-      *error = "checkpoint has no version field";
-      return false;
-    }
-    if (version == 2 && root.Find("chain") != nullptr) {
-      // A pre-release chain build wrote chain state without bumping the
-      // version; resuming it as v2 would silently drop the chain prefix.
-      *error = StrFormat(
-          "checkpoint declares version 2 but contains fault-chain state, which only "
-          "version %d defines; this file was written by a mismatched build — delete "
-          "the stale checkpoint and restart the chain search from round 0",
-          kCheckpointVersion);
-      return false;
-    }
     *error = StrFormat(
         "unsupported checkpoint version %lld (this build reads only version %d); "
         "checkpoint files are not forward/backward compatible — delete the stale "
@@ -252,7 +219,6 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
   }
   // Filled in place and handed over whole, so a failed parse leaves *out as it was.
   SearchCheckpoint parsed;
-  parsed.version = version;
   auto read_u64 = [error](const JsonValue& object, const char* key, uint64_t* into) {
     if (ReadU64Member(object, key, into, error)) {
       return true;
@@ -260,22 +226,15 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
     *error = "checkpoint field " + *error;
     return false;
   };
-  uint64_t retry_rng_draws = 0;
   if (!read_u64(root, "program_fingerprint", &parsed.program_fingerprint) ||
       !read_u64(root, "base_seed", &parsed.base_seed) ||
-      !read_u64(root, "retry_rng_draws", &retry_rng_draws) ||
       !ReadField(root, "rounds_completed", 0, kMaxInt, &parsed.rounds_completed, error)) {
-    return false;
-  }
-  if (retry_rng_draws != 0) {
-    *error = "checkpoint field \"retry_rng_draws\" is " + std::to_string(retry_rng_draws) +
-             ", outside [0, 0]";
     return false;
   }
 
   const JsonValue* network = root.Find("network");
   if (network == nullptr || network->type() != JsonValue::Type::kObject) {
-    *error = "checkpoint has no network object (required since version 2)";
+    *error = "checkpoint has no network object";
     return false;
   }
   parsed.network_candidates =
@@ -283,29 +242,6 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
   if (!ReadField(*network, "partition_heal_ms", 0, kMaxInt64, &parsed.partition_heal_ms, error) ||
       !ReadField(*network, "network_delay_ms", 0, kMaxInt64, &parsed.network_delay_ms, error)) {
     return false;
-  }
-
-  if (const JsonValue* experiment = root.Find("experiment"); experiment != nullptr) {
-    ExperimentRecord& record = parsed.experiment;
-    const std::pair<const char*, int*> counts[] = {
-        {"completed_rounds", &record.completed_rounds},
-        {"crashed_rounds", &record.crashed_rounds},
-        {"hung_rounds", &record.hung_rounds},
-        {"budget_exceeded_rounds", &record.budget_exceeded_rounds},
-        {"partitioned_stuck_rounds", &record.partitioned_stuck_rounds}};
-    for (const auto& [key, into] : counts) {
-      if (!ReadField(*experiment, key, 0, kMaxInt, into, error)) {
-        return false;
-      }
-    }
-    int transient_retries = 0;
-    if (!ReadField(*experiment, "transient_retries", 0, 0, &transient_retries, error)) {
-      return false;
-    }
-    const JsonValue* total = experiment->Find("total_run_wall_seconds");
-    parsed.experiment.total_run_wall_seconds = total ? total->as_double() : 0;
-    const JsonValue* max_round = experiment->Find("max_round_wall_seconds");
-    parsed.experiment.max_round_wall_seconds = max_round ? max_round->as_double() : 0;
   }
 
   if (const JsonValue* pinned = root.Find("pinned"); pinned != nullptr) {
@@ -379,7 +315,7 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
   }
   const JsonValue* chain = root.Find("chain");
   if (chain == nullptr || chain->type() != JsonValue::Type::kObject) {
-    *error = "checkpoint has no chain object (required since version 3)";
+    *error = "checkpoint has no chain object";
     return false;
   }
   if (const JsonValue* steps = chain->Find("steps"); steps != nullptr) {
@@ -440,10 +376,11 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
       parsed.chain.round_candidates.push_back(summary);
     }
   }
-  if (!read_u64(root, "chain_signature_hash", &parsed.chain_signature_hash)) {
+  uint64_t chain_signature_hash = 0;
+  if (!read_u64(root, "chain_signature_hash", &chain_signature_hash)) {
     return false;
   }
-  if (parsed.chain_signature_hash != ChainSignatureHash(parsed.chain)) {
+  if (chain_signature_hash != ChainSignatureHash(parsed.chain)) {
     *error =
         "chain signature hash mismatch: the checkpoint's chain state does not hash to "
         "its recorded chain_signature_hash — the file is corrupt or was hand-edited; "
@@ -453,12 +390,7 @@ bool ParseCheckpoint(const std::string& text, SearchCheckpoint* out, std::string
 
   const JsonValue* engine = root.Find("engine");
   if (engine == nullptr || engine->type() != JsonValue::Type::kObject) {
-    *error = "checkpoint has no engine object (required since version 4)";
-    return false;
-  }
-  const std::string kind = engine->Find("kind") ? engine->Find("kind")->as_string() : "";
-  if (kind != "incremental") {
-    *error = "checkpoint engine kind \"" + kind + "\" is not \"incremental\"";
+    *error = "checkpoint has no engine object";
     return false;
   }
   if (!ReadField(*engine, "candidates", 0, kMaxInt64, &parsed.engine_candidates, error) ||

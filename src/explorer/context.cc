@@ -244,12 +244,19 @@ const interp::RunSnapshot* ExplorerContext::ForkPoint(
   return first_late == snapshots_.begin() ? nullptr : &*(first_late - 1);
 }
 
+std::optional<size_t> ExplorerContext::ObservableIndex(const std::string& key) const {
+  auto it = observable_index_.find(key);
+  if (it == observable_index_.end()) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
 std::vector<uint8_t> ExplorerContext::ObservablesIn(const logdiff::ParsedLog& log) const {
   std::vector<uint8_t> present(observables_.size(), 0);
   for (const logdiff::ParsedLine& line : log.lines) {
-    auto it = observable_index_.find(line.key);
-    if (it != observable_index_.end()) {
-      present[it->second] = 1;
+    if (std::optional<size_t> k = ObservableIndex(line.key)) {
+      present[*k] = 1;
     }
   }
   return present;

@@ -17,6 +17,7 @@
 #define ANDURIL_SRC_EXPLORER_CONTEXT_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -87,6 +88,8 @@ class ExplorerContext {
   const logdiff::ParsedLog& failure_log() const { return failure_log_; }
   const logdiff::ParsedLog& normal_log() const { return normal_log_; }
   const std::vector<ObservableInfo>& observables() const { return observables_; }
+  // The observables() index of the observable whose key is `key`, if any.
+  std::optional<size_t> ObservableIndex(const std::string& key) const;
   // Per observable, in observables() order: 1 when some line of `log` carries
   // its key. How a run's log becomes search feedback.
   std::vector<uint8_t> ObservablesIn(const logdiff::ParsedLog& log) const;

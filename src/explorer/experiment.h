@@ -103,27 +103,6 @@ struct ExplorerOptions {
   // the flag; null = never cancelled. Rounds are atomic: a cancelled search
   // never loses a finished round and never checkpoints a half round.
   const std::atomic<bool>* cancel = nullptr;
-  // Logical-timeline phase offset (the chain search sets it to the phase
-  // index so each phase's rounds occupy a disjoint trace range).
-  int trace_phase = 0;
-};
-
-// Robustness accounting for one exploration: how rounds ended and the
-// wall-clock spent running workloads. Feeds the outcome-taxonomy table of
-// EXPERIMENTS.md.
-struct ExperimentRecord {
-  int completed_rounds = 0;
-  int crashed_rounds = 0;
-  int hung_rounds = 0;
-  int budget_exceeded_rounds = 0;
-  int partitioned_stuck_rounds = 0;
-  double total_run_wall_seconds = 0;
-  double max_round_wall_seconds = 0;
-
-  int total_rounds() const {
-    return completed_rounds + crashed_rounds + hung_rounds + budget_exceeded_rounds +
-           partitioned_stuck_rounds;
-  }
 };
 
 }  // namespace anduril::explorer

@@ -141,26 +141,6 @@ std::vector<std::string> PresentKeys(const ExplorerContext& context,
   return present;
 }
 
-void CountOutcome(ExperimentRecord* record, interp::RunOutcome outcome) {
-  switch (outcome) {
-    case interp::RunOutcome::kCompleted:
-      ++record->completed_rounds;
-      break;
-    case interp::RunOutcome::kCrashed:
-      ++record->crashed_rounds;
-      break;
-    case interp::RunOutcome::kHung:
-      ++record->hung_rounds;
-      break;
-    case interp::RunOutcome::kBudgetExceeded:
-      ++record->budget_exceeded_rounds;
-      break;
-    case interp::RunOutcome::kPartitionedStuck:
-      ++record->partitioned_stuck_rounds;
-      break;
-  }
-}
-
 // Why `snap` cannot resume this search, or "" when it can. Every check guards
 // the byte-identical-resume invariant: a mismatch means the resumed search
 // would silently leave the uninterrupted one's trajectory.
@@ -192,7 +172,7 @@ std::string ResumeMismatch(const SearchCheckpoint& snap, const ExperimentSpec& s
         static_cast<long long>(spec.cluster->partition_heal_ms),
         static_cast<long long>(spec.cluster->network_delay_ms));
   }
-  // v4: the candidate space the engine ranked. A candidate/observable count
+  // The candidate space the engine ranked. A candidate/observable count
   // drift means the context was built differently (the fingerprint only
   // guards the program shape).
   if (snap.engine_candidates != static_cast<int64_t>(context.candidates().size()) ||
@@ -256,8 +236,11 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
   obs::MetricsRegistry* metrics = options_.metrics;
   // Logical-timeline base of this search's rounds (see obs/trace.h): round r
   // occupies [phase_base + r*kRoundStride, +kRoundStride), plan item i of a
-  // round sits at +i*kItemStride on track i+1.
-  const int64_t phase_base = static_cast<int64_t>(options_.trace_phase) * obs::kPhaseStride;
+  // round sits at +i*kItemStride on track i+1. A chain phase's state names
+  // the phase it searches, so each phase's rounds occupy a disjoint range.
+  const int64_t phase_base =
+      static_cast<int64_t>(checkpoint.chain != nullptr ? checkpoint.chain->phase : 0) *
+      obs::kPhaseStride;
 
   strategy->set_metrics(metrics);
   strategy->Initialize(*context_);
@@ -288,7 +271,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
       result.error = "cannot resume: " + mismatch;
       return result;
     }
-    result.experiment = snap.experiment;
     result.rounds = snap.rounds_completed;
     first_round = snap.rounds_completed + 1;
     // Overwrite (not merge): the snapshot was taken by a process that had
@@ -382,7 +364,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     snap.network_delay_ms = spec.cluster->network_delay_ms;
     snap.engine_candidates = static_cast<int64_t>(context_->candidates().size());
     snap.engine_observables = static_cast<int64_t>(context_->observables().size());
-    snap.experiment = result.experiment;
     snap.pinned = spec.pinned_faults;
     ANDURIL_CHECK(strategy->SaveState(&snap.strategy));  // probed before round 1
     if (checkpoint.chain != nullptr) {
@@ -455,9 +436,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
     std::vector<RepRun> executed =
         ExecuteRound(*context_, window, first_seed, repetitions, pool, feedback, metrics);
     record.run_seconds = run_timer.ElapsedSeconds();
-    result.experiment.total_run_wall_seconds += record.run_seconds;
-    result.experiment.max_round_wall_seconds =
-        std::max(result.experiment.max_round_wall_seconds, record.run_seconds);
 
     // The selected run is the first success (else the first run). Count the
     // runs through it only: the serial engine stops there.
@@ -476,7 +454,6 @@ ExploreResult Explorer::Explore(InjectionStrategy* strategy, const CheckpointCon
 
     record.outcome = run.outcome;
     record.partition_events = run.partition_events;
-    CountOutcome(&result.experiment, run.outcome);
 
     if (metrics != nullptr) {
       metrics->Add("explore.rounds");

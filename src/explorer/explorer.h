@@ -76,9 +76,6 @@ struct ExploreResult {
   double init_seconds = 0;
   std::optional<ReproductionScript> script;
   std::vector<RoundRecord> records;
-  // Outcome taxonomy and wall-clock accounting across the search. On a
-  // resumed search this includes the rounds executed before the checkpoint.
-  ExperimentRecord experiment;
 
   // Aggregates for the performance tables.
   int64_t median_injection_requests = 0;
@@ -112,9 +109,10 @@ struct CheckpointConfig {
   const SearchCheckpoint* resume = nullptr;
   // Chain mode (ChainExplorer): the chain search state to persist alongside
   // every snapshot. The explorer copies it and appends one ChainRoundCandidate
-  // per injected round of the live inner search. Plain searches leave it null
-  // (an empty chain is written) and refuse to resume chain-bearing
-  // checkpoints.
+  // per injected round of the live inner search, and its `phase` places the
+  // search's rounds on the trace timeline (obs::kPhaseStride per phase).
+  // Plain searches leave it null (an empty chain is written) and refuse to
+  // resume chain-bearing checkpoints.
   const ChainState* chain = nullptr;
 };
 

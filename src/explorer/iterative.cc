@@ -124,7 +124,6 @@ ChainResult ChainExplorer::Explore(int max_chain_length, const CheckpointConfig&
       break;
     }
     ExplorerOptions phase_options = options_;
-    phase_options.trace_phase = phase;
     if (options_.max_total_rounds > 0) {
       const int remaining = options_.max_total_rounds - result.total_rounds;
       if (remaining < phase_options.max_rounds) {

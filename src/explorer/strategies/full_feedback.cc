@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 
@@ -54,7 +56,6 @@ class FeedbackStrategyBase : public InjectionStrategy {
 
   void Initialize(const ExplorerContext& context) override {
     context_ = &context;
-    feedback_.Initialize(context);
     window_size_ = context.options().initial_window;
     // SeedStitchedSites (chain mode) runs before Initialize, so the engine
     // sees the stitch boosts at build time. It starts from all-zero I_k.
@@ -100,8 +101,16 @@ class FeedbackStrategyBase : public InjectionStrategy {
       // deterministic.
       metrics_->Set("strategy.window_size", window_size_);
     }
+    // Algorithm 2: every relevant observable present in the unsuccessful
+    // round gets its I_k raised by the feedback adjustment (higher value =
+    // lower priority), so observables still missing become the ones to
+    // chase. Keys outside the observable set contribute nothing.
     deltas_.clear();
-    feedback_.Digest(outcome.present_keys, context_->options().feedback_adjustment, &deltas_);
+    for (const std::string& key : outcome.present_keys) {
+      if (std::optional<size_t> k = context_->ObservableIndex(key)) {
+        deltas_.emplace_back(*k, context_->options().feedback_adjustment);
+      }
+    }
     engine_->ApplyDeltas(deltas_);
   }
 
@@ -193,7 +202,6 @@ class FeedbackStrategyBase : public InjectionStrategy {
 
   const ExplorerContext* context_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
-  FeedbackState feedback_;
   std::unordered_set<ir::FaultSiteId> stitched_sites_;
   TriedSet tried_;
   std::unordered_map<interp::InjectionCandidate, int, CandidateHash> demotions_;

@@ -1,48 +1,16 @@
-// Shared machinery for injection strategies: observable feedback bookkeeping
-// (Algorithm 2) and a generic precomputed-list strategy used by the simpler
-// ablations and baselines.
+// Shared machinery for injection strategies: candidate hashing for the tried
+// sets and a generic precomputed-list strategy used by the simpler ablations
+// and baselines.
 
 #ifndef ANDURIL_SRC_EXPLORER_STRATEGIES_STRATEGY_UTIL_H_
 #define ANDURIL_SRC_EXPLORER_STRATEGIES_STRATEGY_UTIL_H_
 
-#include <string>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/explorer/strategy.h"
 
 namespace anduril::explorer {
-
-// Algorithm 2's feedback: every relevant observable *present* in an
-// unsuccessful run gets its priority value I_k raised by the feedback
-// adjustment (higher value = lower priority), so observables still missing
-// become the ones to chase. The priority engine holds I_k; this maps a
-// round's present keys to the (observable, delta) moves it applies.
-class FeedbackState {
- public:
-  void Initialize(const ExplorerContext& context) {
-    for (size_t k = 0; k < context.observables().size(); ++k) {
-      key_index_[context.observables()[k].key] = k;
-    }
-  }
-
-  // Appends one (observable, adjustment) move per present key. Keys absent
-  // from the observable set contribute nothing.
-  void Digest(const std::vector<std::string>& present_keys, int adjustment,
-              std::vector<std::pair<size_t, int64_t>>* deltas) const {
-    for (const std::string& key : present_keys) {
-      auto it = key_index_.find(key);
-      if (it != key_index_.end()) {
-        deltas->emplace_back(it->second, adjustment);
-      }
-    }
-  }
-
- private:
-  std::unordered_map<std::string, size_t> key_index_;
-};
 
 // Hash of a dynamic instance, for the tried sets and demotion maps.
 struct CandidateHash {

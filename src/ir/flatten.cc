@@ -346,7 +346,8 @@ struct MethodLowering {
 
 FlatProgram::FlatProgram(const Program& program) : program_(&program) {
   ANDURIL_CHECK(program.finalized()) << "program must be finalized before flattening";
-  ops_.reserve(program.TotalStmtCount() * 2);
+  // Every registered program lowers to one op per statement.
+  ops_.reserve(program.TotalStmtCount());
   methods_.reserve(program.method_count());
   for (MethodId m = 0; m < static_cast<MethodId>(program.method_count()); ++m) {
     MethodLowering lowering;

@@ -49,25 +49,17 @@ void SetObservableKey(std::string_view level, std::string_view logger, std::stri
   AppendSanitized(message, key);
 }
 
-ParsedLog ParseLogFile(const std::string& text, const LogFormat& format) {
+ParsedLog ParseLogFile(const std::string& text) {
+  constexpr std::string_view kMessageSeparator = " - ";
   ParsedLog log;
   for (std::string_view raw : Split(text, '\n')) {
     std::string_view line = Trim(raw);
     if (line.empty()) {
       continue;
     }
-    // Skip timestamp tokens.
-    size_t pos = 0;
-    bool bad = false;
-    for (int i = 0; i < format.timestamp_tokens; ++i) {
-      size_t space = line.find(' ', pos);
-      if (space == std::string_view::npos) {
-        bad = true;
-        break;
-      }
-      pos = space + 1;
-    }
-    if (bad || pos >= line.size() || line[pos] != '[') {
+    // Skip the timestamp token.
+    size_t pos = line.find(' ');
+    if (pos == std::string_view::npos || ++pos >= line.size() || line[pos] != '[') {
       continue;
     }
     size_t thread_end = line.find(']', pos);
@@ -85,12 +77,12 @@ ParsedLog ParseLogFile(const std::string& text, const LogFormat& format) {
     }
     std::string level(line.substr(pos, level_end - pos));
     pos = level_end + 1;
-    size_t sep = line.find(format.message_separator, pos);
+    size_t sep = line.find(kMessageSeparator, pos);
     if (sep == std::string_view::npos) {
       continue;
     }
     std::string logger(Trim(line.substr(pos, sep - pos)));
-    std::string message(line.substr(sep + format.message_separator.size()));
+    std::string message(line.substr(sep + kMessageSeparator.size()));
 
     ParsedLine parsed;
     parsed.index = static_cast<int64_t>(log.lines.size());

@@ -31,15 +31,6 @@ struct ParsedLog {
   std::vector<ParsedLine> lines;
 };
 
-// Format configuration (the paper needed one config for Kafka and one for
-// the other four systems; non-standard formats supply their own).
-struct LogFormat {
-  // Number of whitespace-separated timestamp tokens before "[thread]".
-  int timestamp_tokens = 1;
-  // Separator between the logger and the message.
-  std::string message_separator = " - ";
-};
-
 // Replaces every digit run with '#'. Timestamps are already stripped by the
 // parser; this removes counters, sizes, ports, ids.
 std::string Sanitize(const std::string& message);
@@ -52,9 +43,10 @@ std::string Sanitize(const std::string& message);
 void SetObservableKey(std::string_view level, std::string_view logger, std::string_view message,
                       std::string* key);
 
-// Parses a log file body. Unparseable lines are skipped (production logs
-// contain stack-trace continuation lines etc.).
-ParsedLog ParseLogFile(const std::string& text, const LogFormat& format = LogFormat());
+// Parses a log file body in the one format interp::FormatLogLine writes:
+// "<timestamp> [thread] LEVEL logger - message". Unparseable lines are
+// skipped (production logs contain stack-trace continuation lines etc.).
+ParsedLog ParseLogFile(const std::string& text);
 
 }  // namespace anduril::logdiff
 

@@ -7,8 +7,9 @@
 // histograms) — never a wall-clock reading. Counter addition and histogram
 // accumulation are commutative, so a fixed-seed exploration produces the
 // byte-identical DumpJson() at any thread count regardless of the order in
-// which worker threads land their updates. Wall-clock accounting stays in
-// ExploreResult / ExperimentRecord where it always lived.
+// which worker threads land their updates. The per-outcome round tally lives
+// here ("explore.outcome.<name>", one per round); each round's own outcome
+// and its wall-clock times are in the explorer's RoundRecord.
 //
 // Thread safety: all mutators and readers take an internal mutex; one
 // registry may be shared by every concurrent simulation of a round. The

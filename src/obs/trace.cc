@@ -13,45 +13,13 @@
 namespace anduril::obs {
 namespace {
 
-void AppendJsonString(std::string* out, const std::string& text) {
-  out->push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendArgs(std::string* out, const std::vector<TraceArg>& args) {
   out->append(",\"args\":{");
   for (size_t i = 0; i < args.size(); ++i) {
     if (i > 0) {
       out->push_back(',');
     }
-    AppendJsonString(out, args[i].key);
+    AppendJsonString(args[i].key, out);
     out->push_back(':');
     out->append(args[i].value);
   }
@@ -75,9 +43,9 @@ void AppendEventBody(std::string* out, const TraceEvent& event, bool include_wal
   out->append("\"ph\":");
   out->append(event.kind == TraceEvent::Kind::kSpan ? "\"X\"" : "\"i\"");
   out->append(",\"cat\":");
-  AppendJsonString(out, event.category);
+  AppendJsonString(event.category, out);
   out->append(",\"name\":");
-  AppendJsonString(out, event.name);
+  AppendJsonString(event.name, out);
   out->append(",\"ts\":");
   out->append(std::to_string(event.ts));
   if (event.kind == TraceEvent::Kind::kSpan) {
@@ -94,7 +62,7 @@ void AppendEventBody(std::string* out, const TraceEvent& event, bool include_wal
 
 TraceArg ArgStr(std::string key, const std::string& value) {
   std::string rendered;
-  AppendJsonString(&rendered, value);
+  AppendJsonString(value, &rendered);
   return TraceArg{std::move(key), std::move(rendered)};
 }
 
@@ -284,7 +252,7 @@ bool Tracer::ParseJsonl(const std::string& text, std::vector<TraceEvent>* out,
         std::string rendered;
         switch (arg.type()) {
           case JsonValue::Type::kString:
-            AppendJsonString(&rendered, arg.as_string());
+            AppendJsonString(arg.as_string(), &rendered);
             break;
           case JsonValue::Type::kBool:
             rendered = arg.as_bool() ? "true" : "false";

@@ -318,7 +318,7 @@ class Daemon {
     for (int i = 0; i < options_.workers; ++i) {
       WorkerSlot& slot = slots_[i];
       slot.index = i;
-      backoffs_.emplace_back(ExponentialBackoff::Options{}, 0xB0FFu + static_cast<uint64_t>(i));
+      backoffs_.emplace_back(0xB0FFu + static_cast<uint64_t>(i));
       Spawn(slot);
     }
 

@@ -5,7 +5,7 @@
 // It is journaled to "<state_dir>/queue.json" with an atomic write after
 // every state transition, so a killed daemon restarts from the exact queue
 // it last committed. The *search* state itself is not here: that lives in
-// the per-case v3 checkpoint files, which the explorer already keeps
+// the per-case search checkpoint files, which the explorer already keeps
 // byte-identically resumable. The manifest only has to be consistent with
 // "some prefix of the work happened", and resuming from a slightly stale
 // rounds_done is harmless — the checkpoint is the source of truth.

@@ -5,15 +5,15 @@
 namespace anduril {
 
 int64_t ExponentialBackoff::NextDelayMs() {
-  double base = static_cast<double>(options_.initial_delay_ms);
+  double base = static_cast<double>(kInitialDelayMs);
   for (int i = 0; i < attempt_; ++i) {
-    base *= options_.multiplier;
+    base *= kMultiplier;
   }
-  base = std::min(base, static_cast<double>(options_.max_delay_ms));
+  base = std::min(base, static_cast<double>(kMaxDelayMs));
   ++attempt_;
-  // Jitter in [-jitter, +jitter] * base, from the deterministic stream.
+  // Jitter in [-kJitter, +kJitter] * base, from the deterministic stream.
   double spread = rng_.NextDouble() * 2.0 - 1.0;
-  int64_t delay = static_cast<int64_t>(base * (1.0 + options_.jitter * spread));
+  int64_t delay = static_cast<int64_t>(base * (1.0 + kJitter * spread));
   return std::max<int64_t>(delay, 0);
 }
 

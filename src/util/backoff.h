@@ -16,26 +16,22 @@ namespace anduril {
 
 class ExponentialBackoff {
  public:
-  struct Options {
-    int64_t initial_delay_ms = 5;
-    double multiplier = 2.0;
-    int64_t max_delay_ms = 250;
-    double jitter = 0.2;  // +/- fraction of the base delay
-  };
+  static constexpr int64_t kInitialDelayMs = 5;
+  static constexpr double kMultiplier = 2.0;
+  static constexpr int64_t kMaxDelayMs = 250;
+  static constexpr double kJitter = 0.2;  // +/- fraction of the base delay
 
-  ExponentialBackoff(const Options& options, uint64_t seed)
-      : options_(options), rng_(seed) {}
+  explicit ExponentialBackoff(uint64_t seed) : rng_(seed) {}
 
-  // The next delay: the base grows by `multiplier` with each call since the
-  // last Reset, up to max_delay_ms, and one jitter draw spreads it.
+  // The next delay: the base grows by kMultiplier with each call since the
+  // last Reset, up to kMaxDelayMs, and one jitter draw spreads it.
   int64_t NextDelayMs();
 
-  // Restarts the sequence at initial_delay_ms; the jitter stream keeps
+  // Restarts the sequence at kInitialDelayMs; the jitter stream keeps
   // advancing.
   void Reset() { attempt_ = 0; }
 
  private:
-  Options options_;
   Rng rng_;
   int attempt_ = 0;
 };

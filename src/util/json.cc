@@ -229,7 +229,9 @@ struct Parser {
   }
 };
 
-void EscapeInto(const std::string& value, std::string* out) {
+}  // namespace
+
+void AppendJsonString(const std::string& value, std::string* out) {
   out->push_back('"');
   for (char c : value) {
     switch (c) {
@@ -250,8 +252,6 @@ void EscapeInto(const std::string& value, std::string* out) {
   }
   out->push_back('"');
 }
-
-}  // namespace
 
 JsonValue JsonValue::Bool(bool value) {
   JsonValue v;
@@ -400,7 +400,7 @@ void JsonValue::DumpTo(std::string* out, int depth) const {
       return;
     }
     case Type::kString:
-      EscapeInto(string_, out);
+      AppendJsonString(string_, out);
       return;
     case Type::kArray: {
       if (items_.empty()) {
@@ -425,7 +425,7 @@ void JsonValue::DumpTo(std::string* out, int depth) const {
       *out += "{\n";
       for (size_t i = 0; i < members_.size(); ++i) {
         indent(depth + 1);
-        EscapeInto(members_[i].first, out);
+        AppendJsonString(members_[i].first, out);
         *out += ": ";
         members_[i].second.DumpTo(out, depth + 1);
         *out += i + 1 < members_.size() ? ",\n" : "\n";

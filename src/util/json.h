@@ -78,6 +78,10 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+// Appends `value` to *out as a quoted JSON string literal, with the standard
+// escapes and \u00XX for the other control characters.
+void AppendJsonString(const std::string& value, std::string* out);
+
 // `value` into *out: it must be a JSON integer in [min, max]. On failure
 // returns false and sets *error to a message naming `name`.
 bool ReadInt(const JsonValue& value, const std::string& name, int64_t min, int64_t max,

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -14,12 +15,15 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/explorer/checkpoint.h"
 #include "src/explorer/explorer.h"
 #include "src/explorer/iterative.h"
 #include "src/explorer/strategy.h"
 #include "src/systems/common.h"
+#include "src/util/file.h"
 #include "tests/test_util.h"
 
 namespace anduril::explorer {
@@ -32,13 +36,6 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   snap.program_fingerprint = 0xdeadbeefcafef00dull;
   snap.base_seed = (1ull << 63) + 17;  // exercises the >2^53 string encoding
   snap.rounds_completed = 42;
-  snap.experiment.completed_rounds = 30;
-  snap.experiment.crashed_rounds = 6;
-  snap.experiment.hung_rounds = 5;
-  snap.experiment.budget_exceeded_rounds = 1;
-  snap.experiment.partitioned_stuck_rounds = 2;
-  snap.experiment.total_run_wall_seconds = 1.25;
-  snap.experiment.max_round_wall_seconds = 0.5;
   snap.network_candidates = true;
   snap.partition_heal_ms = 750;
   snap.network_delay_ms = 400;
@@ -62,7 +59,7 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
       interp::InjectionCandidate{9, 3, ir::kInvalidId, interp::FaultKind::kDuplicate});
   snap.strategy.demotions.push_back(
       {interp::InjectionCandidate{8, 4, ir::kInvalidId, interp::FaultKind::kStall}, 2});
-  // v3 chain block: an accepted two-step prefix mid-search.
+  // Chain block: an accepted two-step prefix mid-search.
   snap.chain.steps.push_back(FaultChainStep{
       interp::InjectionCandidate{3, 9, 2, interp::FaultKind::kException},
       (1ull << 62) + 5,
@@ -75,7 +72,7 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   snap.chain.stitched_sites = {7, 11};
   snap.chain.round_candidates.push_back(ChainRoundCandidate{
       interp::InjectionCandidate{9, 3, ir::kInvalidId, interp::FaultKind::kDelay}, 4, 17});
-  // v4 engine block: the candidate-space shape.
+  // Engine block: the candidate-space shape.
   snap.engine_candidates = 100000;
   snap.engine_observables = 40;
 
@@ -84,22 +81,12 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   std::string error;
   ASSERT_TRUE(ParseCheckpoint(text, &parsed, &error)) << error;
 
-  EXPECT_EQ(parsed.version, kCheckpointVersion);
   EXPECT_EQ(parsed.program_fingerprint, snap.program_fingerprint);
   EXPECT_EQ(parsed.base_seed, snap.base_seed);
   EXPECT_EQ(parsed.rounds_completed, snap.rounds_completed);
-  EXPECT_EQ(parsed.experiment.completed_rounds, snap.experiment.completed_rounds);
-  EXPECT_EQ(parsed.experiment.crashed_rounds, snap.experiment.crashed_rounds);
-  EXPECT_EQ(parsed.experiment.hung_rounds, snap.experiment.hung_rounds);
-  EXPECT_EQ(parsed.experiment.budget_exceeded_rounds,
-            snap.experiment.budget_exceeded_rounds);
-  EXPECT_EQ(parsed.experiment.partitioned_stuck_rounds,
-            snap.experiment.partitioned_stuck_rounds);
   EXPECT_EQ(parsed.network_candidates, snap.network_candidates);
   EXPECT_EQ(parsed.partition_heal_ms, snap.partition_heal_ms);
   EXPECT_EQ(parsed.network_delay_ms, snap.network_delay_ms);
-  EXPECT_DOUBLE_EQ(parsed.experiment.total_run_wall_seconds,
-                   snap.experiment.total_run_wall_seconds);
   EXPECT_EQ(parsed.pinned, snap.pinned);
   EXPECT_EQ(parsed.strategy.window_size, snap.strategy.window_size);
   EXPECT_EQ(parsed.strategy.exhausted, snap.strategy.exhausted);
@@ -109,7 +96,6 @@ TEST(CheckpointTest, SerializeParseRoundTripIsLossless) {
   EXPECT_EQ(parsed.strategy.demotions[0].candidate, snap.strategy.demotions[0].candidate);
   EXPECT_EQ(parsed.strategy.demotions[0].count, snap.strategy.demotions[0].count);
   EXPECT_EQ(parsed.chain, snap.chain);
-  EXPECT_EQ(parsed.chain_signature_hash, ChainSignatureHash(snap.chain));
   EXPECT_EQ(parsed.engine_candidates, snap.engine_candidates);
   EXPECT_EQ(parsed.engine_observables, snap.engine_observables);
 
@@ -147,7 +133,7 @@ TEST(CheckpointTest, RejectsVersion1FileWithActionableError) {
   std::string error;
   EXPECT_FALSE(ParseCheckpoint(v1_text, &out, &error));
   EXPECT_NE(error.find("version 1"), std::string::npos) << error;
-  EXPECT_NE(error.find("version 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 5"), std::string::npos) << error;
   EXPECT_NE(error.find("delete"), std::string::npos)
       << "error must be actionable: " << error;
 }
@@ -174,14 +160,47 @@ TEST(CheckpointTest, RejectsVersion3FileWithActionableError) {
   std::string error;
   EXPECT_FALSE(ParseCheckpoint(v3_text, &out, &error));
   EXPECT_NE(error.find("version 3"), std::string::npos) << error;
-  EXPECT_NE(error.find("version 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 5"), std::string::npos) << error;
   EXPECT_NE(error.find("delete"), std::string::npos)
       << "error must be actionable: " << error;
 }
 
-TEST(CheckpointTest, RejectsVersion4FileWithoutEngineBlock) {
-  // A v4 file with the engine object stripped: refuse rather than guessing a
-  // ranking path at resume.
+TEST(CheckpointTest, RejectsVersion4FileWithActionableError) {
+  // A v4 checkpoint: the current members plus the ones version 5 dropped —
+  // the per-outcome round counts and host-clock seconds of "experiment", and
+  // the always-constant "retry_rng_draws", "transient_retries" and engine
+  // "kind". Refused like every older version, with both versions named.
+  const char* v4_text = R"({
+    "version": 4,
+    "program_fingerprint": "12345",
+    "base_seed": "1",
+    "rounds_completed": 7,
+    "retry_rng_draws": "0",
+    "network": {"candidates": false, "partition_heal_ms": 0, "network_delay_ms": 0},
+    "experiment": {"completed_rounds": 7, "crashed_rounds": 0, "hung_rounds": 0,
+                   "budget_exceeded_rounds": 0, "partitioned_stuck_rounds": 0,
+                   "transient_retries": 0, "total_run_wall_seconds": 0.0125,
+                   "max_round_wall_seconds": 0.0031},
+    "pinned": [],
+    "strategy": {"window_size": 10, "exhausted": false,
+                 "observable_priorities": [], "tried": [], "demotions": []},
+    "chain": {"steps": [], "phase": 0, "rounds_before_phase": 0,
+              "stitched_sites": [], "round_candidates": []},
+    "chain_signature_hash": "14695981039346656037",
+    "engine": {"kind": "incremental", "candidates": 0, "observables": 0}
+  })";
+  SearchCheckpoint out;
+  std::string error;
+  EXPECT_FALSE(ParseCheckpoint(v4_text, &out, &error));
+  EXPECT_NE(error.find("version 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 5"), std::string::npos) << error;
+  EXPECT_NE(error.find("delete"), std::string::npos)
+      << "error must be actionable: " << error;
+}
+
+TEST(CheckpointTest, RejectsFileWithoutEngineBlock) {
+  // A file with the engine object stripped: refuse rather than guessing the
+  // candidate space at resume.
   SearchCheckpoint snap;
   std::string text = SerializeCheckpoint(snap);
   const std::string key = "\"engine\": {";
@@ -198,23 +217,6 @@ TEST(CheckpointTest, RejectsVersion4FileWithoutEngineBlock) {
   std::string error;
   EXPECT_FALSE(ParseCheckpoint(text, &out, &error));
   EXPECT_NE(error.find("no engine object"), std::string::npos) << error;
-}
-
-// "incremental" is the only ranking engine; the retired from-scratch
-// re-rank's "full-rerank" is refused like any other kind, by name.
-TEST(CheckpointTest, RejectsUnknownRankingEngine) {
-  SearchCheckpoint snap;
-  const std::string text = SerializeCheckpoint(snap);
-  for (const std::string kind : {"telepathic", "full-rerank"}) {
-    std::string tampered = text;
-    size_t pos = tampered.find("\"incremental\"");
-    ASSERT_NE(pos, std::string::npos);
-    tampered.replace(pos, 13, "\"" + kind + "\"");
-    SearchCheckpoint out;
-    std::string error;
-    EXPECT_FALSE(ParseCheckpoint(tampered, &out, &error));
-    EXPECT_NE(error.find("\"" + kind + "\""), std::string::npos) << error;
-  }
 }
 
 // Search state no search can reach is refused by field name rather than
@@ -243,7 +245,6 @@ TEST(CheckpointTest, RejectsOutOfRangeSearchState) {
                                "rounds_completed"},
                           Case{"\"rounds_completed\": 0", "\"rounds_completed\": 4294967298",
                                "rounds_completed"},
-                          Case{"\"hung_rounds\": 0", "\"hung_rounds\": 0.5", "hung_rounds"},
                           Case{"\"partition_heal_ms\": 0", "\"partition_heal_ms\": -1",
                                "partition_heal_ms"}}) {
     SCOPED_TRACE(bad.to);
@@ -256,20 +257,6 @@ TEST(CheckpointTest, RejectsOutOfRangeSearchState) {
     EXPECT_FALSE(ParseCheckpoint(tampered, &out, &error));
     EXPECT_NE(error.find("\"" + bad.field + "\""), std::string::npos) << error;
   }
-}
-
-TEST(CheckpointTest, RejectsVersion2FileWithChainStateWithActionableError) {
-  // A pre-release chain build that wrote chain state without bumping the
-  // schema version. Resuming it as plain v2 would silently drop the accepted
-  // chain prefix, so the parser must refuse with a chain-specific message —
-  // not the generic version mismatch.
-  SearchCheckpoint out;
-  std::string error;
-  EXPECT_FALSE(ParseCheckpoint(R"({"version": 2, "chain": {"steps": []}})", &out, &error));
-  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
-  EXPECT_NE(error.find("fault-chain state"), std::string::npos) << error;
-  EXPECT_NE(error.find("delete"), std::string::npos)
-      << "error must be actionable: " << error;
 }
 
 TEST(CheckpointTest, RejectsTamperedChainSignatureHash) {
@@ -324,32 +311,6 @@ TEST(CheckpointTest, ParseRejectsUnknownFaultKind) {
   EXPECT_NE(error.find("teleport"), std::string::npos) << error;
 }
 
-// v4 keeps two fields of the removed transient-retry path. Every file
-// carries both as 0, and a nonzero value (a search that retried a round) is
-// refused with an error that names the field.
-TEST(CheckpointTest, RetryFieldsAreWrittenAsZeroAndRefusedOtherwise) {
-  const std::string text = SerializeCheckpoint(SearchCheckpoint{});
-  SearchCheckpoint out;
-  std::string error;
-  ASSERT_TRUE(ParseCheckpoint(text, &out, &error)) << error;
-  struct Field {
-    std::string name;
-    std::string zero;
-    std::string nonzero;
-  };
-  for (const Field& field :
-       {Field{"retry_rng_draws", "\"0\"", "\"7\""}, Field{"transient_retries", "0", "3"}}) {
-    SCOPED_TRACE(field.name);
-    const std::string key = "\"" + field.name + "\": ";
-    const size_t at = text.find(key + field.zero);
-    ASSERT_NE(at, std::string::npos) << text;
-    std::string tampered = text;
-    tampered.replace(at, key.size() + field.zero.size(), key + field.nonzero);
-    EXPECT_FALSE(ParseCheckpoint(tampered, &out, &error));
-    EXPECT_NE(error.find("\"" + field.name + "\""), std::string::npos) << error;
-  }
-}
-
 // u64 fields ride as decimal strings and are decoded strictly: a malformed
 // value is rejected with an error naming the field, never read as its digit
 // prefix ("12abc" -> 12) or as 0.
@@ -360,7 +321,7 @@ TEST(CheckpointTest, ParseRejectsMalformedU64Fields) {
       interp::InjectionCandidate{3, 9, 2, interp::FaultKind::kException}, 5, 20, {}});
   const std::string text = SerializeCheckpoint(snap);
   for (const std::string field :
-       {"program_fingerprint", "base_seed", "retry_rng_draws", "seed", "chain_signature_hash"}) {
+       {"program_fingerprint", "base_seed", "seed", "chain_signature_hash"}) {
     for (const std::string bad : {"12abc", "-1", "", "18446744073709551616"}) {
       SCOPED_TRACE(field + "=\"" + bad + "\"");
       std::string tampered = text;
@@ -402,9 +363,22 @@ ExploreResult RunStrategy(const systems::BuiltCase& built, const ExplorerOptions
   return explorer.Explore(strategy.get(), checkpoint);
 }
 
+// The per-outcome round tally of a metrics snapshot: its explore.outcome.*
+// counters.
+std::vector<std::pair<std::string, int64_t>> OutcomeTally(const obs::MetricsSnapshot& snapshot) {
+  std::vector<std::pair<std::string, int64_t>> tally;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name.rfind("explore.outcome.", 0) == 0) {
+      tally.emplace_back(name, value);
+    }
+  }
+  return tally;
+}
+
 // Runs `case_id` uninterrupted, then again with the round budget cut short
 // and a checkpoint file, then resumes a fresh explorer from that file, and
 // asserts the resumed search is indistinguishable from the uninterrupted one.
+// Every search attaches a metrics registry, so the checkpoint carries it.
 void ExpectResumeMatchesUninterrupted(const std::string& case_id, int threads,
                                       const std::string& strategy_name = "full") {
   SCOPED_TRACE(case_id + " " + strategy_name + " @" + std::to_string(threads) + " threads");
@@ -413,7 +387,10 @@ void ExpectResumeMatchesUninterrupted(const std::string& case_id, int threads,
   systems::BuiltCase built = systems::BuildCase(*failure_case);
   ExplorerOptions options = OptionsForCase(*failure_case, threads);
 
-  ExploreResult baseline = RunStrategy(built, options, strategy_name);
+  obs::MetricsRegistry baseline_metrics;
+  ExplorerOptions metered = options;
+  metered.metrics = &baseline_metrics;
+  ExploreResult baseline = RunStrategy(built, metered, strategy_name);
   ASSERT_TRUE(baseline.reproduced);
   ASSERT_TRUE(baseline.script.has_value());
   ASSERT_GT(baseline.rounds, 1) << "need at least two rounds to interrupt between";
@@ -421,8 +398,10 @@ void ExpectResumeMatchesUninterrupted(const std::string& case_id, int threads,
   // Interrupted search: stop one round before success, checkpointing.
   std::string path = TempPath("resume_" + case_id + "_" + strategy_name + "_" +
                               std::to_string(threads) + ".json");
+  obs::MetricsRegistry interrupted_metrics;
   ExplorerOptions truncated = options;
   truncated.max_rounds = baseline.rounds - 1;
+  truncated.metrics = &interrupted_metrics;
   ExploreResult interrupted =
       RunStrategy(built, truncated, strategy_name, CheckpointConfig{path, nullptr});
   EXPECT_FALSE(interrupted.reproduced);
@@ -433,7 +412,11 @@ void ExpectResumeMatchesUninterrupted(const std::string& case_id, int threads,
   ASSERT_TRUE(LoadCheckpointFile(path, &snap, &error)) << error;
   EXPECT_EQ(snap.rounds_completed, baseline.rounds - 1);
   systems::BuiltCase rebuilt = systems::BuildCase(*failure_case);
-  ExploreResult resumed = RunStrategy(rebuilt, options, strategy_name, CheckpointConfig{"", &snap});
+  obs::MetricsRegistry resumed_metrics;
+  ExplorerOptions resuming = options;
+  resuming.metrics = &resumed_metrics;
+  ExploreResult resumed =
+      RunStrategy(rebuilt, resuming, strategy_name, CheckpointConfig{"", &snap});
 
   ASSERT_TRUE(resumed.reproduced);
   ASSERT_TRUE(resumed.script.has_value());
@@ -442,8 +425,13 @@ void ExpectResumeMatchesUninterrupted(const std::string& case_id, int threads,
             baseline.script->ToText(*built.spec.program));
   EXPECT_EQ(resumed.script->seed, baseline.script->seed);
   EXPECT_EQ(resumed.rounds, baseline.rounds);
-  // The resumed accounting includes the pre-checkpoint rounds.
-  EXPECT_EQ(resumed.experiment.total_rounds(), baseline.experiment.total_rounds());
+  // The resumed tally includes the pre-checkpoint rounds.
+  int64_t tallied = 0;
+  for (const auto& [name, rounds] : OutcomeTally(resumed.metrics)) {
+    tallied += rounds;
+  }
+  EXPECT_EQ(tallied, baseline.rounds);
+  EXPECT_EQ(OutcomeTally(resumed.metrics), OutcomeTally(baseline.metrics));
   std::remove(path.c_str());
 }
 
@@ -630,6 +618,53 @@ TEST(CheckpointResumeTest, CappedSearchLeavesItsCapRoundCheckpoint) {
   std::remove(path.c_str());
 }
 
+// A checkpoint is a pure function of the search: the file a search saves at
+// its round-N cap holds the same bytes whether the search ran rounds 1..N in
+// one process or stopped at round k < N and resumed.
+TEST(CheckpointResumeTest, ResumedSearchSavesTheUninterruptedCheckpointBytes) {
+  constexpr int kStopRound = 2;
+  constexpr int kCapRound = 4;  // zk-2247 reproduces in round 5
+  const systems::FailureCase* failure_case = systems::FindCase("zk-2247");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  ExplorerOptions options = OptionsForCase(*failure_case, 1);
+
+  const std::string uninterrupted_path = TempPath("pure_uninterrupted.json");
+  obs::MetricsRegistry uninterrupted_metrics;
+  ExplorerOptions capped = options;
+  capped.max_rounds = kCapRound;
+  capped.metrics = &uninterrupted_metrics;
+  ASSERT_FALSE(RunSearch(built, capped, CheckpointConfig{uninterrupted_path, nullptr}).reproduced);
+
+  const std::string stopped_path = TempPath("pure_stopped.json");
+  obs::MetricsRegistry stopped_metrics;
+  ExplorerOptions stopping = options;
+  stopping.max_rounds = kStopRound;
+  stopping.metrics = &stopped_metrics;
+  ASSERT_FALSE(RunSearch(built, stopping, CheckpointConfig{stopped_path, nullptr}).reproduced);
+  SearchCheckpoint snap;
+  std::string error;
+  ASSERT_TRUE(LoadCheckpointFile(stopped_path, &snap, &error)) << error;
+  ASSERT_EQ(snap.rounds_completed, kStopRound);
+
+  const std::string resumed_path = TempPath("pure_resumed.json");
+  systems::BuiltCase rebuilt = systems::BuildCase(*failure_case);
+  obs::MetricsRegistry resumed_metrics;
+  capped.metrics = &resumed_metrics;
+  ASSERT_FALSE(RunSearch(rebuilt, capped, CheckpointConfig{resumed_path, &snap}).reproduced);
+
+  std::string uninterrupted;
+  std::string resumed;
+  ASSERT_TRUE(ReadFileToString(uninterrupted_path, &uninterrupted));
+  ASSERT_TRUE(ReadFileToString(resumed_path, &resumed));
+  EXPECT_NE(uninterrupted.find("\"rounds_completed\": 4,"), std::string::npos) << uninterrupted;
+  EXPECT_NE(uninterrupted.find("\"metrics\""), std::string::npos) << uninterrupted;
+  EXPECT_EQ(resumed, uninterrupted);
+  for (const std::string& path : {uninterrupted_path, stopped_path, resumed_path}) {
+    std::remove(path.c_str());
+  }
+}
+
 // Full feedback, with `on_round` called after each round's feedback.
 class RoundHook : public InjectionStrategy {
  public:
@@ -775,8 +810,13 @@ TEST(CrashStallScenarioTest, ScenariosReproduceAndReplayDeterministically) {
     EXPECT_NE(result.script->kind, interp::FaultKind::kException)
         << "reachable only via crash/stall by construction";
     // The search visited crash and hang outcomes on the way.
-    EXPECT_GT(result.experiment.crashed_rounds, 0);
-    EXPECT_GT(result.experiment.hung_rounds, 0);
+    auto rounds_ending = [&result](interp::RunOutcome outcome) {
+      return std::count_if(
+          result.records.begin(), result.records.end(),
+          [outcome](const RoundRecord& record) { return record.outcome == outcome; });
+    };
+    EXPECT_GT(rounds_ending(interp::RunOutcome::kCrashed), 0);
+    EXPECT_GT(rounds_ending(interp::RunOutcome::kHung), 0);
     // The emitted script replays deterministically.
     EXPECT_TRUE(Explorer::Replay(built.spec, *result.script));
   }

@@ -86,9 +86,9 @@ foreach(forged "-7" "\"2\"" "4294967298")
                "${ANDURIL_CASE}" run zk-2247 "--checkpoint=${forged_file}" --resume)
 endforeach()
 
-# zk-2247's round-2 checkpoint written with --metrics-out, so it embeds the
-# metrics snapshot, with a counter forged to a string: a resume used to read
-# it as 0, exit 0 and write the counter as 0.
+# zk-2247's round-2 checkpoint, which embeds the metrics snapshot (the CLI
+# always attaches a registry), with a counter forged to a string: a resume
+# used to read it as 0, exit 0 and write the counter as 0.
 set(metered "${WORK_DIR}/zk2247_metrics_checkpoint.json")
 file(REMOVE "${metered}")
 execute_process(COMMAND "${ANDURIL_CASE}" run zk-2247 full 2 "--checkpoint=${metered}"

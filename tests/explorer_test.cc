@@ -5,7 +5,6 @@
 #include <set>
 
 #include "src/explorer/explorer.h"
-#include "src/explorer/priority_engine.h"
 #include "src/explorer/strategies/strategy_util.h"
 #include "src/interp/log_entry.h"
 #include "src/interp/simulator.h"
@@ -309,28 +308,29 @@ TEST(ExhaustiveStrategyTest, ArmsEveryKindAtTheGroundTruthSite) {
 
 // --- feedback unit behavior ----------------------------------------------------------
 
-TEST_F(ExplorerTest, FeedbackStateDeprioritizesPresentObservables) {
+// Algorithm 2: a round's present relevant key raises that observable's I_k
+// by the context's feedback adjustment; a key outside the observable set
+// moves nothing.
+TEST_F(ExplorerTest, FeedbackDeprioritizesPresentObservables) {
   Build();
-  ExplorerOptions options;
-  ExplorerContext context(spec_, options);
-  ASSERT_FALSE(context.observables().empty());
-  FeedbackState feedback;
-  feedback.Initialize(context);
-  PriorityEngine engine(context, {});
-  EXPECT_EQ(engine.priorities(), std::vector<int64_t>(context.observables().size(), 0));
+  for (const int adjustment : {1, 5}) {
+    SCOPED_TRACE(adjustment);
+    ExplorerOptions options;
+    options.feedback_adjustment = adjustment;
+    ExplorerContext context(spec_, options);
+    ASSERT_FALSE(context.observables().empty());
+    std::unique_ptr<InjectionStrategy> strategy = MakeFullFeedbackStrategy();
+    strategy->Initialize(context);
 
-  // One move per present relevant key; unknown keys contribute nothing.
-  std::vector<std::pair<size_t, int64_t>> deltas;
-  feedback.Digest({context.observables()[0].key, "not an observable"}, /*adjustment=*/1,
-                  &deltas);
-  EXPECT_EQ(deltas, (std::vector<std::pair<size_t, int64_t>>{{0, 1}}));
-  engine.ApplyDeltas(deltas);
-  deltas.clear();
-  feedback.Digest({context.observables()[0].key}, /*adjustment=*/5, &deltas);
-  engine.ApplyDeltas(deltas);
-  EXPECT_EQ(engine.priorities()[0], 6);
-  for (size_t k = 1; k < context.observables().size(); ++k) {
-    EXPECT_EQ(engine.priorities()[k], 0);
+    RoundOutcome outcome;
+    outcome.round = 1;
+    outcome.present_keys = {context.observables()[0].key, "not an observable"};
+    strategy->OnRound(outcome);
+    StrategyCheckpoint state;
+    ASSERT_TRUE(strategy->SaveState(&state));
+    std::vector<int64_t> expected(context.observables().size(), 0);
+    expected[0] = adjustment;
+    EXPECT_EQ(state.observable_priorities, expected);
   }
 }
 

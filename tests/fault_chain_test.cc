@@ -6,7 +6,7 @@
 //  - every CascadeCases() scenario is reproduced by the chain search in
 //    bounded rounds while the single-fault search provably caps out;
 //  - a fixed seed yields the identical FaultChain and round count at every
-//    thread count, and a search killed mid-chain and resumed from its v3
+//    thread count, and a search killed mid-chain and resumed from its
 //    checkpoint is indistinguishable from the uninterrupted one;
 //  - the unminimized signature of a reproduction replays byte-identically
 //    to the search's own failing run, with zero search rounds, and survives
@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/explorer/checkpoint.h"
@@ -24,7 +25,9 @@
 #include "src/explorer/signature.h"
 #include "src/interp/log_entry.h"
 #include "src/interp/simulator.h"
+#include "src/obs/trace.h"
 #include "src/systems/common.h"
+#include "src/util/file.h"
 #include "tests/test_util.h"
 
 namespace anduril::explorer {
@@ -122,6 +125,37 @@ TEST(FaultChainTest, ChainIsIdenticalAtEveryThreadCount) {
   }
 }
 
+// Each phase's rounds sit in a trace range of their own: phase p's round r
+// spans [p*kPhaseStride + r*kRoundStride, +kRoundStride).
+TEST(FaultChainTest, PhaseRoundsOccupyDisjointTraceRanges) {
+  const systems::FailureCase* failure_case = systems::FindCase("casc-retry-1");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  obs::Tracer tracer;
+  ExplorerOptions options = OptionsForCase(*failure_case, 1);
+  options.max_rounds = kPhaseRounds;
+  options.tracer = &tracer;
+  ChainResult result = RunChain(built, options);
+  ASSERT_TRUE(result.reproduced);
+  ASSERT_EQ(result.chain.steps.size(), 2u);
+
+  std::vector<std::pair<int64_t, int64_t>> expected;  // (ts, dur) per round span
+  for (size_t phase = 0; phase < result.chain.steps.size(); ++phase) {
+    for (int round = 1; round <= result.chain.steps[phase].rounds; ++round) {
+      expected.emplace_back(static_cast<int64_t>(phase) * obs::kPhaseStride +
+                                static_cast<int64_t>(round) * obs::kRoundStride,
+                            obs::kRoundStride);
+    }
+  }
+  std::vector<std::pair<int64_t, int64_t>> spans;
+  for (const obs::TraceEvent& event : tracer.Events()) {
+    if (event.name == "round") {
+      spans.emplace_back(event.ts, event.dur);
+    }
+  }
+  EXPECT_EQ(spans, expected);
+}
+
 // --- mid-chain kill and resume --------------------------------------------------
 
 // Kills the chain search after `kill_after_rounds` total rounds (checkpoint
@@ -189,6 +223,57 @@ TEST(FaultChainTest, MidChainKillResumeIsByteIdentical) {
   // Same mid-chain kill, parallel engine.
   ExpectChainResumeMatchesUninterrupted("casc-retry-1", 8,
                                         phase1_rounds + final_rounds - 1, baseline);
+}
+
+// A chain checkpoint is a pure function of the search: the file the chain
+// search saves when max_total_rounds stops it after round N holds the same
+// bytes whether it ran uninterrupted or stopped inside phase 1 and resumed,
+// re-making the stitch decision in between.
+TEST(FaultChainTest, ResumedChainSavesTheUninterruptedCheckpointBytes) {
+  const systems::FailureCase* failure_case = systems::FindCase("casc-retry-1");
+  ASSERT_NE(failure_case, nullptr);
+  systems::BuiltCase built = systems::BuildCase(*failure_case);
+  ExplorerOptions options = OptionsForCase(*failure_case, 1);
+  options.max_rounds = kPhaseRounds;
+  ChainResult baseline = RunChain(built, options);
+  ASSERT_TRUE(baseline.reproduced);
+  ASSERT_EQ(baseline.chain.steps.size(), 2u);
+  const int phase1_rounds = baseline.chain.steps.front().rounds;
+  const int cap_round = phase1_rounds + baseline.chain.steps.back().rounds - 1;
+  ASSERT_GT(cap_round, phase1_rounds) << "the cap must land in phase 2";
+
+  // Stops the chain search after `rounds` total rounds, checkpointing to
+  // `path`, optionally resuming from `resume`; every search attaches a
+  // metrics registry, so the file carries it.
+  auto run_until = [&](int rounds, const std::string& path, const SearchCheckpoint* resume) {
+    obs::MetricsRegistry metrics;
+    ExplorerOptions truncated = options;
+    truncated.max_total_rounds = rounds;
+    truncated.metrics = &metrics;
+    systems::BuiltCase fresh = systems::BuildCase(*failure_case);
+    return RunChain(fresh, truncated, 3, CheckpointConfig{path, resume});
+  };
+  const std::string uninterrupted_path = TempPath("pure_chain_uninterrupted.json");
+  ASSERT_FALSE(run_until(cap_round, uninterrupted_path, nullptr).reproduced);
+  const std::string stopped_path = TempPath("pure_chain_stopped.json");
+  ASSERT_FALSE(run_until(phase1_rounds - 1, stopped_path, nullptr).reproduced);
+  SearchCheckpoint snap;
+  std::string error;
+  ASSERT_TRUE(LoadCheckpointFile(stopped_path, &snap, &error)) << error;
+  ASSERT_EQ(snap.chain.phase, 0);
+  const std::string resumed_path = TempPath("pure_chain_resumed.json");
+  ASSERT_FALSE(run_until(cap_round, resumed_path, &snap).reproduced);
+
+  std::string uninterrupted;
+  std::string resumed;
+  ASSERT_TRUE(ReadFileToString(uninterrupted_path, &uninterrupted));
+  ASSERT_TRUE(ReadFileToString(resumed_path, &resumed));
+  EXPECT_NE(uninterrupted.find("\"phase\": 1,"), std::string::npos) << uninterrupted;
+  EXPECT_NE(uninterrupted.find("\"metrics\""), std::string::npos) << uninterrupted;
+  EXPECT_EQ(resumed, uninterrupted);
+  for (const std::string& path : {uninterrupted_path, stopped_path, resumed_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 // --- fault signatures -----------------------------------------------------------

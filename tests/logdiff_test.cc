@@ -63,15 +63,6 @@ TEST(Parser, IndicesAreSequential) {
   }
 }
 
-TEST(Parser, CustomFormatWithMoreTimestampTokens) {
-  LogFormat format;
-  format.timestamp_tokens = 2;  // e.g. "2024-07-04 10:00:00,000"
-  ParsedLog log =
-      ParseLogFile("2024-07-04 10:00:00,000 [t] ERROR logger - boom\n", format);
-  ASSERT_EQ(log.lines.size(), 1u);
-  EXPECT_EQ(log.lines[0].level, "ERROR");
-}
-
 TEST(Parser, MessageMayContainSeparator) {
   ParsedLog log = ParseLogFile("10:00:00,000 [t] INFO a - x - y - z\n");
   ASSERT_EQ(log.lines.size(), 1u);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -356,8 +357,12 @@ TEST(NetworkScenarioTest, PartitionSearchAccountsPartitionedStuckRounds) {
   // The search necessarily passes through partition candidates that leave
   // the monitor stuck; the taxonomy must count them, and the per-round
   // records must carry the sever/heal transitions for diagnosis.
-  EXPECT_GT(result.experiment.partitioned_stuck_rounds, 0);
-  EXPECT_EQ(result.experiment.total_rounds(), result.rounds);
+  EXPECT_EQ(static_cast<int>(result.records.size()), result.rounds);
+  EXPECT_GT(std::count_if(result.records.begin(), result.records.end(),
+                          [](const RoundRecord& record) {
+                            return record.outcome == interp::RunOutcome::kPartitionedStuck;
+                          }),
+            0);
   bool saw_partition_event = false;
   bool saw_network_candidates = false;
   for (const RoundRecord& record : result.records) {

@@ -295,9 +295,6 @@ TEST(MetricsConsistency, SearchCountersMatchExploreResult) {
 
   EXPECT_EQ(metrics.counter("explore.rounds"), result.rounds);
   EXPECT_EQ(metrics.counter("explore.reproduced"), 1);
-  EXPECT_EQ(metrics.counter("explore.outcome.completed"),
-            result.experiment.completed_rounds);
-  EXPECT_EQ(metrics.counter("explore.outcome.crashed"), result.experiment.crashed_rounds);
   EXPECT_EQ(metrics.gauge("explore.last_round"), result.rounds);
   // One simulation per round (runs_per_round = 1), so the
   // injected-fault counters must equal the count of injected rounds.

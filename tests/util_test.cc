@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -294,29 +295,33 @@ TEST(ThreadPool, BoundedQueueAppliesBackpressure) {
 
 // --- exponential backoff -----------------------------------------------------
 
+// Every delay lies within kJitter of its base.
+void ExpectWithinJitter(int64_t delay, int64_t base) {
+  const double spread = ExponentialBackoff::kJitter * static_cast<double>(base);
+  EXPECT_GE(static_cast<double>(delay), static_cast<double>(base) - spread) << "base " << base;
+  EXPECT_LE(static_cast<double>(delay), static_cast<double>(base) + spread) << "base " << base;
+}
+
 TEST(ExponentialBackoff, DelaysGrowExponentiallyWithinJitterBounds) {
-  ExponentialBackoff::Options options;
-  options.initial_delay_ms = 10;
-  options.multiplier = 2.0;
-  options.max_delay_ms = 40;
-  options.jitter = 0.2;
-  ExponentialBackoff backoff(options, 7);
-  // Base delays 10, 20, 40, then capped at 40; jitter is +/- 20% of the base.
-  const int64_t bases[] = {10, 20, 40, 40, 40};
-  for (int64_t base : bases) {
-    int64_t delay = backoff.NextDelayMs();
-    EXPECT_GE(delay, base - base / 5) << "base " << base;
-    EXPECT_LE(delay, base + base / 5) << "base " << base;
+  ExponentialBackoff backoff(7);
+  // The base doubles from kInitialDelayMs until it reaches kMaxDelayMs (the
+  // seventh delay).
+  int64_t base = ExponentialBackoff::kInitialDelayMs;
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    ExpectWithinJitter(backoff.NextDelayMs(), base);
+    base = std::min<int64_t>(base * 2, ExponentialBackoff::kMaxDelayMs);
   }
 }
 
 TEST(ExponentialBackoff, ResetRestartsTheDelaySequence) {
-  ExponentialBackoff backoff({.initial_delay_ms = 10, .max_delay_ms = 1000, .jitter = 0}, 1);
-  EXPECT_EQ(backoff.NextDelayMs(), 10);
-  EXPECT_EQ(backoff.NextDelayMs(), 20);
-  EXPECT_EQ(backoff.NextDelayMs(), 40);
+  ExponentialBackoff backoff(1);
+  for (int attempt = 0; attempt < 6; ++attempt) {
+    backoff.NextDelayMs();
+  }
+  // Without the Reset the seventh base would be kMaxDelayMs.
   backoff.Reset();
-  EXPECT_EQ(backoff.NextDelayMs(), 10);
+  ExpectWithinJitter(backoff.NextDelayMs(), ExponentialBackoff::kInitialDelayMs);
+  ExpectWithinJitter(backoff.NextDelayMs(), 2 * ExponentialBackoff::kInitialDelayMs);
 }
 
 // --- json ---------------------------------------------------------------------

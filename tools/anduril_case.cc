@@ -22,7 +22,8 @@
 //       Ordered-fault-chain search (ChainExplorer): per-phase context rebuild
 //       with the accepted prefix pinned, causal stitching between phases.
 //       --signature-out writes the minimized fault signature of a successful
-//       reproduction; --checkpoint/--resume use the v3 chain checkpoint.
+//       reproduction; --checkpoint/--resume save and restore the chain
+//       search state with the checkpoint.
 //   anduril_case replay <case> <occurrence> <seed>
 //       Inject the case's ground-truth site at a chosen occurrence/seed and
 //       dump the resulting log — the tool for studying a scenario's timing
@@ -210,7 +211,9 @@ int Info(const std::string& id) {
 }
 
 // The --trace-out / --metrics-out sinks of one search: Attach wires the
-// requested ones into the options, Dump writes them after the search.
+// tracer in when it is requested, and the metrics registry always — it holds
+// the outcome tally `run` prints, and a checkpoint carries it across
+// --resume. Dump writes the requested ones after the search.
 struct SearchSinks {
   std::string trace_path;
   std::string metrics_path;
@@ -221,9 +224,7 @@ struct SearchSinks {
     if (!trace_path.empty()) {
       options->tracer = &tracer;
     }
-    if (!metrics_path.empty()) {
-      options->metrics = &metrics;
-    }
+    options->metrics = &metrics;
   }
 
   // False (after reporting it) when a file cannot be written.
@@ -333,12 +334,17 @@ int RunCase(const std::string& id, const std::string& strategy_name, int max_rou
                   transition.node_b.c_str(), static_cast<long long>(transition.time_ms));
     }
   }
-  const explorer::ExperimentRecord& experiment = result.experiment;
+  auto outcome_rounds = [&sinks](interp::RunOutcome outcome) {
+    return static_cast<long long>(
+        sinks.metrics.counter(std::string("explore.outcome.") + interp::RunOutcomeName(outcome)));
+  };
   std::printf(
-      "outcomes: %d completed, %d crashed, %d hung, %d partitioned-stuck, %d "
+      "outcomes: %lld completed, %lld crashed, %lld hung, %lld partitioned-stuck, %lld "
       "budget-exceeded\n",
-      experiment.completed_rounds, experiment.crashed_rounds, experiment.hung_rounds,
-      experiment.partitioned_stuck_rounds, experiment.budget_exceeded_rounds);
+      outcome_rounds(interp::RunOutcome::kCompleted), outcome_rounds(interp::RunOutcome::kCrashed),
+      outcome_rounds(interp::RunOutcome::kHung),
+      outcome_rounds(interp::RunOutcome::kPartitionedStuck),
+      outcome_rounds(interp::RunOutcome::kBudgetExceeded));
   int runs = 0;
   int forked_runs = 0;
   int64_t steps = 0;
